@@ -11,6 +11,7 @@ byte-identical JSON.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -61,7 +62,7 @@ def twist_orbits(tower):
 
 def _irreducible_divisors_of(poly, irreducibles_by_degree):
     out = []
-    for d in range(1, int(poly.degree()) + 1):
+    for d in range(1, poly.degree() + 1):
         for rho in irreducibles_by_degree.get(d, ()):
             if (poly % rho).is_zero():
                 out.append(rho)
@@ -318,12 +319,15 @@ class CensusReport:
 def run_census(tower, prime, m, jobs=1, verify_members=False):
     """Classify every module (g, delta) over the tower for the given prime.
 
-    jobs > 1 distributes the per-orbit work over worker processes; the
-    merge order is the orbit order, so reports are identical regardless
-    of the job count.
+    jobs > 1 distributes the per-orbit work over worker processes, at most
+    one per CPU and one per orbit; the merge order is the orbit order, so
+    reports are identical regardless of the job count.  jobs < 1 raises
+    ValueError.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
     fq = tower.fq
-    d = int(prime.degree())
+    d = prime.degree()
     if m * d != tower.n:
         raise ValueError("m * deg(prime) = %d differs from n = %d" % (m * d, tower.n))
     if tower.order > CENSUS_MAX_ORDER:
@@ -340,11 +344,12 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     irr = {k: enumerate_monic_irreducibles(fq, k) for k in range(1, n + 1)}
 
-    if jobs > 1 and _fork_available():
+    workers = min(jobs, os.cpu_count() or 1, len(orbits))
+    if workers > 1 and _fork_available():
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_pool_init,
+        with ctx.Pool(workers, initializer=_pool_init,
                       initargs=(tower.p, tower.s, n, prime.coeffs, m,
                                 verify_members)) as pool:
             records = pool.map(_pool_work, orbits)
@@ -532,7 +537,7 @@ def attach_class_number_checks(report, tower):
         all_match = all_match and w_match and imaginary
         sub_rows = []
         two = UPoly.constant(fq, 2 % fq.p)
-        half = int(chi.degree()) // 2
+        half = chi.degree() // 2
         for k in range(1, half + 1):
             for i2 in monic_polys(fq, k):
                 if not (chi % (i2 * i2)).is_zero():
@@ -566,12 +571,15 @@ def attach_class_number_checks(report, tower):
 
 
 def cyclicity_trend(q_list, d, m, jobs=1):
-    """C and C0 across a list of prime powers q, with the closed forms
-    evaluated alongside; a report of the trend, no limit is asserted."""
-    from .fields import prime_factors
+    """C and C0 across a list of prime powers q, with the literal C0 closed
+    form and its match flag taken from each census's formula_comparison;
+    a report of the trend, no limit is asserted."""
+    from .fields import MAX_BASE_ORDER, prime_factors
 
     rows = []
     for q in q_list:
+        if q > MAX_BASE_ORDER:  # before factoring, which is slow for huge q
+            raise SizeBoundError("base field order %d exceeds %d" % (q, MAX_BASE_ORDER))
         ps = prime_factors(q)
         if len(ps) != 1:
             raise ValueError("%d is not a prime power" % q)
@@ -584,12 +592,13 @@ def cyclicity_trend(q_list, d, m, jobs=1):
         tower = build_tower(p, s, d * m)
         prime = default_prime(tower.fq, d)
         report = run_census(tower, prime, m, jobs=jobs)
-        formulas = counting_formulas(q, d, m)
+        c0_form = report.formula_comparison["C0_closed_form"]
         rows.append({
             "q": q,
             "C": _fraction_dict(report.statistics["C"]),
             "C0": _fraction_dict(report.statistics["C0"]),
-            "C0_closed_form": _fraction_dict(formulas["C0_closed_form"]),
+            "C0_closed_form": c0_form["formula"],
+            "C0_closed_form_match": c0_form["match"],
             "ordinary_isogeny_classes": report.totals["ordinary_isogeny_classes"],
             "ordinary_iso_classes": report.totals["ordinary_iso_classes"],
         })

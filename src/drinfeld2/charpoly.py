@@ -58,8 +58,7 @@ class FrobeniusCharPoly:
 
     def trace_degree_ok(self):
         """Hasse-Weil analogue: 2*deg(trace) <= m*deg(prime)."""
-        dt = self.trace.degree()
-        return (not self.trace) or 2 * int(dt) <= self.ext_degree * int(self.prime.degree())
+        return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()
 
 
 def _ore_columns_to_rows(tower, columns, rhs_poly, width):
@@ -162,8 +161,8 @@ def annihilation_holds(mod, cp=None):
 def euler_characteristic(mod):
     """The ideal generated by P(1); its degree equals n."""
     chi = frobenius_charpoly(mod).chi_poly()
-    if int(chi.degree()) != mod.n:
-        raise RuntimeError("deg P(1) = %s differs from n = %d" % (chi.degree(), mod.n))
+    if chi.degree() != mod.n:
+        raise RuntimeError("deg P(1) = %d differs from n = %d" % (chi.degree(), mod.n))
     return MonicIdeal(chi)
 
 
@@ -180,8 +179,7 @@ def is_imaginary(disc, fq):
     deg odd, or deg even with a non-square leading coefficient."""
     if disc.is_zero():
         return False
-    d = int(disc.degree())
-    if d % 2 == 1:
+    if disc.degree() % 2 == 1:
         return True
     return not fq.is_square(disc.lc())
 

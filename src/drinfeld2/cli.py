@@ -46,7 +46,7 @@ def _add_output_args(sub, formats=("json", "text")):
 
 def _build_module(args):
     prime_probe = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
-    n = args.m * int(prime_probe.degree())
+    n = args.m * prime_probe.degree()
     if args.n is not None and args.n != n:
         raise ValueError("--n %d does not match m*deg(P) = %d" % (args.n, n))
     tower = build_tower(args.p, args.s, n)
@@ -57,6 +57,8 @@ def _build_module(args):
 
 
 def _emit(args, payload, text_lines):
+    """Write a report to --out or stdout: payload as canonical JSON for
+    --format json, else the lines of the text or CSV form."""
     if args.format == "json":
         body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
@@ -124,8 +126,8 @@ def cmd_census(args):
     tower = build_tower(args.p, args.s, args.d * args.m)
     if args.P is not None:
         prime = UPoly.parse(tower.fq, args.P)
-        if int(prime.degree()) != args.d:
-            raise ValueError("--P has degree %s, expected %d" % (prime.degree(), args.d))
+        if prime.degree() != args.d:
+            raise ValueError("--P has degree %d, expected %d" % (prime.degree(), args.d))
     else:
         prime = default_prime(tower.fq, args.d)
     report = run_census(tower, prime, args.m, jobs=args.jobs,
@@ -133,9 +135,7 @@ def cmd_census(args):
     if args.hurwitz:
         attach_class_number_checks(report, tower)
     if args.format == "csv":
-        body = report.to_csv()
-    elif args.format == "json":
-        body = report.to_json_bytes().decode()
+        lines = report.to_csv().splitlines()
     else:
         t = report.totals
         lines = ["census q=%d d=%d m=%d (P = %s)" % (report.q, report.d,
@@ -148,18 +148,13 @@ def cmd_census(args):
         st = report.statistics
         if st["defined"]:
             lines.append("C = %s, C0 = %s" % (st["C"], st["C0"]))
-        body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _emit(args, report.to_dict(), lines)
     return EXIT_OK
 
 
 def cmd_realize(args):
     prime_probe = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
-    d = int(prime_probe.degree())
+    d = prime_probe.degree()
     n = args.m * d
     tower = build_tower(args.p, args.s, n)
     prime = UPoly.parse(tower.fq, args.P)
@@ -188,22 +183,16 @@ def cmd_realize(args):
 def cmd_trend(args):
     qs = [int(x) for x in args.q.split(",")]
     table = cyclicity_trend(qs, args.d, args.m, jobs=args.jobs)
-    if args.format == "json":
-        body = json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        lines = ["q\tC\tC0\tC0_closed_form"]
-        for row in table["rows"]:
-            def fmt(fr):
-                return "-" if fr is None else "%s/%s" % (fr["num"], fr["den"])
-            lines.append("%d\t%s\t%s\t%s" % (row["q"], fmt(row["C"]),
-                                             fmt(row["C0"]),
-                                             fmt(row["C0_closed_form"])))
-        body = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+
+    def fmt(fr):
+        return "-" if fr is None else "%s/%s" % (fr["num"], fr["den"])
+
+    lines = ["q\tC\tC0\tC0_closed_form\tC0_closed_form_match"]
+    for row in table["rows"]:
+        lines.append("%d\t%s\t%s\t%s\t%s" % (row["q"], fmt(row["C"]), fmt(row["C0"]),
+                                             fmt(row["C0_closed_form"]),
+                                             row["C0_closed_form_match"]))
+    _emit(args, table, lines)
     return EXIT_OK
 
 
@@ -229,9 +218,10 @@ def build_parser():
     p_ce.add_argument("--m", type=int, required=True)
     p_ce.add_argument("--P", default=None,
                       help="explicit prime (default: lex-first irreducible of degree d)")
-    p_ce.add_argument("--jobs", type=int,
-                      default=int(os.environ.get("DRINFELD2_JOBS", "1")),
-                      help="worker processes (default $DRINFELD2_JOBS or 1)")
+    # a string default goes through type=int, so a bad value exits 2
+    p_ce.add_argument("--jobs", type=int, default=os.environ.get("DRINFELD2_JOBS", "1"),
+                      help="worker processes, capped at the CPU count "
+                           "(default $DRINFELD2_JOBS or 1)")
     p_ce.add_argument("--verify-members", action="store_true",
                       help="re-verify every module, not only orbit representatives")
     p_ce.add_argument("--hurwitz", action="store_true",

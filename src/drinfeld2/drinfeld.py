@@ -28,7 +28,7 @@ class DrinfeldModule:
             raise ValueError("prime must be a polynomial over the tower's base field")
         if not prime.is_monic() or not prime.is_irreducible():
             raise ValueError("prime must be monic irreducible")
-        d = int(prime.degree())
+        d = prime.degree()
         if tower.n % d != 0:
             raise ValueError("deg(prime) = %d must divide n = %d" % (d, tower.n))
         g = tower.element(g).value
@@ -154,7 +154,7 @@ class DrinfeldModule:
         f = self.phi_ideal(ideal)
         if f.degree() == 0:
             return TorsionStructure(ideal, (), 1, 1)
-        want = int(f.degree()) - f.height()  # F_q-dimension of the kernel
+        want = f.degree() - f.height()  # F_q-dimension of the kernel
         if want == 0:
             # purely inseparable: the torsion module is trivial
             return TorsionStructure(ideal, (), 1, 1)

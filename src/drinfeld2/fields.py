@@ -15,6 +15,7 @@ immutable and safe to share across worker processes.
 """
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 
 # Largest |L| for which tables are built.  Census code imposes its own,
@@ -24,6 +25,10 @@ MAX_FIELD_ORDER = 8192
 
 # Largest base field F_q; keeps the q x q tables small.
 MAX_BASE_ORDER = 128
+
+# Largest degree of any field over F_p that the bounds admit (2^13 = 8192),
+# and so of any polynomial the library reads as input.
+MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1
 
 
 class SizeBoundError(ValueError):
@@ -56,91 +61,139 @@ def prime_factors(n):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Minimal polynomial search.  These helpers work on coefficient tuples
-# (low degree first, no trailing zeros) over an abstract coefficient
-# field given by (add, mul, neg, inv) callables, so the same code finds
-# the base polynomial over F_p and the top polynomial over F_q.
+PolyKernel = namedtuple(
+    "PolyKernel", "add sub neg mul divmod scale monic monics irreducibles is_irreducible")
+PolyKernel.__doc__ = """Arithmetic on polynomials over one F_q, as coefficient tuples.
+
+Tuples hold field elements low degree first, with no trailing zeros, so
+the zero polynomial is ().  The factors of mul and the dividend of divmod
+may also carry trailing zeros, as digit vectors do.
+"""
 
 
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _poly_kernel(fq):
+    """The PolyKernel of fq, over its add, neg, mul and inverse tables.
 
-
-def _poly_mod(f, g, add, mul, neg, inv):
-    """Remainder of f by g (g nonzero) over the given coefficient field."""
-    r = list(f)
-    dg = len(g) - 1
-    inv_lc = inv(g[-1])
-    while len(r) - 1 >= dg and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - 1 - dg
-        coef = mul(r[-1], inv_lc)
-        for i in range(dg + 1):
-            r[k + i] = add(r[k + i], neg(mul(coef, g[i])))
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
-
-
-def _poly_is_irreducible(f, order, add, mul, neg, inv):
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(order), repeat=e):
-            g = tail + (1,)
-            if not _poly_mod(f, g, add, mul, neg, inv):
-                return False
-    return True
-
-
-def _lex_min_irreducible(degree, order, add, mul, neg, inv):
-    """Lex-smallest monic irreducible of the given degree.
-
-    Candidates are scanned with the constant coefficient varying slowest,
-    which is exactly lexicographic order on coefficient vectors read low
+    Every polynomial over F_q in the library, from the moduli that build
+    the field tables to UPoly and the class-number search, is computed
+    here.  Monic polynomials are listed with the constant coefficient
+    varying slowest: lexicographic order on coefficient vectors read low
     degree first.
     """
-    for tail in itertools.product(range(order), repeat=degree):
-        f = tail + (1,)
-        if _poly_is_irreducible(f, order, add, mul, neg, inv):
-            return f
-    raise RuntimeError("no irreducible of degree %d found" % degree)
+    q = fq.q
+    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
 
+    def add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] = add_t[out[i]][v]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
 
-# ---------------------------------------------------------------------------
+    def sub(a, b):
+        out = list(a)
+        if len(out) < len(b):
+            out += [0] * (len(b) - len(out))
+        for i, v in enumerate(b):
+            out[i] = add_t[out[i]][neg_t[v]]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    def neg(a):
+        return tuple([neg_t[v] for v in a])
+
+    def mul(a, b):
+        if not a or not b:
+            return ()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                row = mul_t[x]
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add_t[out[i + j]][row[y]]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    def divmod_(a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        to_coef = mul_t[inv_t[b[-1]]]
+        r = list(a)
+        quot = [0] * max(0, len(r) - db)
+        while len(r) > db:
+            lead = r.pop()
+            if lead:
+                # subtract coef * T^k * b; its top term cancels the popped one
+                k = len(r) - db
+                coef = to_coef[lead]
+                quot[k] = coef
+                row = mul_t[neg_t[coef]]
+                for i in range(db):
+                    bi = b[i]
+                    if bi:
+                        r[k + i] = add_t[r[k + i]][row[bi]]
+        while r and r[-1] == 0:
+            r.pop()
+        while quot and quot[-1] == 0:
+            quot.pop()
+        return tuple(quot), tuple(r)
+
+    def scale(a, c):
+        if not c:
+            return ()
+        row = mul_t[c]
+        return tuple([row[v] for v in a])
+
+    def monic(a):
+        if a[-1] == 1:
+            return a
+        return scale(a, inv_t[a[-1]])
+
+    def monics(degree):
+        for tail in itertools.product(range(q), repeat=degree):
+            yield tail + (1,)
+
+    irreducible = {}
+
+    def is_irreducible(f):
+        """Trial division by every monic polynomial of degree <= deg(f)/2."""
+        hit = irreducible.get(f)
+        if hit is None:
+            hit = len(f) > 1 and all(
+                divmod_(f, g)[1] for e in range(1, (len(f) - 1) // 2 + 1) for g in monics(e))
+            irreducible[f] = hit
+        return hit
+
+    def irreducibles(degree):
+        return (f for f in monics(degree) if is_irreducible(f))
+
+    return PolyKernel(add, sub, neg, mul, divmod_, scale, monic, monics, irreducibles,
+                      is_irreducible)
 
 
 class Fq:
     """The field F_q, q = p^s, with full arithmetic tables."""
 
     def __init__(self, p, s):
-        if not is_prime(p):
-            raise ValueError("characteristic %r is not prime" % (p,))
         if s < 1:
             raise ValueError("extension degree s must be >= 1")
+        # compare before the power and the primality test, which are slow
+        # for huge inputs
+        if p > MAX_BASE_ORDER or s > MAX_DEGREE or p ** s > MAX_BASE_ORDER:
+            raise SizeBoundError("base field order %d^%d exceeds %d" % (p, s, MAX_BASE_ORDER))
+        if not is_prime(p):
+            raise ValueError("characteristic %r is not prime" % (p,))
         q = p ** s
-        if q > MAX_BASE_ORDER:
-            raise SizeBoundError("base field order %d exceeds %d" % (q, MAX_BASE_ORDER))
         self.p = p
         self.s = s
         self.q = q
-
-        padd = lambda a, b: (a + b) % p
-        pmul = lambda a, b: (a * b) % p
-        pneg = lambda a: (-a) % p
-        pinv = lambda a: pow(a, p - 2, p)
-        if s == 1:
-            self.min_poly = (0, 1)  # the polynomial x
-        else:
-            self.min_poly = _lex_min_irreducible(s, p, padd, pmul, pneg, pinv)
 
         digits = [self._int_to_vec(v) for v in range(q)]
         self._digits = digits
@@ -158,20 +211,19 @@ class Fq:
         self.add_table = add
         self.neg_table = [self._vec_to_int([(-d) % p for d in digits[a]]) for a in range(q)]
 
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                prod = [0] * (2 * s - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                rem = _poly_mod(_trim(prod), self.min_poly, padd, pmul, pneg, pinv)
-                v = self._vec_to_int(rem + (0,) * (s - len(rem)))
-                mul[a][b] = v
-                mul[b][a] = v
+        if s == 1:
+            self.min_poly = (0, 1)  # the polynomial x
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            base = _build_fq(p, 1).kernel
+            self.min_poly = next(base.irreducibles(s))
+            mul = [[0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    prod = base.mul(digits[a], digits[b])
+                    v = self._vec_to_int(base.divmod(prod, self.min_poly)[1])
+                    mul[a][b] = v
+                    mul[b][a] = v
         self.mul_table = mul
 
         inv = [0] * q
@@ -181,6 +233,7 @@ class Fq:
                     inv[a] = b
                     break
         self.inv_table = inv
+        self.kernel = _poly_kernel(self)
 
     def _int_to_vec(self, v):
         out = []
@@ -242,6 +295,10 @@ class Fq:
     def __eq__(self, other):
         return isinstance(other, Fq) and (self.p, self.s) == (other.p, other.s)
 
+    def __reduce__(self):
+        # the kernel's closures cannot be pickled; unpickling rebuilds the field
+        return _build_fq, (self.p, self.s)
+
     def __hash__(self):
         return hash((Fq, self.p, self.s))
 
@@ -260,10 +317,10 @@ class FieldTower:
     def __init__(self, fq, n):
         if n < 1:
             raise ValueError("top extension degree must be >= 1")
+        if n > MAX_DEGREE or fq.q ** n > MAX_FIELD_ORDER:
+            raise SizeBoundError("field order %d^%d exceeds the supported bound %d"
+                                 % (fq.q, n, MAX_FIELD_ORDER))
         order = fq.q ** n
-        if order > MAX_FIELD_ORDER:
-            raise SizeBoundError(
-                "field order %d exceeds the supported bound %d" % (order, MAX_FIELD_ORDER))
         self.fq = fq
         self.p = fq.p
         self.s = fq.s
@@ -271,11 +328,7 @@ class FieldTower:
         self.n = n
         self.order = order
 
-        if n == 1:
-            self.top_min_poly = (0, 1)
-        else:
-            self.top_min_poly = _lex_min_irreducible(
-                n, fq.q, fq.add, fq.mul, fq.neg, fq.inv)
+        self.top_min_poly = next(fq.kernel.irreducibles(n))
 
         q = fq.q
         digits = []
@@ -334,31 +387,11 @@ class FieldTower:
 
     def _raw_mul(self, a, b):
         """Product in L by polynomial multiplication; used before tables exist."""
-        fq = self.fq
-        n = self.n
-        da = self._digits[a]
-        db = self._digits[b]
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(da):
-            if x:
-                row = fq.mul_table[x]
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = fq.add_table[prod[i + j]][row[y]]
-        # reduce modulo top_min_poly (monic)
-        top = self.top_min_poly
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(n):
-                    ti = top[i]
-                    if ti:
-                        prod[k - n + i] = fq.add_table[prod[k - n + i]][
-                            fq.neg_table[fq.mul_table[c][ti]]]
+        kernel = self.fq.kernel
+        prod = kernel.mul(self._digits[a], self._digits[b])
         v = 0
-        for i in range(n - 1, -1, -1):
-            v = v * self.q + prod[i]
+        for c in reversed(kernel.divmod(prod, self.top_min_poly)[1]):
+            v = v * self.q + c
         return v
 
     def _raw_pow(self, a, e):
@@ -554,88 +587,66 @@ class FieldElement:
 # Exact linear algebra over F_q (small dense systems).
 
 
+def _row_reduce(fq, mat, ncols):
+    """Bring mat (a list of row lists, changed in place) to reduced row
+    echelon form in its first ncols columns; row operations act on whole
+    rows.  Returns the pivot columns."""
+    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
+    m = len(mat)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        to_one = mul_t[inv_t[mat[r][c]]]
+        prow = mat[r] = [to_one[v] for v in mat[r]]
+        for i in range(m):
+            irow = mat[i]
+            if i != r and irow[c]:
+                minus_f = mul_t[neg_t[irow[c]]]
+                for j in range(c, len(irow)):
+                    irow[j] = add_t[irow[j]][minus_f[prow[j]]]
+        pivots.append(c)
+    return pivots
+
+
 def gauss_solve(fq, rows, rhs):
     """Solve rows * x = rhs over F_q.
 
     Returns ("unique", x), ("many", x) with one witness, or ("none", None).
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return "many", ()
     ncols = len(rows[0])
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = fq.inv(aug[r][c])
-        mrow = fq.mul_table
-        aug[r] = [mrow[inv][v] for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                arow = aug[r]
-                irow = aug[i]
-                for j in range(c, ncols + 1):
-                    irow[j] = fq.sub(irow[j], fq.mul(f, arow[j]))
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols]:
-            return "none", None
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(fq, aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return "none", None
     x = [0] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    status = "unique" if len(pivots) == ncols else "many"
-    return status, tuple(x)
+    for row, c in zip(aug, pivots):
+        x[c] = row[ncols]
+    return ("unique" if len(pivots) == ncols else "many"), tuple(x)
 
 
 def nullspace(fq, rows):
     """Basis of the right null space of the matrix over F_q."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = fq.inv(mat[r][c])
-        mat[r] = [fq.mul(inv, v) for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                for j in range(ncols):
-                    mat[i][j] = fq.sub(mat[i][j], fq.mul(f, mat[r][j]))
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    mat = [list(row) for row in rows]
+    pivots = _row_reduce(fq, mat, ncols)
     basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = fq.neg(mat[i][fc])
-        basis.append(tuple(vec))
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [0] * ncols
+            vec[fc] = 1
+            for row, pc in zip(mat, pivots):
+                vec[pc] = fq.neg_table[row[fc]]
+            basis.append(tuple(vec))
     return basis
 
 

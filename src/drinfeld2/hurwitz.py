@@ -14,11 +14,13 @@ the class partition stabilizes.  A partition that fails to stabilize at
 the cap raises instead of guessing.
 
 The inner loop works on raw coefficient tuples (low degree first, no
-trailing zeros) for speed; the public API speaks UPoly.
+trailing zeros) through the field's PolyKernel, for speed; the public API
+speaks UPoly.
 """
 
 import itertools
 
+from .charpoly import is_imaginary
 from .polys import UPoly, monic_polys
 
 
@@ -26,101 +28,13 @@ class StabilizationError(RuntimeError):
     """The class partition did not stabilize within the multiplier cap."""
 
 
-def is_imaginary_disc(disc, fq):
-    if disc.is_zero():
-        return False
-    if int(disc.degree()) % 2 == 1:
-        return True
-    return not fq.is_square(disc.lc())
-
-
-# ---------------------------------------------------------------------------
-# Tuple-based polynomial helpers.  All take the field tables as locals.
-
-
-def _make_ops(fq):
-    add_t = fq.add_table
-    neg_t = fq.neg_table
-    mul_t = fq.mul_table
-    inv_t = fq.inv_table
-
-    def tadd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = add_t[out[i]][v]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    def tsub(a, b):
-        nb = tuple(neg_t[v] for v in b)
-        return tadd(a, nb)
-
-    def tmul(a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                row = mul_t[x]
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add_t[out[i + j]][row[y]]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    def tdivmod(a, b):
-        db = len(b) - 1
-        inv_lc = inv_t[b[-1]]
-        r = list(a)
-        quot = [0] * max(0, len(r) - db)
-        while len(r) - 1 >= db and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            k = len(r) - 1 - db
-            coef = mul_t[r[-1]][inv_lc]
-            quot[k] = coef
-            row = mul_t[coef]
-            for i in range(db + 1):
-                bi = b[i]
-                if bi:
-                    r[k + i] = add_t[r[k + i]][neg_t[row[bi]]]
-            while r and r[-1] == 0:
-                r.pop()
-        while quot and quot[-1] == 0:
-            quot.pop()
-        return tuple(quot), tuple(r)
-
-    def tmonic(a):
-        if a[-1] == 1:
-            return a
-        row = mul_t[inv_t[a[-1]]]
-        return tuple(row[v] for v in a)
-
-    def tscale(a, c):
-        row = mul_t[c]
-        out = [row[v] for v in a]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    return tadd, tsub, tmul, tdivmod, tmonic, tscale
-
-
-# ---------------------------------------------------------------------------
-
-
 def proper_ideal_representatives(disc, fq):
     """Primitive (proper) ideals (a, b + w) with a monic of degree at most
     deg(disc)/2 + 1 and deg b < deg a; every ideal class of the order
     contains one of these."""
-    if not is_imaginary_disc(disc, fq):
+    if not is_imaginary(disc, fq):
         raise ValueError("%s is not an imaginary discriminant" % disc)
-    bound = int(disc.degree()) // 2 + 1
+    bound = disc.degree() // 2 + 1
     out = [(UPoly.one(fq), UPoly.zero(fq))]
     for da in range(1, bound + 1):
         for a in monic_polys(fq, da):
@@ -179,7 +93,9 @@ def _multiplier_pairs(fq, disc_deg, norm_degree_bound):
 def _partition(ideal_tuples, disc_t, fq, norm_degree_bound):
     """Union-find partition of the ideals: two merge when some bounded
     multiples coincide as lattices."""
-    tadd, tsub, tmul, tdivmod, tmonic, tscale = _make_ops(fq)
+    kernel = fq.kernel
+    tadd, tsub, tmul, tdivmod = kernel.add, kernel.sub, kernel.mul, kernel.divmod
+    tmonic, tscale = kernel.monic, kernel.scale
     inv_t = fq.inv_table
 
     def canon(x1, y1, x2, y2):
@@ -247,7 +163,7 @@ def class_number(disc, fq, max_norm_degree=24):
     ideals = proper_ideal_representatives(disc, fq)
     ideal_tuples = [(a.coeffs, b.coeffs) for a, b in ideals]
     disc_t = disc.coeffs
-    bound = int(disc.degree()) + 2
+    bound = disc.degree() + 2
     part = _partition(ideal_tuples, disc_t, fq, bound)
     while True:
         nxt = 2 * bound
@@ -272,10 +188,10 @@ def hurwitz_class_number(disc, fq):
     """
     if fq.p == 2:
         raise ValueError("Hurwitz class numbers require odd q")
-    if not is_imaginary_disc(disc, fq):
+    if not is_imaginary(disc, fq):
         raise ValueError("%s is not an imaginary discriminant" % disc)
     ells = [UPoly.one(fq)]
-    for k in range(1, int(disc.degree()) // 2 + 1):
+    for k in range(1, disc.degree() // 2 + 1):
         for l in monic_polys(fq, k):
             if (disc % (l * l)).is_zero():
                 ells.append(l)

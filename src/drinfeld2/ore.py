@@ -8,8 +8,6 @@ here needs left gcds or lcms.
 
 from .fields import FieldElement
 
-NEG_INF = float("-inf")
-
 
 class OrePoly:
     """Twisted polynomial; coefficients in L, stored low tau-degree first."""
@@ -40,7 +38,7 @@ class OrePoly:
         return cls(tower, (0,) * k + (coeff,))
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs

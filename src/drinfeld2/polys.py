@@ -1,18 +1,14 @@
 """Univariate polynomials over F_q: the ring A = F_q[T] and its monic ideals.
 
 Coefficients are stored low degree first with no trailing zeros, so the
-zero polynomial has an empty coefficient tuple and degree() returns a
-sentinel below every integer.  Ideals of A are represented by their
-monic generator.
+zero polynomial has an empty coefficient tuple and degree() returns -1.
+The arithmetic is that of the field's PolyKernel.  Ideals of A are
+represented by their monic generator.
 """
 
-import itertools
 import re
-from functools import lru_cache
 
-from .fields import FieldElement
-
-NEG_INF = float("-inf")
+from .fields import MAX_DEGREE, FieldElement, SizeBoundError
 
 
 class UPoly:
@@ -50,7 +46,7 @@ class UPoly:
     # -- basic queries --------------------------------------------------------
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
@@ -92,84 +88,34 @@ class UPoly:
 
     def __add__(self, other):
         other = self._check(other)
-        fq = self.fq
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = fq.add(out[i], v)
-        return UPoly(fq, out)
+        return _wrap(self.fq, self.fq.kernel.add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.fq.neg_table
-        return UPoly(self.fq, [neg[v] for v in self.coeffs])
+        return _wrap(self.fq, self.fq.kernel.neg(self.coeffs))
 
     def __sub__(self, other):
         other = self._check(other)
-        fq = self.fq
-        neg = fq.neg_table
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, v in enumerate(b):
-                out[i] = fq.add(out[i], neg[v])
-        else:
-            out = [neg[v] for v in b]
-            for i, v in enumerate(a):
-                out[i] = fq.add(v, out[i])
-        return UPoly(fq, out)
+        return _wrap(self.fq, self.fq.kernel.sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return UPoly.zero(self.fq)
-        fq = self.fq
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                row = fq.mul_table[x]
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = fq.add(out[i + j], row[y])
-        return UPoly(fq, out)
+        return _wrap(self.fq, self.fq.kernel.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply by the scalar c in F_q."""
-        if c == 0:
-            return UPoly.zero(self.fq)
-        row = self.fq.mul_table[c]
-        return UPoly(self.fq, [row[v] for v in self.coeffs])
+        return _wrap(self.fq, self.fq.kernel.scale(self.coeffs, c))
 
     def __divmod__(self, other):
         other = self._check(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        fq = self.fq
-        r = list(self.coeffs)
-        g = other.coeffs
-        dg = len(g) - 1
-        inv_lc = fq.inv(g[-1])
-        quot = [0] * max(0, len(r) - dg)
-        while len(r) - 1 >= dg and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            k = len(r) - 1 - dg
-            coef = fq.mul(r[-1], inv_lc)
-            quot[k] = coef
-            for i in range(dg + 1):
-                r[k + i] = fq.sub(r[k + i], fq.mul(coef, g[i]))
-            while r and r[-1] == 0:
-                r.pop()
-        return UPoly(fq, quot), UPoly(fq, r)
+        quot, rem = self.fq.kernel.divmod(self.coeffs, other.coeffs)
+        return _wrap(self.fq, quot), _wrap(self.fq, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -197,7 +143,7 @@ class UPoly:
             raise ValueError("the zero polynomial has no monic normalization")
         if self.coeffs[-1] == 1:
             return self
-        return self.scale(self.fq.inv(self.coeffs[-1]))
+        return _wrap(self.fq, self.fq.kernel.monic(self.coeffs))
 
     def pow(self, e):
         if e < 0:
@@ -215,7 +161,7 @@ class UPoly:
         """Multiply by T^k."""
         if not self.coeffs:
             return self
-        return UPoly(self.fq, (0,) * k + self.coeffs)
+        return _wrap(self.fq, (0,) * k + self.coeffs)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -235,7 +181,7 @@ class UPoly:
         return acc
 
     def is_irreducible(self):
-        return _is_irreducible_cached(self.fq, self.coeffs)
+        return self.fq.kernel.is_irreducible(self.coeffs)
 
     # -- text form ------------------------------------------------------------
 
@@ -286,6 +232,9 @@ class UPoly:
                 k = int(mt.group(4))
             else:
                 k = 1
+            if k > MAX_DEGREE:
+                raise SizeBoundError("degree %d exceeds the largest usable degree %d"
+                                     % (k, MAX_DEGREE))
             c = cnum % fq.q
             if negate:
                 c = fq.neg_table[c]
@@ -296,31 +245,20 @@ class UPoly:
         return cls(fq, out)
 
 
-def _is_irreducible_cached(fq, coeffs):
-    return _irr_cache(fq.p, fq.s, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _irr_cache(p, s, coeffs):
-    from .fields import _build_fq
-
-    fq = _build_fq(p, s)
-    f = UPoly(fq, coeffs)
-    d = f.degree()
-    if d < 1:
-        return False
-    for e in range(1, int(d) // 2 + 1):
-        for g in monic_polys(fq, e):
-            if (f % g).is_zero():
-                return False
-    return True
+def _wrap(fq, coeffs):
+    """A UPoly around a kernel result, which is trimmed and holds field
+    elements, so the constructor's checks are skipped."""
+    f = object.__new__(UPoly)
+    f.fq = fq
+    f.coeffs = coeffs
+    return f
 
 
 def monic_polys(fq, degree):
     """All monic polynomials of the given degree, in lexicographic order
     of their coefficient vectors read low degree first."""
-    for tail in itertools.product(range(fq.q), repeat=degree):
-        yield UPoly(fq, tail + (1,))
+    for f in fq.kernel.monics(degree):
+        yield _wrap(fq, f)
 
 
 def enumerate_monic_irreducibles(field, degree):
@@ -332,14 +270,14 @@ def enumerate_monic_irreducibles(field, degree):
     fq = getattr(field, "fq", field)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return [f for f in monic_polys(fq, degree) if f.is_irreducible()]
+    return [_wrap(fq, f) for f in fq.kernel.irreducibles(degree)]
 
 
 def monic_divisors(f, max_degree=None):
     """Monic divisors of f with 1 <= deg <= max_degree (default deg f)."""
     if f.is_zero():
         raise ValueError("divisors of 0")
-    top = int(f.degree()) if max_degree is None else min(max_degree, int(f.degree()))
+    top = f.degree() if max_degree is None else min(max_degree, f.degree())
     out = []
     for d in range(1, top + 1):
         for g in monic_polys(f.fq, d):
@@ -371,7 +309,7 @@ class MonicIdeal:
         return self.gen.is_one()
 
     def degree(self):
-        return int(self.gen.degree())
+        return self.gen.degree()
 
     def __mul__(self, other):
         return MonicIdeal(self.gen * other.gen)
@@ -414,7 +352,7 @@ def embed_residue_field(tower, prime):
         raise ValueError("prime must be monic")
     if not prime.is_irreducible():
         raise ValueError("%s is reducible" % prime)
-    d = int(prime.degree())
+    d = prime.degree()
     if tower.n % d != 0:
         raise ValueError(
             "residue field of degree %d does not embed in an extension of degree %d"

@@ -166,7 +166,7 @@ def invariant_factors_from_snf(diag):
         e = diag[k][k]
         if e.is_zero():
             raise ValueError("singular matrix has no finite cokernel")
-        if int(e.degree()) > 0:
+        if e.degree() > 0:
             out.append(e)
     return out
 
@@ -330,7 +330,7 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
     fq = tower.fq
     target = (i1 * i2).monic()
     pm = prime.pow(m)
-    bound = (m * int(prime.degree())) // 2
+    bound = (m * prime.degree()) // 2
     two = UPoly.constant(fq, 2 % fq.p)
     out = []
     for coeffs in itertools.product(range(fq.q), repeat=bound + 1):
@@ -359,9 +359,9 @@ def realize_structure(tower, prime, m, i1, i2):
     fq = tower.fq
     if not (i1.is_monic() and i2.is_monic()):
         return NotRealizable("invariant factors must be monic")
-    if tower.n != m * int(prime.degree()):
+    if tower.n != m * prime.degree():
         raise ValueError("tower degree differs from m * deg(prime)")
-    if int(i1.degree()) + int(i2.degree()) != tower.n:
+    if i1.degree() + i2.degree() != tower.n:
         return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
     if not (i1 % i2).is_zero():
         return NotRealizable("divisibility: i2 must divide i1")

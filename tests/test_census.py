@@ -1,9 +1,11 @@
 import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
 
-from drinfeld2 import DrinfeldModule, UPoly, build_tower
+from drinfeld2 import DrinfeldModule, UPoly, build_tower, census
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
@@ -230,6 +232,47 @@ def test_report_parallel_identical():
     assert serial == parallel
 
 
+def test_pool_size_capped(monkeypatch):
+    # the pool gets min(jobs, CPU count, orbits) workers; a stand-in
+    # context records the size and runs the work here, starting no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size, initializer, initargs):
+            sizes.append(size)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(census, "_fork_available", lambda: True)
+    monkeypatch.setattr(census, "_WORKER", {})
+    tw = build_tower(3, 1, 1)  # 6 orbits
+    prime = default_prime(tw.fq, 1)
+    serial = run_census(tw, prime, 1).to_json_bytes()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run_census(tw, prime, 1, jobs=100).to_json_bytes() == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_census(tw, prime, 1, jobs=100)
+    run_census(tw, prime, 1, jobs=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_census(tw, prime, 1, jobs=100)  # one worker: no pool
+    assert sizes == [4, 6, 3]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            run_census(tw, prime, 1, jobs=jobs)
+
+
 def test_csv_export(census_cache):
     r = census_cache(3, 1, 2)
     csv = r.to_csv()
@@ -244,6 +287,8 @@ def test_cyclicity_trend():
     for row in table["rows"]:
         assert row["C"] == {"num": "1", "den": "1"}
         assert row["C0"] == {"num": "1", "den": "1"}
+        assert row["C0_closed_form"] == {"num": "1", "den": "1"}
+        assert row["C0_closed_form_match"] is True
     with pytest.raises(ValueError):
         cyclicity_trend([6], 1, 1)
 
@@ -256,6 +301,8 @@ def test_cyclicity_trend_increases_toward_one():
             for r in table["rows"]]
     assert vals[0] < vals[1] < 1
     assert vals == [Fraction(11, 14), Fraction(63, 68)]
+    # the literal closed form (1/4 and 5/6 here) is refuted, and says so
+    assert [r["C0_closed_form_match"] for r in table["rows"]] == [False, False]
 
 
 def test_statistics_sum_to_one(census_cache):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,8 +135,35 @@ def test_trend_command(capsys):
     code, out, _ = run_cli(capsys, "trend", "--q", "3,5", "--d", "1", "--m", "1",
                            "--format", "text")
     assert code == 0
-    assert out.splitlines()[0].startswith("q\t")
-    assert "1/1" in out
+    assert out.splitlines()[0] == "q\tC\tC0\tC0_closed_form\tC0_closed_form_match"
+    assert out.splitlines()[1] == "3\t1/1\t1/1\t1/1\tTrue"
+
+
+@pytest.mark.parametrize("env,jobs", [("abc", None), (None, "0"), (None, "-3")])
+def test_census_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
+    if env is not None:
+        monkeypatch.setenv("DRINFELD2_JOBS", env)
+    argv = ["census", "--p", "3", "--d", "1", "--m", "1"]
+    code, out, err = run_cli(capsys, *(argv + (["--jobs", jobs] if jobs else [])))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--p", "3", "--d", "1", "--m", "1000000000"],
+    ["charpoly", "--p", "3", "--P", "T^5000000", "--m", "1", "--g", "1", "--delta", "1"],
+    ["census", "--p", "3", "--d", "1", "--m", "1", "--P", "T^1000000000000"],
+    ["census", "--p", "3", "--s", "1000000000", "--d", "1", "--m", "1"],
+    ["census", "--p", "1000000000000000003", "--d", "1", "--m", "1"],
+    ["trend", "--q", "1000000000000000003", "--d", "1", "--m", "1"],
+])
+def test_oversized_input_exits_3_quickly(capsys, argv):
+    # each bound is checked before any big-integer work or allocation
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("size bound exceeded")
 
 
 def test_polynomial_roundtrip_through_cli(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,10 @@ def test_f4_base_min_poly():
 
 def test_build_tower_is_cached_and_identical():
     assert build_tower(3, 1, 2) is build_tower(3, 1, 2)
+    tw = build_tower(2, 2, 2)
+    clone = pickle.loads(pickle.dumps(tw))
+    assert clone == tw and clone.fq is tw.fq
+    assert clone.fq.kernel.mul((1, 2), (3,)) == tw.fq.kernel.mul((1, 2), (3,))
 
 
 def test_non_prime_characteristic_rejected():
@@ -41,7 +46,8 @@ def test_size_bound():
     build_tower(5, 1, 4)
 
 
-@pytest.mark.parametrize("p,s,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 4)])
+@pytest.mark.parametrize("p,s,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 4),
+                                   (2, 3, 1), (3, 2, 1)])
 def test_field_axioms_random(p, s, n):
     tw = build_tower(p, s, n)
     rng = random.Random(1234)
@@ -121,14 +127,21 @@ def test_gauss_solve_and_nullspace():
         for r, v in zip(row, x):
             acc = fq.add(acc, fq.mul(r, v))
         assert acc == b
-    status, _ = gauss_solve(fq, [[1, 2], [2, 1]], [1, 1])
-    assert status in ("unique", "none", "many")
-    status, _ = gauss_solve(fq, [[1, 1], [2, 2]], [1, 1])
-    assert status == "none" or status == "many"
+    # both systems are inconsistent over F_3: 2*(x+2y) = 2x+y
+    assert gauss_solve(fq, [[1, 2], [2, 1]], [1, 1]) == ("none", None)
+    assert gauss_solve(fq, [[1, 1], [2, 2]], [1, 1]) == ("none", None)
+    status, x = gauss_solve(fq, [[1, 1], [2, 2]], [1, 2])
+    assert status == "many"
+    for row, b in zip([[1, 1], [2, 2]], [1, 2]):
+        assert fq.add(fq.mul(row[0], x[0]), fq.mul(row[1], x[1])) == b
     ns = nullspace(fq, [[1, 1]])
     assert len(ns) == 1
     v = ns[0]
     assert fq.add(v[0], v[1]) == 0 and v != (0, 0)
+    ns = nullspace(fq, [[1, 1], [2, 2]])
+    assert ns == [(2, 1)]
+    for row in ([1, 1], [2, 2]):
+        assert fq.add(fq.mul(row[0], ns[0][0]), fq.mul(row[1], ns[0][1])) == 0
 
 
 def test_embedding_is_ring_map():

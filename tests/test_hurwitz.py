@@ -1,7 +1,8 @@
 import pytest
 
 from drinfeld2 import UPoly, build_tower, class_number, hurwitz_class_number
-from drinfeld2.hurwitz import is_imaginary_disc, proper_ideal_representatives
+from drinfeld2 import is_imaginary
+from drinfeld2.hurwitz import proper_ideal_representatives
 
 
 def fq3():
@@ -14,12 +15,12 @@ def P(text):
 
 def test_imaginary_predicate():
     fq = fq3()
-    assert is_imaginary_disc(P("T+1"), fq)       # odd degree
-    assert is_imaginary_disc(P("2"), fq)         # non-square constant
-    assert is_imaginary_disc(P("2*T^2"), fq)     # even degree, non-square lc
-    assert not is_imaginary_disc(P("T^2+1"), fq)
-    assert not is_imaginary_disc(P("1"), fq)
-    assert not is_imaginary_disc(UPoly.zero(fq), fq)
+    assert is_imaginary(P("T+1"), fq)       # odd degree
+    assert is_imaginary(P("2"), fq)         # non-square constant
+    assert is_imaginary(P("2*T^2"), fq)     # even degree, non-square lc
+    assert not is_imaginary(P("T^2+1"), fq)
+    assert not is_imaginary(P("1"), fq)
+    assert not is_imaginary(UPoly.zero(fq), fq)
 
 
 def test_class_number_frozen_values():

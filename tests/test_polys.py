@@ -5,7 +5,7 @@ import pytest
 
 from drinfeld2 import MonicIdeal, UPoly, build_tower, embed_residue_field
 from drinfeld2 import enumerate_monic_irreducibles
-from drinfeld2.polys import NEG_INF, monic_divisors, monic_polys
+from drinfeld2.polys import monic_divisors, monic_polys
 
 
 def fq3():
@@ -18,8 +18,7 @@ def P(text, fq=None):
 
 def test_zero_degree_sentinel():
     z = UPoly.zero(fq3())
-    assert z.degree() == NEG_INF
-    assert z.degree() < -10 ** 9
+    assert z.degree() == -1
     assert not z
     assert UPoly(fq3(), (0, 0, 0)).coeffs == ()
 
@@ -89,7 +88,8 @@ def necklace_count(q, d):
     return total // d
 
 
-@pytest.mark.parametrize("q,p,s", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)])
+@pytest.mark.parametrize("q,p,s", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1),
+                                   (7, 7, 1), (8, 2, 3), (9, 3, 2)])
 def test_irreducible_counts_match_necklace_formula(q, p, s):
     fq = build_tower(p, s, 1).fq
     for d in range(1, 5):

@@ -16,7 +16,7 @@ from .charpoly import (FrobeniusCharPoly, annihilation_holds, discriminant,
 from .structure import (InvariantFactors, NotRealizable, action_matrix,
                         check_criteria, module_structure,
                         plane_torsion_rational, realize_structure,
-                        smith_normal_form, suborder_contained)
+                        suborder_contained)
 from .hurwitz import StabilizationError, class_number, hurwitz_class_number
 from .census import (CensusReport, attach_class_number_checks,
                      compute_statistics, counting_formulas, cyclicity_trend,
@@ -33,8 +33,8 @@ __all__ = [
     "frobenius_charpoly", "is_imaginary", "is_isogenous",
     "minimal_polynomial", "InvariantFactors", "NotRealizable",
     "action_matrix", "check_criteria", "module_structure",
-    "plane_torsion_rational", "realize_structure", "smith_normal_form",
-    "suborder_contained", "StabilizationError", "class_number",
-    "hurwitz_class_number", "CensusReport", "attach_class_number_checks",
-    "compute_statistics", "counting_formulas", "cyclicity_trend", "run_census",
+    "plane_torsion_rational", "realize_structure", "suborder_contained",
+    "StabilizationError", "class_number", "hurwitz_class_number",
+    "CensusReport", "attach_class_number_checks", "compute_statistics",
+    "counting_formulas", "cyclicity_trend", "run_census",
 ]

@@ -18,12 +18,10 @@ from math import gcd
 
 from .charpoly import (annihilation_holds, frobenius_charpoly, is_imaginary)
 from .drinfeld import DrinfeldModule
-from .fields import SizeBoundError, build_tower
-from .polys import UPoly, enumerate_monic_irreducibles, monic_polys
+from .fields import CENSUS_MAX_ORDER, SizeBoundError, build_tower
+from .polys import (UPoly, enumerate_monic_irreducibles, irreducible_divisors,
+                    monic_polys)
 from .structure import check_criteria, module_structure, plane_torsion_rational
-
-# The census scans q^n (q^n - 1) pairs; this keeps that quadratic loop sane.
-CENSUS_MAX_ORDER = 1024
 
 SCHEMA_VERSION = "1"
 
@@ -60,17 +58,17 @@ def twist_orbits(tower):
     return orbits
 
 
-def _irreducible_divisors_of(poly, irreducibles_by_degree):
-    out = []
-    for d in range(1, poly.degree() + 1):
-        for rho in irreducibles_by_degree.get(d, ()):
-            if (poly % rho).is_zero():
-                out.append(rho)
-    return out
+def _irreducible_divisors_of(chi, memo):
+    """The monic irreducible divisors of chi, memoized in `memo`, a dict
+    that lives for one census: every orbit of an isogeny class has the
+    same chi."""
+    hit = memo.get(chi.coeffs)
+    if hit is None:
+        hit = memo[chi.coeffs] = irreducible_divisors(chi)
+    return hit
 
 
-def _process_orbit(tower, prime, m, rep, members, aut, verify_members,
-                   irreducibles_by_degree):
+def _process_orbit(tower, prime, m, rep, members, aut, verify_members, divisors_memo):
     """Classify one isomorphism class; returns a plain-data record."""
     fq = tower.fq
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
@@ -94,7 +92,7 @@ def _process_orbit(tower, prime, m, rep, members, aut, verify_members,
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
     torsion_equiv_ok = True
-    for rho in _irreducible_divisors_of(chi, irreducibles_by_degree):
+    for rho in _irreducible_divisors_of(chi, divisors_memo):
         if rho == prime:
             continue
         via_division = plane_torsion_rational(mod, rho)
@@ -153,14 +151,13 @@ def _fork_available():
 def _pool_init(p, s, n, prime_coeffs, m, verify_members):
     tower = build_tower(p, s, n)
     prime = UPoly(tower.fq, prime_coeffs)
-    irr = {d: enumerate_monic_irreducibles(tower.fq, d) for d in range(1, n + 1)}
-    _WORKER["args"] = (tower, prime, m, verify_members, irr)
+    _WORKER["args"] = (tower, prime, m, verify_members, {})
 
 
 def _pool_work(item):
     rep, members, aut = item
-    tower, prime, m, verify_members, irr = _WORKER["args"]
-    return _process_orbit(tower, prime, m, rep, members, aut, verify_members, irr)
+    tower, prime, m, verify_members, memo = _WORKER["args"]
+    return _process_orbit(tower, prime, m, rep, members, aut, verify_members, memo)
 
 
 def _conjecture_probe(fq, trace, unit, prime, m, chi):
@@ -342,8 +339,6 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     if total_pairs != tower.order * (tower.order - 1):
         raise RuntimeError("orbits do not partition the module space")
 
-    irr = {k: enumerate_monic_irreducibles(fq, k) for k in range(1, n + 1)}
-
     workers = min(jobs, os.cpu_count() or 1, len(orbits))
     if workers > 1 and _fork_available():
         import multiprocessing
@@ -354,8 +349,9 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
                                 verify_members)) as pool:
             records = pool.map(_pool_work, orbits)
     else:
+        memo = {}
         records = [
-            _process_orbit(tower, prime, m, rep, mem, aut, verify_members, irr)
+            _process_orbit(tower, prime, m, rep, mem, aut, verify_members, memo)
             for rep, mem, aut in orbits]
 
     # ---- per isomorphism class rows (serialized form) ----

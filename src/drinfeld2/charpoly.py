@@ -1,15 +1,21 @@
 """Characteristic polynomial of the Frobenius F = tau^n of a rank-2 module.
 
 P(X) = X^2 - trace*X + unit*prime^m with trace in A, deg trace <= m*d/2,
-and unit in F_q^*.  It is pinned down by the annihilation identity
+and unit in F_q^*.  Both come from the action of T on L:
 
-    tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau},
+- unit = (-1)^n N(delta)^(-1), with N(delta) = delta^((q^n-1)/(q-1)) the
+  norm from L to F_q of the tau^2 coefficient;
+- P(1) = unit * chi, where chi = det(T*I - M) is the characteristic
+  polynomial of the action matrix M of phi_T, so
+  trace = 1 + unit*prime^m - unit*chi.
 
-which is F_q-linear in the unknown coefficients, so one exact linear
-solve over F_q recovers (trace, unit).  When F itself lies in the image
-of phi (which forces m even) the annihilation identity alone does not
-determine the pair, so that case is detected first via the minimal
-polynomial and the characteristic polynomial is its square.
+The result is accepted only when it satisfies the annihilation identity
+
+    tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
+
+When the discriminant vanishes, F may lie in the image of phi (which
+forces m even); a linear solve over F_q looks for the witness a with
+phi(a) = tau^n, and P is then (X - a)^2.
 """
 
 from dataclasses import dataclass
@@ -63,7 +69,7 @@ class FrobeniusCharPoly:
 
 def _ore_columns_to_rows(tower, columns, rhs_poly, width):
     """Flatten Ore coefficient vectors into F_q rows (one per (tau-power,
-    digit) pair) for the linear solves below."""
+    digit) pair) for a linear solve."""
     rows = []
     rhs = []
     n = tower.n
@@ -104,45 +110,33 @@ def _solve_frobenius_in_image(mod):
 def frobenius_charpoly(mod):
     """The characteristic polynomial of tau^n acting on the module.
 
+    Raises RuntimeError unless the annihilation identity holds for it.
     Results are cached on the module instance.
     """
     if mod._charpoly is not None:
         return mod._charpoly
     tower = mod.tower
     fq = tower.fq
-    n = mod.n
-    md = mod.m * mod.d
-
-    witness = _solve_frobenius_in_image(mod)
-    if witness is not None:
-        # minimal polynomial X - a, characteristic polynomial (X - a)^2
-        a = witness
-        trace = a + a
-        square = a * a
-        unit = square.lc()  # prime^m is monic, so the unit is lc(a^2)
-        cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, frobenius_in_image=a)
-        if square != cp.norm_term():
-            raise RuntimeError("tau^n = phi(%s) but %s^2 is not a unit times prime^m"
-                               % (a, a))
-    else:
-        # tau^(2n) = sum_j trace_j * (phi(T^j) tau^n) - unit * phi(prime^m)
-        bound = md // 2
-        columns = [mod._t_power(j).shift(n) for j in range(bound + 1)]
-        columns.append(-mod.phi(mod.prime.pow(mod.m)))
-        rhs = OrePoly.tau_power(tower, 2 * n)
-        rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, 2 * n + 1)
-        status, sol = gauss_solve(fq, rows, rhs_v)
-        if status == "none":
-            raise RuntimeError("no characteristic polynomial found (internal bug)")
-        if status != "unique":
-            raise RuntimeError("characteristic polynomial not unique (internal bug)")
-        trace = UPoly(fq, sol[:-1])
-        unit = sol[-1]
-        if unit == 0:
-            raise RuntimeError("vanishing norm unit (internal bug)")
-        cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
+    _, chi, _ = mod.action_invariants()
+    norm = tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1))
+    unit = fq.inv(norm)
+    if mod.n % 2:
+        unit = fq.neg(unit)
+    norm_term = mod.prime.pow(mod.m).scale(unit)
+    trace = UPoly.one(fq) + norm_term - chi.scale(unit)
+    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
+    if cp.disc_poly().is_zero():
+        a = _solve_frobenius_in_image(mod)
+        if a is not None:
+            if a + a != trace or a * a != norm_term:
+                raise RuntimeError("tau^n = phi(%s) but (X - %s)^2 is not the "
+                                   "characteristic polynomial" % (a, a))
+            cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, frobenius_in_image=a)
     if not cp.trace_degree_ok():
         raise RuntimeError("trace degree violates the half-degree bound")
+    if not annihilation_holds(mod, cp):
+        raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
+                           % (trace, unit))
     mod._charpoly = cp
     return cp
 

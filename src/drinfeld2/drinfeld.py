@@ -11,9 +11,10 @@ structure.
 from dataclasses import dataclass
 
 from .fields import FieldElement, FieldEmbedding, build_tower, nullspace, gauss_solve
-from .fields import MAX_FIELD_ORDER, SizeBoundError
+from .fields import (MAX_FIELD_ORDER, SizeBoundError, char_and_min_poly,
+                     second_invariant_factor)
 from .ore import OrePoly
-from .polys import MonicIdeal, UPoly, embed_residue_field
+from .polys import MonicIdeal, UPoly, _wrap, embed_residue_field
 
 
 class SplittingBoundError(SizeBoundError):
@@ -46,6 +47,7 @@ class DrinfeldModule:
         self.phi_t = OrePoly(tower, (self.gamma_t, g, delta))
         self._t_powers = [OrePoly.one(tower), self.phi_t]
         self._charpoly = None
+        self._action = None
 
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule)
@@ -117,6 +119,17 @@ class DrinfeldModule:
         """F = tau^n as an element of L{tau}."""
         return OrePoly.tau_power(self.tower, self.n)
 
+    def action_invariants(self):
+        """(M, chi, i1): M = action_matrix(self), chi = det(T*I - M) and i1
+        the minimal polynomial of M, from one Krylov pass over F_q; cached.
+        The characteristic polynomial and the invariant factors both start
+        from it."""
+        if self._action is None:
+            mat = action_matrix(self)
+            chi, i1 = char_and_min_poly(self.tower.fq, mat)
+            self._action = (mat, _wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
+        return self._action
+
     # -- height and supersingularity -------------------------------------------
 
     def height(self):
@@ -187,13 +200,22 @@ class DrinfeldModule:
             # columns of the action matrix are the coordinate vectors
             k = len(null)
             act = [[tmat[j][i] for j in range(k)] for i in range(k)]
-            from .structure import nonunit_invariant_factors
-
-            factors = nonunit_invariant_factors(act, fq)
-            return TorsionStructure(ideal, tuple(factors), tw.q ** len(null), e)
+            chi, i1 = char_and_min_poly(fq, act)
+            i2 = second_invariant_factor(fq, act, chi, i1)
+            factors = tuple(_wrap(fq, f) for f in (i2, i1) if len(f) > 1)
+            return TorsionStructure(ideal, factors, tw.q ** len(null), e)
         raise SplittingBoundError(
             "splitting field of %s-torsion not found within degree %d"
             % (ideal, max_splitting_degree))
+
+
+def action_matrix(mod):
+    """Matrix over F_q of x -> phi_T(x) on L in the canonical power basis;
+    column j holds the coordinates of the image of the j-th basis vector."""
+    tw = mod.tower
+    n = tw.n
+    cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ from functools import lru_cache
 # towers used for torsion computations (and must allow at least 5^4).
 MAX_FIELD_ORDER = 8192
 
+# Largest |L| a census or a realization search scans: both visit all of
+# L x L^*, so their work is quadratic in |L|.
+CENSUS_MAX_ORDER = 1024
+
 # Largest base field F_q; keeps the q x q tables small.
 MAX_BASE_ORDER = 128
 
@@ -62,7 +66,8 @@ def prime_factors(n):
 
 
 PolyKernel = namedtuple(
-    "PolyKernel", "add sub neg mul divmod scale monic monics irreducibles is_irreducible")
+    "PolyKernel",
+    "add sub neg mul divmod scale monic monics irreducibles is_irreducible irreducible_divisors")
 PolyKernel.__doc__ = """Arithmetic on polynomials over one F_q, as coefficient tuples.
 
 Tuples hold field elements low degree first, with no trailing zeros, so
@@ -174,8 +179,29 @@ def _poly_kernel(fq):
     def irreducibles(degree):
         return (f for f in monics(degree) if is_irreducible(f))
 
+    def irreducible_divisors(f):
+        """The monic irreducible divisors of f != 0, by degree.  Each one
+        found is divided out; once 2d exceeds the degree of what is left,
+        that rest is 1 or irreducible."""
+        out = []
+        rest = monic(f)
+        d = 1
+        while 2 * d <= len(rest) - 1:
+            for g in irreducibles(d):
+                quot, r = divmod_(rest, g)
+                if r:
+                    continue
+                out.append(g)
+                while not r:
+                    rest = quot
+                    quot, r = divmod_(rest, g)
+            d += 1
+        if len(rest) > 1:
+            out.append(rest)
+        return out
+
     return PolyKernel(add, sub, neg, mul, divmod_, scale, monic, monics, irreducibles,
-                      is_irreducible)
+                      is_irreducible, irreducible_divisors)
 
 
 class Fq:
@@ -648,6 +674,127 @@ def nullspace(fq, rows):
                 vec[pc] = fq.neg_table[row[fc]]
             basis.append(tuple(vec))
     return basis
+
+
+def _mat_mul(fq, a, b):
+    add_t, mul_t = fq.add_table, fq.mul_table
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                to_x = mul_t[x]
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = add_t[acc[j]][to_x[y]]
+        out.append(acc)
+    return out
+
+
+def _krylov_relation(fq, cols, seed, rows):
+    """Extend the basis `rows` by seed, M seed, M^2 seed, ..., M being the
+    matrix with columns `cols`, until M^d seed depends on what is there.
+    Returns the monic f of degree d, a kernel tuple, with f(M) seed in the
+    span of the rows given.
+
+    `rows` is changed in place.  It holds (pivot, row) pairs in
+    semi-echelon form: row[pivot] = 1, and the row is zero before its pivot
+    and at every earlier row's pivot.  Each row added here carries a tag,
+    its coordinates over the powers of the seed modulo the rows given.
+    """
+    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
+    n = len(cols)
+    first = len(rows)
+    tags = []
+    power = list(seed)
+    while True:
+        u = list(power)
+        tag = [0] * len(tags) + [1]
+        for i, (p, row) in enumerate(rows):
+            c = u[p]
+            if not c:
+                continue
+            minus_c = mul_t[neg_t[c]]
+            for j in range(p, n):
+                if row[j]:
+                    u[j] = add_t[u[j]][minus_c[row[j]]]
+            if i >= first:
+                for j, t in enumerate(tags[i - first]):
+                    if t:
+                        tag[j] = add_t[tag[j]][minus_c[t]]
+        p = next((j for j, x in enumerate(u) if x), None)
+        if p is None:
+            return tuple(tag)
+        to_one = mul_t[inv_t[u[p]]]
+        rows.append((p, [to_one[x] for x in u]))
+        tags.append([to_one[t] for t in tag])
+        power = _mat_mul(fq, [power], cols)[0]
+
+
+def char_and_min_poly(fq, mat):
+    """(chi, i1) for the square matrix M = mat over F_q: chi = det(T*I - M)
+    and i1 the minimal polynomial of M, as kernel tuples, from one pass of
+    Krylov sequences.
+
+    The seeds are the standard basis vectors not yet in the span W of the
+    earlier sequences.  A seed's sequence stops at its relative minimal
+    polynomial f, with f(M) seed in W; in the basis the sequences build, M
+    is block triangular with companion blocks, so chi is the product of
+    the f.  The seeds generate F_q^n over F_q[T], so i1 is the lcm of their
+    own minimal polynomials: f for the first seed, one more sequence from
+    nothing for each later one.
+    """
+    kernel = fq.kernel
+    n = len(mat)
+    cols = [list(col) for col in zip(*mat)]
+    rows = []
+    chi = i1 = (1,)
+    for j in range(n):
+        if len(rows) == n:
+            break
+        seed = [0] * n
+        seed[j] = 1
+        fresh = not rows
+        f = _krylov_relation(fq, cols, seed, rows)
+        if len(f) == 1:
+            continue  # the seed already lies in W
+        chi = kernel.mul(chi, f)
+        own = f if fresh else _krylov_relation(fq, cols, seed, [])
+        g, h = i1, own
+        while h:
+            g, h = h, kernel.divmod(g, h)[1]
+        i1 = kernel.monic(kernel.divmod(kernel.mul(i1, own), g)[0])
+    return chi, i1
+
+
+def second_invariant_factor(fq, mat, chi, i1):
+    """i2 = chi / i1 for the F_q[T]-module F_q^n on which T acts by mat,
+    given chi = det(T*I - mat) and the minimal polynomial i1 (kernel
+    tuples); the module is then A/(i1) + A/(i2) with i2 | i1.
+
+    Raises RuntimeError when i1 does not divide chi, when i2 does not
+    divide i1, or when the module has more than two invariant factors.  For
+    the last: with factors e_1 | ... | e_k, i2 = e_1 ... e_(k-1) and an
+    irreducible rho | e_1 has dim ker rho(mat) = k deg rho, so
+    dim ker rho(mat) <= 2 deg rho for every irreducible rho | i2 proves
+    k <= 2.
+    """
+    kernel = fq.kernel
+    i2, r = kernel.divmod(chi, i1)
+    if r:
+        raise RuntimeError("the minimal polynomial does not divide det(T*I - M)")
+    if kernel.divmod(i1, i2)[1]:
+        raise RuntimeError("invariant factors do not form a divisibility chain")
+    n = len(mat)
+    for rho in kernel.irreducible_divisors(i2):
+        value = [[rho[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+        for c in reversed(rho[:-1]):  # Horner's rule for rho(mat)
+            value = _mat_mul(fq, value, mat)
+            for i in range(n):
+                value[i][i] = fq.add_table[value[i][i]][c]
+        if n - len(_row_reduce(fq, value, n)) > 2 * (len(rho) - 1):
+            raise RuntimeError("more than two invariant factors (at %s)" % (rho,))
+    return i2
 
 
 class FieldEmbedding:

@@ -287,8 +287,10 @@ def monic_divisors(f, max_degree=None):
 
 
 def irreducible_divisors(f):
-    """Monic irreducible divisors of f (f nonzero, not constant-free)."""
-    return [g for g in monic_divisors(f) if g.is_irreducible()]
+    """Monic irreducible divisors of f != 0, by degree."""
+    if f.is_zero():
+        raise ValueError("divisors of 0")
+    return [_wrap(f.fq, g) for g in f.fq.kernel.irreducible_divisors(f.coeffs)]
 
 
 class MonicIdeal:

@@ -1,5 +1,5 @@
-"""The A-module structure induced on L: invariant factors via Smith normal
-form over A = F_q[T], the divisibility criteria it satisfies, the
+"""The A-module structure induced on L: invariant factors from the action
+matrix of phi_T over F_q, the divisibility criteria they satisfy, the
 right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
@@ -7,199 +7,11 @@ search that produces a module with a prescribed structure.
 import itertools
 from dataclasses import dataclass
 
-from .charpoly import frobenius_charpoly, euler_characteristic
-from .drinfeld import DrinfeldModule
+from .charpoly import frobenius_charpoly
+from .drinfeld import DrinfeldModule, action_matrix  # action_matrix is re-exported
+from .fields import CENSUS_MAX_ORDER, SizeBoundError, second_invariant_factor
 from .ore import OrePoly
-from .polys import UPoly
-
-# ---------------------------------------------------------------------------
-# Matrices over A (lists of lists of UPoly).
-
-
-def poly_identity(fq, n):
-    one = UPoly.one(fq)
-    zero = UPoly.zero(fq)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def poly_mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    fq = a[0][0].fq
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = UPoly.zero(fq)
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def poly_mat_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    fq = m[0][0].fq
-    acc = UPoly.zero(fq)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * poly_mat_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def smith_normal_form(matrix):
-    """Smith normal form over A.
-
-    Returns (U, D, V) with U * matrix * V = D, U and V unimodular, and D
-    diagonal with monic entries d_k | d_(k+1).  Pivoting is deterministic:
-    the candidate of minimal degree wins, ties broken by row-major
-    position.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0])
-    fq = matrix[0][0].fq
-    d = [row[:] for row in matrix]
-    u = poly_identity(fq, rows)
-    v = poly_identity(fq, cols)
-
-    def row_op(target, source, factor):
-        # row_target -= factor * row_source
-        for j in range(cols):
-            d[target][j] = d[target][j] - factor * d[source][j]
-        for j in range(rows):
-            u[target][j] = u[target][j] - factor * u[source][j]
-
-    def col_op(target, source, factor):
-        for i in range(rows):
-            d[i][target] = d[i][target] - factor * d[i][source]
-        for i in range(cols):
-            v[i][target] = v[i][target] - factor * v[i][source]
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            d[i1], d[i2] = d[i2], d[i1]
-            u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for r in d:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in v:
-                r[j1], r[j2] = r[j2], r[j1]
-
-    def min_entry(t):
-        best = None
-        best_deg = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j]:
-                    deg = d[i][j].degree()
-                    if best is None or deg < best_deg:
-                        best = (i, j)
-                        best_deg = deg
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pos = min_entry(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # reduce the pivot row and column
-            reduced = True
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q, r = divmod(d[i][t], d[t][t])
-                    row_op(i, t, q)
-                    if r:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q, r = divmod(d[t][j], d[t][t])
-                    col_op(j, t, q)
-                    if r:
-                        swap_cols(t, j)
-                        reduced = False
-            if not reduced:
-                continue
-            # pivot now divides (and has cleared) its row and column;
-            # make sure it divides the trailing block
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] and not (d[i][j] % d[t][t]).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # fold the offending row into the pivot row and restart
-            for j in range(cols):
-                d[t][j] = d[t][j] + d[offender][j]
-            for j in range(rows):
-                u[t][j] = u[t][j] + u[offender][j]
-        t += 1
-
-    # monic normalization of the diagonal (scale rows of D and U)
-    for k in range(min(rows, cols)):
-        if d[k][k] and not d[k][k].is_monic():
-            c = fq.inv(d[k][k].lc())
-            d[k] = [x.scale(c) for x in d[k]]
-            u[k] = [x.scale(c) for x in u[k]]
-    return u, d, v
-
-
-def invariant_factors_from_snf(diag):
-    """The nonunit diagonal entries, in divisibility order."""
-    out = []
-    n = min(len(diag), len(diag[0]))
-    for k in range(n):
-        e = diag[k][k]
-        if e.is_zero():
-            raise ValueError("singular matrix has no finite cokernel")
-        if e.degree() > 0:
-            out.append(e)
-    return out
-
-
-def nonunit_invariant_factors(action, fq):
-    """Invariant factors of the A-module defined by the F_q-matrix `action`
-    of T on a finite-dimensional space: the nonunit entries of the Smith
-    form of T*I - action."""
-    n = len(action)
-    tgen = UPoly.gen(fq)
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = -UPoly.constant(fq, action[i][j])
-            if i == j:
-                entry = entry + tgen
-            row.append(entry)
-        mat.append(row)
-    _, diag, _ = smith_normal_form(mat)
-    return invariant_factors_from_snf(diag)
-
-
-# ---------------------------------------------------------------------------
-
-
-def action_matrix(mod):
-    """Matrix over F_q of x -> phi_T(x) on L in the canonical power basis;
-    column j holds the coordinates of the image of the j-th basis vector."""
-    tw = mod.tower
-    n = tw.n
-    cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+from .polys import UPoly, _wrap
 
 
 @dataclass(frozen=True)
@@ -223,30 +35,15 @@ class InvariantFactors:
 def module_structure(mod):
     """Invariant factors of L as an A-module via phi.
 
-    The rank-2 theory allows at most two nonunit factors; more is a hard
-    failure.  The monic product of the factors is checked against the
-    Euler-Poincare generator.
+    i1 is the minimal polynomial of the action matrix M of phi_T and
+    i2 = det(T*I - M) / i1.  Raises RuntimeError when i1 does not divide
+    det(T*I - M), when i2 does not divide i1, or when the rank check finds
+    more than two invariant factors, which the rank-2 theory forbids.
     """
-    factors = nonunit_invariant_factors(action_matrix(mod), mod.tower.fq)
-    if len(factors) > 2:
-        raise RuntimeError(
-            "more than two invariant factors: %s" % [str(f) for f in factors])
-    one = UPoly.one(mod.tower.fq)
-    if not factors:
-        i1 = i2 = one  # impossible for n >= 1, kept for form
-    elif len(factors) == 1:
-        i1, i2 = factors[0], one
-    else:
-        i2, i1 = factors
-    if not (i1 % i2).is_zero():
-        raise RuntimeError("invariant factors do not form a divisibility chain")
-    inv = InvariantFactors(i1, i2)
-    chi = euler_characteristic(mod).gen
-    if (i1 * i2).monic() != chi:
-        raise RuntimeError(
-            "product of invariant factors %s differs from the Euler-Poincare "
-            "generator %s" % ((i1 * i2).monic(), chi))
-    return inv
+    mat, chi, i1 = mod.action_invariants()
+    fq = mod.tower.fq
+    i2 = second_invariant_factor(fq, mat, chi.coeffs, i1.coeffs)
+    return InvariantFactors(i1, _wrap(fq, i2))
 
 
 def check_criteria(mod, inv=None, cp=None):
@@ -349,7 +146,8 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
 
 def realize_structure(tower, prime, m, i1, i2):
     """Search for an ordinary module whose A-module structure is exactly
-    A/(i1) + A/(i2).
+    A/(i1) + A/(i2).  The search visits all of L x L^*, so it raises
+    SizeBoundError when |L| exceeds CENSUS_MAX_ORDER.
 
     Candidate isogeny classes are scanned in lexicographic (trace, unit)
     order and for each one the pairs (g, delta) in lexicographic order;
@@ -365,6 +163,10 @@ def realize_structure(tower, prime, m, i1, i2):
         return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
     if not (i1 % i2).is_zero():
         return NotRealizable("divisibility: i2 must divide i1")
+    if tower.order > CENSUS_MAX_ORDER:
+        raise SizeBoundError(
+            "realization search over a field of order %d exceeds the bound %d"
+            % (tower.order, CENSUS_MAX_ORDER))
     candidates = _candidate_isogeny_keys(tower, prime, m, i1, i2)
     if not candidates:
         return NotRealizable(

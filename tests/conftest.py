@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from drinfeld2 import build_tower
@@ -41,3 +43,23 @@ def unverified_census():
 def tower_for(q, n):
     p, s = Q_TO_PS[q]
     return build_tower(p, s, n)
+
+
+def _criterion_order(number):
+    digits = re.match(r"\d+", number).group()
+    return int(digits), number[len(digits):]
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the acceptance criteria that failed or errored, by number.
+    Reports only; no test is skipped or marked."""
+    numbers = set()
+    for key in ("failed", "error"):
+        for rep in terminalreporter.stats.get(key, ()):
+            hit = re.search(r"::test_criterion_(\d+[a-z]?)_", getattr(rep, "nodeid", ""))
+            if hit:
+                numbers.add(hit.group(1))
+    if numbers:
+        terminalreporter.write_sep("=", "failing acceptance criteria")
+        terminalreporter.write_line(
+            "criteria " + ", ".join(sorted(numbers, key=_criterion_order)))

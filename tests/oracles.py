@@ -1,5 +1,7 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
-scans, and closed-form census counts with their derivations.
+scans, the routes the library no longer takes (a Smith normal form over A
+and a linear solve for the Frobenius characteristic polynomial), and
+closed-form census counts with their derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -12,9 +14,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from drinfeld2 import UPoly
-from drinfeld2.fields import nullspace
-from drinfeld2.structure import poly_mat_det
+from drinfeld2 import FrobeniusCharPoly, OrePoly, UPoly
+from drinfeld2.charpoly import _ore_columns_to_rows, _solve_frobenius_in_image
+from drinfeld2.fields import gauss_solve, nullspace
 
 
 class OutsideDomainError(ValueError):
@@ -157,6 +159,205 @@ def cyclic_proportions_are_one(q, d, m):
         return False
     return _outside("cyclic_proportions_are_one", q, d, m,
                     "n <= 2 (q odd at (d, m) = (2, 1)) or n = 3 with q odd")
+
+
+# ---------------------------------------------------------------------------
+# Matrices over A (lists of lists of UPoly) and their Smith normal form.
+
+
+def poly_identity(fq, n):
+    one = UPoly.one(fq)
+    zero = UPoly.zero(fq)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def poly_mat_mul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0])
+    fq = a[0][0].fq
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = UPoly.zero(fq)
+            for k in range(inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def poly_mat_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    fq = m[0][0].fq
+    acc = UPoly.zero(fq)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * poly_mat_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def smith_normal_form(matrix):
+    """Smith normal form over A.
+
+    Returns (U, D, V) with U * matrix * V = D, U and V unimodular, and D
+    diagonal with monic entries d_k | d_(k+1).  Pivoting is deterministic:
+    the candidate of minimal degree wins, ties broken by row-major
+    position.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0])
+    fq = matrix[0][0].fq
+    d = [row[:] for row in matrix]
+    u = poly_identity(fq, rows)
+    v = poly_identity(fq, cols)
+
+    def row_op(target, source, factor):
+        # row_target -= factor * row_source
+        for j in range(cols):
+            d[target][j] = d[target][j] - factor * d[source][j]
+        for j in range(rows):
+            u[target][j] = u[target][j] - factor * u[source][j]
+
+    def col_op(target, source, factor):
+        for i in range(rows):
+            d[i][target] = d[i][target] - factor * d[i][source]
+        for i in range(cols):
+            v[i][target] = v[i][target] - factor * v[i][source]
+
+    def swap_rows(i1, i2):
+        if i1 != i2:
+            d[i1], d[i2] = d[i2], d[i1]
+            u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        if j1 != j2:
+            for r in d:
+                r[j1], r[j2] = r[j2], r[j1]
+            for r in v:
+                r[j1], r[j2] = r[j2], r[j1]
+
+    def min_entry(t):
+        best = None
+        best_deg = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j]:
+                    deg = d[i][j].degree()
+                    if best is None or deg < best_deg:
+                        best = (i, j)
+                        best_deg = deg
+        return best
+
+    t = 0
+    while t < min(rows, cols):
+        pos = min_entry(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            # reduce the pivot row and column
+            reduced = True
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    q, r = divmod(d[i][t], d[t][t])
+                    row_op(i, t, q)
+                    if r:
+                        swap_rows(t, i)
+                        reduced = False
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    q, r = divmod(d[t][j], d[t][t])
+                    col_op(j, t, q)
+                    if r:
+                        swap_cols(t, j)
+                        reduced = False
+            if not reduced:
+                continue
+            # pivot now divides (and has cleared) its row and column;
+            # make sure it divides the trailing block
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if d[i][j] and not (d[i][j] % d[t][t]).is_zero():
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            # fold the offending row into the pivot row and restart
+            for j in range(cols):
+                d[t][j] = d[t][j] + d[offender][j]
+            for j in range(rows):
+                u[t][j] = u[t][j] + u[offender][j]
+        t += 1
+
+    # monic normalization of the diagonal (scale rows of D and U)
+    for k in range(min(rows, cols)):
+        if d[k][k] and not d[k][k].is_monic():
+            c = fq.inv(d[k][k].lc())
+            d[k] = [x.scale(c) for x in d[k]]
+            u[k] = [x.scale(c) for x in u[k]]
+    return u, d, v
+
+
+def invariant_factors_from_snf(diag):
+    """The nonunit diagonal entries, in divisibility order."""
+    out = []
+    n = min(len(diag), len(diag[0]))
+    for k in range(n):
+        e = diag[k][k]
+        if e.is_zero():
+            raise ValueError("singular matrix has no finite cokernel")
+        if e.degree() > 0:
+            out.append(e)
+    return out
+
+
+def snf_invariant_factors(action, fq):
+    """Invariant factors of the A-module defined by the F_q-matrix `action`
+    of T on a finite-dimensional space: the nonunit entries of the Smith
+    form of T*I - action, in divisibility order."""
+    n = len(action)
+    tgen = UPoly.gen(fq)
+    mat = [[(tgen if i == j else UPoly.zero(fq)) - UPoly.constant(fq, action[i][j])
+            for j in range(n)] for i in range(n)]
+    return invariant_factors_from_snf(smith_normal_form(mat)[1])
+
+
+def charpoly_by_solve(mod):
+    """The Frobenius characteristic polynomial from the Ore coefficients of
+    the annihilation identity
+
+        tau^(2n) = sum_j trace_j * (phi(T^j) tau^n) - unit * phi(prime^m),
+
+    which is F_q-linear in (trace, unit), by one exact linear solve over
+    F_q.  When tau^n = phi(a) the identity does not pin the pair down; that
+    case is detected first and the polynomial is (X - a)^2.  Leaves the
+    module's cache alone.
+    """
+    tower = mod.tower
+    fq = tower.fq
+    n = mod.n
+    a = _solve_frobenius_in_image(mod)
+    if a is not None:
+        square = a * a
+        return FrobeniusCharPoly(a + a, square.lc(), mod.prime, mod.m,
+                                 frobenius_in_image=a)
+    columns = [mod._t_power(j).shift(n) for j in range(mod.m * mod.d // 2 + 1)]
+    columns.append(-mod.phi(mod.prime.pow(mod.m)))
+    rhs = OrePoly.tau_power(tower, 2 * n)
+    rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, 2 * n + 1)
+    status, sol = gauss_solve(fq, rows, rhs_v)
+    assert status == "unique", "characteristic polynomial not unique"
+    assert sol[-1] != 0, "vanishing norm unit"
+    return FrobeniusCharPoly(UPoly(fq, sol[:-1]), sol[-1], mod.prime, mod.m)
 
 
 def determinantal_divisors(mat):

@@ -25,13 +25,14 @@ import time
 from conftest import GRID, STRETCH, tower_for
 from oracles import (OutsideDomainError, c0_closed_form, cyclic_proportions_are_one,
                      determinantal_divisors, j0_class_count, j0_is_supersingular,
-                     point_scan_structure, supersingular_iso_class_count,
+                     point_scan_structure, poly_mat_det, poly_mat_mul,
+                     smith_normal_form, supersingular_iso_class_count,
                      twist_automorphism_count)
 
 from drinfeld2 import (DrinfeldModule, UPoly, build_tower, module_structure,
-                       realize_structure, smith_normal_form)
+                       realize_structure)
 from drinfeld2.census import attach_class_number_checks, default_prime, run_census
-from drinfeld2.structure import NotRealizable, poly_mat_det, poly_mat_mul
+from drinfeld2.structure import NotRealizable
 
 ALL_CASES = GRID + STRETCH
 

@@ -311,3 +311,35 @@ def test_statistics_sum_to_one(census_cache):
         st = r.statistics
         assert st["C"] + st["N"] == 1
         assert st["C0"] + st["N0"] == 1
+
+
+def test_terminal_summary_names_failing_criteria():
+    from types import SimpleNamespace
+
+    from conftest import pytest_terminal_summary
+
+    class Reporter:
+        def __init__(self, stats):
+            self.stats = stats
+            self.lines = []
+
+        def write_sep(self, sep, title):
+            self.lines.append(title)
+
+        def write_line(self, line):
+            self.lines.append(line)
+
+    def rep(nodeid):
+        return SimpleNamespace(nodeid=nodeid)
+
+    quiet = Reporter({"passed": [rep("tests/test_acceptance.py::test_criterion_1_x")],
+                      "failed": [rep("tests/test_census.py::test_other")]})
+    pytest_terminal_summary(quiet)
+    assert quiet.lines == []
+    loud = Reporter({
+        "failed": [rep("tests/test_acceptance.py::test_criterion_10_deterministic"),
+                   rep("tests/test_acceptance.py::test_criterion_5b_supersingular"),
+                   rep("tests/test_acceptance.py::test_criterion_9_snf")],
+        "error": [rep("tests/test_acceptance.py::test_criterion_2_structure")]})
+    pytest_terminal_summary(loud)
+    assert loud.lines == ["failing acceptance criteria", "criteria 2, 5b, 9, 10"]

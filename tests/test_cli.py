@@ -156,6 +156,7 @@ def test_census_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
     ["census", "--p", "3", "--s", "1000000000", "--d", "1", "--m", "1"],
     ["census", "--p", "1000000000000000003", "--d", "1", "--m", "1"],
     ["trend", "--q", "1000000000000000003", "--d", "1", "--m", "1"],
+    ["realize", "--p", "2", "--P", "T", "--m", "12", "--i1", "T^12", "--i2", "1"],
 ])
 def test_oversized_input_exits_3_quickly(capsys, argv):
     # each bound is checked before any big-integer work or allocation

@@ -166,6 +166,18 @@ def test_monic_divisors():
     assert P("T+2") not in divs
 
 
+def test_irreducible_divisors_match_trial_division():
+    from drinfeld2.polys import irreducible_divisors
+
+    for q, (p, s) in ((2, (2, 1)), (3, (3, 1)), (4, (2, 2))):
+        fq = build_tower(p, s, 1).fq
+        for n in range(1, 5):
+            for f in monic_polys(fq, n):
+                expected = [g for g in monic_divisors(f) if g.is_irreducible()]
+                assert irreducible_divisors(f) == expected
+                assert irreducible_divisors(f.scale(fq.q - 1)) == expected
+
+
 def test_scale_and_shift():
     f = P("T+1")
     assert f.scale(2) == P("2*T+2")

@@ -5,16 +5,14 @@ import pytest
 from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
                        euler_characteristic, frobenius_charpoly,
                        module_structure, plane_torsion_rational,
-                       realize_structure, smith_normal_form, suborder_contained)
-from drinfeld2.structure import (NotRealizable, action_matrix, poly_mat_det,
-                                 poly_mat_mul)
+                       realize_structure, suborder_contained)
+from drinfeld2.structure import NotRealizable, action_matrix
+from oracles import (determinantal_divisors, point_scan_structure, poly_mat_det,
+                     poly_mat_mul, smith_normal_form)
 
 
 def fq3():
     return build_tower(3, 1, 1).fq
-
-
-from oracles import determinantal_divisors, point_scan_structure
 
 
 def random_poly_matrix(fq, n, maxdeg, rng):
@@ -227,6 +225,18 @@ def test_realize_examples():
     res2 = realize_structure(tw2, UPoly.parse(fq2, "T"), 2,
                              UPoly.parse(fq2, "T^2+T"), UPoly.one(fq2))
     assert isinstance(res2, DrinfeldModule) or isinstance(res2, NotRealizable)
+
+
+def test_realize_refuses_fields_above_the_census_bound():
+    from drinfeld2 import SizeBoundError
+    from drinfeld2.fields import CENSUS_MAX_ORDER
+
+    tw = build_tower(2, 1, 11)
+    assert tw.order > CENSUS_MAX_ORDER
+    fq = tw.fq
+    with pytest.raises(SizeBoundError):
+        realize_structure(tw, UPoly.parse(fq, "T"), 11, UPoly.parse(fq, "T^11"),
+                          UPoly.one(fq))
 
 
 def test_realize_deterministic():

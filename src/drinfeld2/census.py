@@ -2,7 +2,8 @@
 
 Modules (g, delta) in L x L^* are grouped into isomorphism classes
 (orbits of the twist action u: (g, delta) -> (u^(q-1) g, u^(q^2-1) delta)
-for u in L^*), classified per orbit representative, and aggregated into
+for u in L^*, listed by representative in `drinfeld.twist_orbits`),
+classified per orbit representative, and aggregated into
 isogeny classes keyed by the Frobenius characteristic polynomial.  All
 statistics are exact rationals; closed-form counting formulas are
 evaluated alongside and reported with match flags, never silently
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import (annihilation_holds, frobenius_charpoly, is_imaginary)
-from .drinfeld import DrinfeldModule
+from .charpoly import annihilation_holds, frobenius_charpoly, is_imaginary
+from .drinfeld import DrinfeldModule, orbit_members, twist_orbits
 from .fields import CENSUS_MAX_ORDER, SizeBoundError, build_tower
 from .polys import (UPoly, enumerate_monic_irreducibles, irreducible_divisors,
                     monic_polys)
@@ -31,33 +32,6 @@ def default_prime(fq, d):
     return enumerate_monic_irreducibles(fq, d)[0]
 
 
-def twist_orbits(tower):
-    """Orbits of L x L^* under (g, delta) -> (u^(q-1) g, u^(q^2-1) delta).
-
-    Returns a list of (rep, members, aut_count) with rep the
-    lexicographically least pair, members sorted, and aut_count the
-    stabilizer size.  The scan order makes the first-seen pair of each
-    orbit its representative, which is also the lex-least one.
-    """
-    q = tower.q
-    order = tower.order
-    units = range(1, order)
-    pairs = sorted({(tower.pow(u, q - 1), tower.pow(u, q * q - 1)) for u in units})
-    seen = bytearray(order * order)
-    orbits = []
-    for g in range(order):
-        base = g * order
-        for delta in range(1, order):
-            if seen[base + delta]:
-                continue
-            members = sorted({(tower.mul(a, g), tower.mul(b, delta)) for a, b in pairs})
-            for gg, dd in members:
-                seen[gg * order + dd] = 1
-            aut = (order - 1) // len(members)
-            orbits.append(((g, delta), members, aut))
-    return orbits
-
-
 def _irreducible_divisors_of(chi, memo):
     """The monic irreducible divisors of chi, memoized in `memo`, a dict
     that lives for one census: every orbit of an isogeny class has the
@@ -68,7 +42,7 @@ def _irreducible_divisors_of(chi, memo):
     return hit
 
 
-def _process_orbit(tower, prime, m, rep, members, aut, verify_members, divisors_memo):
+def _process_orbit(tower, prime, m, rep, size, aut, verify_members, divisors_memo):
     """Classify one isomorphism class; returns a plain-data record."""
     fq = tower.fq
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
@@ -87,8 +61,6 @@ def _process_orbit(tower, prime, m, rep, members, aut, verify_members, divisors_
             % (rep, tower, ss, "divides" if prime_divides_trace else "does not divide",
                cp.trace))
 
-    annihilates = annihilation_holds(mod, cp)
-
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
     torsion_equiv_ok = True
@@ -103,22 +75,20 @@ def _process_orbit(tower, prime, m, rep, members, aut, verify_members, divisors_
 
     members_ok = True
     if verify_members:
+        members = orbit_members(tower, rep)
+        members_ok = len(members) == size
         for g, delta in members:
-            if (g, delta) == rep:
-                continue
-            other = DrinfeldModule(tower, prime, g, delta)
-            if not annihilation_holds(other, cp):
-                members_ok = False
+            if not members_ok:
                 break
-            oinv = module_structure(other)
-            if (oinv.i1, oinv.i2) != (inv.i1, inv.i2):
-                members_ok = False
-                break
+            if (g, delta) != rep:
+                other = DrinfeldModule(tower, prime, g, delta)
+                members_ok = (annihilation_holds(other, cp)
+                              and module_structure(other).as_pair() == inv.as_pair())
 
     return {
         "g": rep[0],
         "delta": rep[1],
-        "orbit_size": len(members),
+        "orbit_size": size,
         "aut_count": aut,
         "trace": cp.trace.coeffs,
         "unit": cp.unit,
@@ -129,7 +99,8 @@ def _process_orbit(tower, prime, m, rep, members, aut, verify_members, divisors_
         "height": h,
         "supersingular": ss,
         "ordinary": not ss,
-        "annihilation_ok": annihilates,
+        # frobenius_charpoly raises unless the annihilation identity holds
+        "annihilation_ok": True,
         "trace_bound_ok": cp.trace_degree_ok(),
         "criteria": flags,
         "torsion_equiv_ok": torsion_equiv_ok,
@@ -155,9 +126,9 @@ def _pool_init(p, s, n, prime_coeffs, m, verify_members):
 
 
 def _pool_work(item):
-    rep, members, aut = item
+    rep, size, aut = item
     tower, prime, m, verify_members, memo = _WORKER["args"]
-    return _process_orbit(tower, prime, m, rep, members, aut, verify_members, memo)
+    return _process_orbit(tower, prime, m, rep, size, aut, verify_members, memo)
 
 
 def _conjecture_probe(fq, trace, unit, prime, m, chi):
@@ -335,7 +306,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     n = tower.n
 
     orbits = twist_orbits(tower)
-    total_pairs = sum(len(mem) for _, mem, _ in orbits)
+    total_pairs = sum(size for _, size, _ in orbits)
     if total_pairs != tower.order * (tower.order - 1):
         raise RuntimeError("orbits do not partition the module space")
 
@@ -351,8 +322,8 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     else:
         memo = {}
         records = [
-            _process_orbit(tower, prime, m, rep, mem, aut, verify_members, memo)
-            for rep, mem, aut in orbits]
+            _process_orbit(tower, prime, m, rep, size, aut, verify_members, memo)
+            for rep, size, aut in orbits]
 
     # ---- per isomorphism class rows (serialized form) ----
     iso_rows = []

@@ -13,14 +13,13 @@ The result is accepted only when it satisfies the annihilation identity
 
     tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
 
-When the discriminant vanishes, F may lie in the image of phi (which
-forces m even); a linear solve over F_q looks for the witness a with
-phi(a) = tau^n, and P is then (X - a)^2.
+When the discriminant vanishes, F may lie in the image of phi; the only
+possible witness a with phi(a) = tau^n is read off from P = (X - a)^2
+in closed form and checked.
 """
 
 from dataclasses import dataclass
 
-from .fields import gauss_solve
 from .ore import OrePoly
 from .polys import MonicIdeal, UPoly
 
@@ -67,44 +66,25 @@ class FrobeniusCharPoly:
         return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()
 
 
-def _ore_columns_to_rows(tower, columns, rhs_poly, width):
-    """Flatten Ore coefficient vectors into F_q rows (one per (tau-power,
-    digit) pair) for a linear solve."""
-    rows = []
-    rhs = []
-    n = tower.n
-    for k in range(width):
-        digs = []
-        for col in columns:
-            c = col.coeffs[k] if k < len(col.coeffs) else 0
-            digs.append(tower.vector(c))
-        r = rhs_poly.coeffs[k] if k < len(rhs_poly.coeffs) else 0
-        rv = tower.vector(r)
-        for t in range(n):
-            rows.append([digs[j][t] for j in range(len(columns))])
-            rhs.append(rv[t])
-    return rows, rhs
+def _frobenius_witness(mod, cp):
+    """The a in A with phi(a) = tau^n, or None; called when the
+    discriminant of cp is 0.
 
-
-def _solve_frobenius_in_image(mod):
-    """Look for a in A with phi(a) = tau^n; only possible when n is even.
-
-    Returns the witness polynomial or None.
+    Such an a makes P = (X - a)^2, so 2a = trace and a^2 = unit*prime^m,
+    which leave one candidate: a = trace/2 for q odd.  For q even,
+    unit = (unit^(q/2))^2 and the separable prime is not a square, so
+    unit*prime^m has the square root unit^(q/2) prime^(m/2) when m is
+    even and none when m is odd.  The candidate is accepted only if
+    phi(a) = tau^n.
     """
-    n = mod.n
-    if n % 2 != 0:
+    fq = mod.tower.fq
+    if fq.p != 2:
+        a = cp.trace.scale(fq.inv(2))
+    elif mod.m % 2 == 0:
+        a = mod.prime.pow(mod.m // 2).scale(fq.pow(cp.unit, fq.q // 2))
+    else:
         return None
-    tower = mod.tower
-    half = n // 2
-    columns = [mod._t_power(j) for j in range(half + 1)]
-    rhs = mod.frobenius()
-    rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, n + 1)
-    status, sol = gauss_solve(tower.fq, rows, rhs_v)
-    if status == "none":
-        return None
-    if status != "unique":
-        raise RuntimeError("phi is not injective on the search space")
-    return UPoly(tower.fq, sol)
+    return a if mod.phi(a) == mod.frobenius() else None
 
 
 def frobenius_charpoly(mod):
@@ -126,11 +106,8 @@ def frobenius_charpoly(mod):
     trace = UPoly.one(fq) + norm_term - chi.scale(unit)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
     if cp.disc_poly().is_zero():
-        a = _solve_frobenius_in_image(mod)
+        a = _frobenius_witness(mod, cp)
         if a is not None:
-            if a + a != trace or a * a != norm_term:
-                raise RuntimeError("tau^n = phi(%s) but (X - %s)^2 is not the "
-                                   "characteristic polynomial" % (a, a))
             cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, frobenius_in_image=a)
     if not cp.trace_degree_ok():
         raise RuntimeError("trace degree violates the half-degree bound")

@@ -9,6 +9,7 @@ structure.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .fields import FieldElement, FieldEmbedding, build_tower, nullspace, gauss_solve
 from .fields import (MAX_FIELD_ORDER, SizeBoundError, char_and_min_poly,
@@ -216,6 +217,54 @@ def action_matrix(mod):
     n = tw.n
     cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def twist_orbits(tower):
+    """Isomorphism classes of rank-2 modules over L: the orbits of L x L^*
+    under u: (g, delta) -> (u^(q-1) g, u^(q^2-1) delta), u in L^*.
+
+    Returns (rep, orbit_size, aut_count) in increasing order of rep, with
+    rep the lexicographically least pair of its orbit and aut_count the
+    order of its stabilizer.  Both come from the group structure:
+
+    - g = 0: the orbits are the cosets of (L^*)^(q^2-1) in L^*, and the
+      stabilizer is {u : u^(q^2-1) = 1}, of order
+      e = gcd(q^2-1, q^n-1) = q^gcd(2,n) - 1.  One orbit (0, d) for each
+      d least in its coset; its size is (q^n-1)/e.
+    - g != 0: u fixes g iff u^(q-1) = 1, i.e. u in F_q^*, and then
+      u^(q^2-1) = (u^(q-1))^(q+1) = 1 fixes delta, so aut_count = q-1.
+      g moves through its coset of (L^*)^(q-1); for the least element
+      g_min of that coset the u with u^(q-1) g = g_min is unique up to
+      F_q^*, so the orbit holds exactly one pair (g_min, d), and every
+      d in L^* occurs.  One orbit (g_min, d) per coset minimum and d.
+
+    Cosets: with gamma = tower.generator, (L^*)^k = <gamma^step> for
+    step = gcd(k, q^n-1), so the coset of gamma^i is
+    {gamma^(i + j*step)}, the slice powers[i::step] of
+    powers = [gamma^0, ..., gamma^(q^n-2)].  O(|L|) time and memory.
+    """
+    q = tower.q
+    units = tower.order - 1
+    powers = [tower.pow(tower.generator, k) for k in range(units)]
+
+    def coset_minima(k):
+        step = gcd(k, units)
+        return sorted(min(powers[i::step]) for i in range(step))
+
+    e = gcd(q * q - 1, units)
+    orbits = [((0, d), units // e, e) for d in coset_minima(q * q - 1)]
+    for g in coset_minima(q - 1):
+        orbits.extend(((g, d), units // (q - 1), q - 1) for d in tower.units())
+    return orbits
+
+
+def orbit_members(tower, rep):
+    """The members of the twist orbit of rep = (g, delta), sorted."""
+    q = tower.q
+    g, delta = rep
+    return sorted({(tower.mul(tower.pow(u, q - 1), g),
+                    tower.mul(tower.pow(u, q * q - 1), delta))
+                   for u in tower.units()})
 
 
 @dataclass(frozen=True)

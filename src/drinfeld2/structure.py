@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .charpoly import frobenius_charpoly
-from .drinfeld import DrinfeldModule, action_matrix  # action_matrix is re-exported
+from .drinfeld import DrinfeldModule, action_matrix, twist_orbits  # action_matrix is re-exported
 from .fields import CENSUS_MAX_ORDER, SizeBoundError, second_invariant_factor
 from .ore import OrePoly
 from .polys import UPoly, _wrap
@@ -146,12 +146,15 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
 
 def realize_structure(tower, prime, m, i1, i2):
     """Search for an ordinary module whose A-module structure is exactly
-    A/(i1) + A/(i2).  The search visits all of L x L^*, so it raises
+    A/(i1) + A/(i2).  The search visits every twist orbit, so it raises
     SizeBoundError when |L| exceeds CENSUS_MAX_ORDER.
 
     Candidate isogeny classes are scanned in lexicographic (trace, unit)
     order and for each one the pairs (g, delta) in lexicographic order;
-    the first witness wins, so the result is deterministic.  Returns a
+    the first witness wins, so the result is deterministic.  Only orbit
+    representatives are visited: the members of an orbit share the class
+    and the structure, so the least witness of a class is the least
+    member of its orbit, which is the orbit's representative.  Returns a
     DrinfeldModule or a NotRealizable naming the failed condition.
     """
     fq = tower.fq
@@ -174,11 +177,9 @@ def realize_structure(tower, prime, m, i1, i2):
             "unit and i2 | trace - 2)")
     want = (i1, i2)
     by_class = {}
-    for g in tower.elements():
-        for delta in tower.units():
-            mod = DrinfeldModule(tower, prime, g, delta)
-            key = frobenius_charpoly(mod).key()
-            by_class.setdefault(key, []).append(mod)
+    for (g, delta), _, _ in twist_orbits(tower):
+        mod = DrinfeldModule(tower, prime, g, delta)
+        by_class.setdefault(frobenius_charpoly(mod).key(), []).append(mod)
     for trace, unit in candidates:
         for mod in by_class.get((trace.coeffs, unit), ()):
             inv = module_structure(mod)

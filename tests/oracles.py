@@ -1,7 +1,9 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
-scans, the routes the library no longer takes (a Smith normal form over A
-and a linear solve for the Frobenius characteristic polynomial), and
-closed-form census counts with their derivations.
+scans, the routes the library no longer takes (a Smith normal form over A,
+linear solves for the Frobenius characteristic polynomial and for tau^n in
+the image of phi, the marking sweep over L x L^* for twist orbits, and the
+realization scan over every module), and closed-form census counts with
+their derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -14,9 +16,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from drinfeld2 import FrobeniusCharPoly, OrePoly, UPoly
-from drinfeld2.charpoly import _ore_columns_to_rows, _solve_frobenius_in_image
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly, UPoly,
+                       frobenius_charpoly, module_structure)
 from drinfeld2.fields import gauss_solve, nullspace
+from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
 
 
 class OutsideDomainError(ValueError):
@@ -331,6 +334,47 @@ def snf_invariant_factors(action, fq):
     return invariant_factors_from_snf(smith_normal_form(mat)[1])
 
 
+def _ore_columns_to_rows(tower, columns, rhs_poly, width):
+    """Flatten Ore coefficient vectors into F_q rows (one per (tau-power,
+    digit) pair) for a linear solve."""
+    rows = []
+    rhs = []
+    n = tower.n
+    for k in range(width):
+        digs = []
+        for col in columns:
+            c = col.coeffs[k] if k < len(col.coeffs) else 0
+            digs.append(tower.vector(c))
+        r = rhs_poly.coeffs[k] if k < len(rhs_poly.coeffs) else 0
+        rv = tower.vector(r)
+        for t in range(n):
+            rows.append([digs[j][t] for j in range(len(columns))])
+            rhs.append(rv[t])
+    return rows, rhs
+
+
+def _solve_frobenius_in_image(mod):
+    """Look for a in A with phi(a) = tau^n by a linear solve over F_q in the
+    coefficients of a, deg a <= n/2; only possible when n is even.
+
+    Returns the witness polynomial or None.
+    """
+    n = mod.n
+    if n % 2 != 0:
+        return None
+    tower = mod.tower
+    half = n // 2
+    columns = [mod._t_power(j) for j in range(half + 1)]
+    rhs = mod.frobenius()
+    rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, n + 1)
+    status, sol = gauss_solve(tower.fq, rows, rhs_v)
+    if status == "none":
+        return None
+    if status != "unique":
+        raise RuntimeError("phi is not injective on the search space")
+    return UPoly(tower.fq, sol)
+
+
 def charpoly_by_solve(mod):
     """The Frobenius characteristic polynomial from the Ore coefficients of
     the annihilation identity
@@ -409,3 +453,57 @@ def point_scan_structure(mod):
                 matches.append(tuple(sorted(f.coeffs for f in combo)))
     assert len(set(matches)) == 1, "point-scan oracle is ambiguous"
     return matches[0]
+
+
+def twist_orbits_by_sweep(tower):
+    """Orbits of L x L^* under (g, delta) -> (u^(q-1) g, u^(q^2-1) delta)
+    by marking every pair: (rep, members, aut_count) with rep the
+    lexicographically least pair, members sorted, and aut_count the
+    stabilizer size.  The scan order makes the first-seen pair of each
+    orbit its representative.  O(|L|^2) time and memory.
+    """
+    q = tower.q
+    order = tower.order
+    pairs = sorted({(tower.pow(u, q - 1), tower.pow(u, q * q - 1))
+                    for u in tower.units()})
+    seen = bytearray(order * order)
+    orbits = []
+    for g in range(order):
+        for delta in range(1, order):
+            if seen[g * order + delta]:
+                continue
+            members = sorted({(tower.mul(a, g), tower.mul(b, delta)) for a, b in pairs})
+            for gg, dd in members:
+                seen[gg * order + dd] = 1
+            orbits.append(((g, delta), members, (order - 1) // len(members)))
+    return orbits
+
+
+def realize_by_scan(tower, prime, m, i1, i2):
+    """realize_structure by classifying every (g, delta) in L x L^*: the
+    first module, in lexicographic (trace, unit) order of the candidate
+    isogeny classes and then lexicographic (g, delta) order, whose
+    invariant factors are (i1, i2); NotRealizable with the library's
+    reasons otherwise."""
+    if not (i1.is_monic() and i2.is_monic()):
+        return NotRealizable("invariant factors must be monic")
+    if i1.degree() + i2.degree() != tower.n:
+        return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
+    if not (i1 % i2).is_zero():
+        return NotRealizable("divisibility: i2 must divide i1")
+    candidates = _candidate_isogeny_keys(tower, prime, m, i1, i2)
+    if not candidates:
+        return NotRealizable(
+            "no ordinary isogeny class matches (needs P(1) = i1*i2 up to a "
+            "unit and i2 | trace - 2)")
+    by_class = {}
+    for g in tower.elements():
+        for delta in tower.units():
+            mod = DrinfeldModule(tower, prime, g, delta)
+            by_class.setdefault(frobenius_charpoly(mod).key(), []).append(mod)
+    for trace, unit in candidates:
+        for mod in by_class.get((trace.coeffs, unit), ()):
+            inv = module_structure(mod)
+            if (inv.i1, inv.i2) == (i1, i2):
+                return mod
+    return NotRealizable("no witness found in any matching isogeny class")

@@ -9,17 +9,23 @@ from drinfeld2 import DrinfeldModule, UPoly, build_tower, census
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
+from drinfeld2.drinfeld import orbit_members
 from drinfeld2.fields import SizeBoundError
+from oracles import twist_orbits_by_sweep
+
+from conftest import GRID, Q_TO_PS, STRETCH
 
 
 def test_twist_orbits_partition_and_sizes():
     for p, s, n in ((3, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 2)):
         tw = build_tower(p, s, n)
         orbits = twist_orbits(tw)
-        total = sum(len(mem) for _, mem, _ in orbits)
+        total = sum(size for _, size, _ in orbits)
         assert total == tw.order * (tw.order - 1)
         seen = set()
-        for rep, members, aut in orbits:
+        for rep, size, aut in orbits:
+            members = orbit_members(tw, rep)
+            assert len(members) == size
             assert rep == min(members)
             assert aut * len(members) == tw.order - 1
             assert not (seen & set(members))
@@ -30,7 +36,24 @@ def test_twist_orbits_n1_are_singletons():
     tw = build_tower(3, 1, 1)
     orbits = twist_orbits(tw)
     assert len(orbits) == 6
-    assert all(len(mem) == 1 for _, mem, _ in orbits)
+    assert all(len(orbit_members(tw, rep)) == size == 1 for rep, size, _ in orbits)
+
+
+# (p, s, n) of every GRID and STRETCH tower, then four larger ones
+SWEEP_TOWERS = sorted({Q_TO_PS[q] + (d * m,) for q, d, m in GRID + STRETCH}) + [
+    (2, 1, 10), (3, 1, 6), (2, 3, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("p,s,n", SWEEP_TOWERS, ids=lambda v: str(v))
+def test_twist_orbits_match_sweep(p, s, n):
+    # representatives, sizes and automorphism counts from the stabilizers
+    # equal those of the marking sweep; members too where |L| <= 256
+    tw = build_tower(p, s, n)
+    sweep = twist_orbits_by_sweep(tw)
+    assert twist_orbits(tw) == [(rep, len(mem), aut) for rep, mem, aut in sweep]
+    if tw.order <= 256:
+        for rep, members, _ in sweep:
+            assert orbit_members(tw, rep) == members
 
 
 def direct_isomorphism_classes(tower, prime):
@@ -70,7 +93,7 @@ def test_direct_isomorphism_scan_agrees_with_orbits():
         orbits = twist_orbits(tw)
         assert len(classes) == len(orbits) == 24
         assert sorted(tuple(sorted(c)) for c in classes) == sorted(
-            tuple(mem) for _, mem, _ in orbits)
+            tuple(orbit_members(tw, rep)) for rep, _, _ in orbits)
         ss = sum(1 for c in classes
                  if DrinfeldModule(tw, prime, *c[0]).is_supersingular())
         assert ss == (8 if ptxt == "T" else 2)
@@ -82,8 +105,8 @@ def test_twist_orbit_members_are_isomorphic_invariants():
 
     tw = build_tower(3, 1, 2)
     prime = UPoly.parse(tw.fq, "T")
-    for rep, members, _ in twist_orbits(tw):
-        mods = [DrinfeldModule(tw, prime, g, d) for g, d in members]
+    for rep, _, _ in twist_orbits(tw):
+        mods = [DrinfeldModule(tw, prime, g, d) for g, d in orbit_members(tw, rep)]
         keys = {frobenius_charpoly(m).key() for m in mods}
         assert len(keys) == 1
         invs = {module_structure(m).as_pair() for m in mods}

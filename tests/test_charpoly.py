@@ -3,7 +3,11 @@ import pytest
 from drinfeld2 import (DrinfeldModule, UPoly, annihilation_holds, build_tower,
                        discriminant, euler_characteristic, frobenius_charpoly,
                        is_imaginary, is_isogenous, minimal_polynomial)
+from drinfeld2.census import default_prime, twist_orbits
 from drinfeld2.charpoly import minimal_polynomial_annihilates
+from oracles import _solve_frobenius_in_image
+
+from conftest import tower_for
 
 
 def module311(g, delta):
@@ -161,3 +165,22 @@ def test_q_even_charpoly_still_exact():
             assert annihilation_holds(mod)
             cp = frobenius_charpoly(mod)
             assert discriminant(cp) == cp.trace * cp.trace  # char 2 degeneration
+
+
+@pytest.mark.parametrize("q,d,m", [(2, 1, 2), (2, 1, 4), (4, 1, 2), (3, 1, 2), (3, 1, 4),
+                                   (2, 2, 1), (4, 3, 1)])
+def test_frobenius_witness_matches_solve(q, d, m):
+    # the closed-form witness of tau^n = phi(a) against the linear solve,
+    # on every representative with discriminant 0; even q with m even has
+    # witnesses, and m odd has none
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    zero_disc = 0
+    for (g, delta), _, _ in twist_orbits(tw):
+        mod = DrinfeldModule(tw, prime, g, delta)
+        cp = frobenius_charpoly(mod)
+        if cp.disc_poly().is_zero():
+            zero_disc += 1
+            assert cp.frobenius_in_image == _solve_frobenius_in_image(mod)
+            assert (cp.frobenius_in_image is None) == (m % 2 == 1)
+    assert zero_disc > 0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -180,9 +181,16 @@ def test_polynomial_roundtrip_through_cli(capsys):
 
 
 def test_module_entrypoint_runs():
+    # the subprocess imports the same drinfeld2 as this test, also when the
+    # package is found through pytest's pythonpath rather than PYTHONPATH
+    import drinfeld2
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(drinfeld2.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "drinfeld2", "charpoly", "--p", "3", "--s", "1",
          "--P", "T", "--m", "1", "--g", "2", "--delta", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mu"] == 1

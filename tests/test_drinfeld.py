@@ -127,7 +127,7 @@ def test_height_scaling_with_valuation():
 
 def test_frobenius_power_search_soundness():
     # if tau^(n*k) = phi(a) is solvable for k <= 2, the module is supersingular
-    from drinfeld2.charpoly import _solve_frobenius_in_image
+    from oracles import _solve_frobenius_in_image
 
     for n in (1, 2):
         tw = build_tower(3, 1, n)

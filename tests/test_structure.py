@@ -8,7 +8,7 @@ from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
                        realize_structure, suborder_contained)
 from drinfeld2.structure import NotRealizable, action_matrix
 from oracles import (determinantal_divisors, point_scan_structure, poly_mat_det,
-                     poly_mat_mul, smith_normal_form)
+                     poly_mat_mul, realize_by_scan, smith_normal_form)
 
 
 def fq3():
@@ -225,6 +225,35 @@ def test_realize_examples():
     res2 = realize_structure(tw2, UPoly.parse(fq2, "T"), 2,
                              UPoly.parse(fq2, "T^2+T"), UPoly.one(fq2))
     assert isinstance(res2, DrinfeldModule) or isinstance(res2, NotRealizable)
+
+
+# (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and
+# not, at q in {2, 3, 4, 5}, and each way of being unrealizable
+REALIZE_CASES = [
+    (3, 1, 1, "T", 1, "T+1", "1"),
+    (3, 1, 1, "T", 1, "T+1", "T+2"),  # degree
+    (3, 1, 2, "T", 2, "T+1", "T"),  # divisibility
+    (3, 1, 2, "T", 2, "T^2+T", "1"),
+    (3, 1, 2, "T", 2, "T^2+1", "1"),  # no witness in the matching class
+    (3, 1, 2, "T^2+1", 1, "T+1", "T+1"),
+    (2, 1, 2, "T", 2, "T^2+1", "1"),  # no matching isogeny class
+    (2, 1, 3, "T", 3, "T^2+T", "T+1"),
+    (2, 2, 2, "T", 2, "T^2+T", "1"),
+    (5, 1, 3, "T", 3, "T^2+3*T+2", "T+2"),
+]
+
+
+@pytest.mark.parametrize("case", REALIZE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_realize_matches_scan_of_every_module(case):
+    p, s, n, ptxt, m, i1, i2 = case
+    tw = build_tower(p, s, n)
+    args = (tw, UPoly.parse(tw.fq, ptxt), m,
+            UPoly.parse(tw.fq, i1), UPoly.parse(tw.fq, i2))
+    got, want = realize_structure(*args), realize_by_scan(*args)
+    if isinstance(want, NotRealizable):
+        assert got == want
+    else:
+        assert (got.g, got.delta) == (want.g, want.delta)
 
 
 def test_realize_refuses_fields_above_the_census_bound():

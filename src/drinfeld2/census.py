@@ -24,7 +24,7 @@ from .polys import (UPoly, enumerate_monic_irreducibles, irreducible_divisors,
                     monic_polys)
 from .structure import check_criteria, module_structure, plane_torsion_rational
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def default_prime(fq, d):
@@ -44,7 +44,6 @@ def _irreducible_divisors_of(chi, memo):
 
 def _process_orbit(tower, prime, m, rep, size, aut, verify_members, divisors_memo):
     """Classify one isomorphism class; returns a plain-data record."""
-    fq = tower.fq
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
     cp = frobenius_charpoly(mod)
     inv = module_structure(mod)
@@ -129,27 +128,6 @@ def _pool_work(item):
     rep, size, aut = item
     tower, prime, m, verify_members, memo = _WORKER["args"]
     return _process_orbit(tower, prime, m, rep, size, aut, verify_members, memo)
-
-
-def _conjecture_probe(fq, trace, unit, prime, m, chi):
-    """Trace and determinant of the candidate Frobenius matrix
-    [[trace-1, i1], [i2, -1]] modulo chi; recorded, not asserted."""
-    one = UPoly.one(fq)
-    norm = prime.pow(m).scale(unit)
-    det = (one - trace) % chi  # -(trace-1) - i1*i2 = 1 - trace mod chi
-    tr = (trace - (one + one)) % chi
-    unit_match = None
-    for u in fq.units():
-        if (norm.scale(u) - det) % chi == UPoly.zero(fq):
-            unit_match = u
-            break
-    return {
-        "det_mod_chi": str(det),
-        "det_is_unit_times_norm": unit_match,
-        "trace_mod_chi": str(tr),
-        "trace_matches_c": ((trace - tr) % chi).is_zero(),
-        "trace_matches_c_minus_2": True,
-    }
 
 
 def counting_formulas(q, d, m):
@@ -390,8 +368,6 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             "weighted_equals_count": weighted == len(group),
             "cyclic": all(r["cyclic"] for r in group),
             "structures": struct_rows,
-            "conjecture_probe": (_conjecture_probe(fq, trace, unit, prime, m, chi)
-                                 if ordinary else None),
         }
         isogeny_rows.append(row)
 

@@ -23,8 +23,8 @@ from functools import lru_cache
 # towers used for torsion computations (and must allow at least 5^4).
 MAX_FIELD_ORDER = 8192
 
-# Largest |L| a census or a realization search scans: both visit all of
-# L x L^*, so their work is quadratic in |L|.
+# Largest |L| a census or a realization search scans: both classify one
+# module per twist orbit, and there are about (q-1)|L| orbits.
 CENSUS_MAX_ORDER = 1024
 
 # Largest base field F_q; keeps the q x q tables small.

@@ -253,6 +253,7 @@ def test_realize_matches_scan_of_every_module(case):
     if isinstance(want, NotRealizable):
         assert got == want
     else:
+        assert isinstance(got, DrinfeldModule)
         assert (got.g, got.delta) == (want.g, want.delta)
 
 

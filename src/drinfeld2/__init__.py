@@ -17,7 +17,7 @@ from .structure import (InvariantFactors, NotRealizable, action_matrix,
                         check_criteria, module_structure,
                         plane_torsion_rational, realize_structure,
                         suborder_contained)
-from .hurwitz import StabilizationError, class_number, hurwitz_class_number
+from .hurwitz import class_number, hurwitz_class_number
 from .census import (CensusReport, attach_class_number_checks,
                      compute_statistics, counting_formulas, cyclicity_trend,
                      run_census)
@@ -34,7 +34,7 @@ __all__ = [
     "minimal_polynomial", "InvariantFactors", "NotRealizable",
     "action_matrix", "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure", "suborder_contained",
-    "StabilizationError", "class_number", "hurwitz_class_number",
+    "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",
     "counting_formulas", "cyclicity_trend", "run_census",
 ]

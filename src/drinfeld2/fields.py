@@ -20,7 +20,8 @@ from functools import lru_cache
 
 # Largest |L| for which tables are built.  Census code imposes its own,
 # smaller limit; this one only has to accommodate the splitting-field
-# towers used for torsion computations (and must allow at least 5^4).
+# towers used for torsion computations and the towers F_{q^k}, k <= g, in
+# which class numbers count points (and must allow at least 5^4).
 MAX_FIELD_ORDER = 8192
 
 # Largest |L| a census or a realization search scans: both classify one
@@ -80,10 +81,10 @@ def _poly_kernel(fq):
     """The PolyKernel of fq, over its add, neg, mul and inverse tables.
 
     Every polynomial over F_q in the library, from the moduli that build
-    the field tables to UPoly and the class-number search, is computed
-    here.  Monic polynomials are listed with the constant coefficient
-    varying slowest: lexicographic order on coefficient vectors read low
-    degree first.
+    the field tables to UPoly and the class numbers, is computed here.
+    Monic polynomials are listed with the constant coefficient varying
+    slowest: lexicographic order on coefficient vectors read low degree
+    first.
     """
     q = fq.q
     add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table

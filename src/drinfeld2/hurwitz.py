@@ -1,4 +1,4 @@
-"""Class numbers of quadratic orders over A = F_q[T], by brute force.
+"""Class numbers of quadratic orders over A = F_q[T], from L-polynomials.
 
 For an imaginary discriminant D (odd degree, or even degree with a
 non-square leading coefficient) and q odd, the order of discriminant D
@@ -7,200 +7,147 @@ O-ideals up to the equivalence I ~ J iff alpha*I = beta*J for nonzero
 alpha, beta in O.  The Hurwitz class number H(D) sums h(D/l^2) over the
 monic l with l^2 | D.
 
-Everything here is an independent enumeration: ideals are listed as
-A-lattices (a, b + w) with a bounded degree, the equivalence is decided
-by degree-bounded multipliers, and the multiplier bound is doubled until
-the class partition stabilizes.  A partition that fails to stabilize at
-the cap raises instead of guessing.
+Write D = f^2 D_K with f monic and D_K squarefree; O is the order of
+conductor f in the maximal order O_K = A + A*sqrt(D_K).
 
-The inner loop works on raw coefficient tuples (low degree first, no
-trailing zeros) through the field's PolyKernel, for speed; the public API
-speaks UPoly.
+* A constant D_K (a non-square in F_q) gives O_K = F_{q^2}[T], so h = 1.
+* Otherwise K is the function field of y^2 = D_K, of genus
+  g = (deg D_K - 1) // 2, and h(O_K) = d_inf L(1), with d_inf = 1 for odd
+  and 2 for even deg D_K (the degree of the place at infinity) and L the
+  numerator of the zeta function of K (Artin, Math. Z. 19, 1924; Rosen,
+  Number Theory in Function Fields, GTM 210).  The point counts of
+  y^2 = D_K over F_{q^k}, k <= g, give the power sums of the inverse roots
+  of L; Newton's identities give a_1..a_g and the functional equation
+  a_{2g-i} = q^(g-i) a_i gives the rest.
+* h(O_f) = h(O_K) |f| prod_{l | f} (1 - chi(l)/|l|) / [O_K^* : O_f^*],
+  with chi(l) the Legendre symbol of D_K mod l; the unit index is q + 1
+  when D_K is constant and f != 1, and 1 otherwise.
+
+The point counts need the field F_{q^g}, so q^g is bounded by
+MAX_FIELD_ORDER.  An independent lattice enumeration of the ideal classes
+serves as the test oracle for this route.
 """
 
 import itertools
 
 from .charpoly import is_imaginary
-from .polys import UPoly, monic_polys
+from .fields import MAX_FIELD_ORDER, SizeBoundError, build_tower
+from .polys import UPoly, irreducible_divisors
 
 
-class StabilizationError(RuntimeError):
-    """The class partition did not stabilize within the multiplier cap."""
-
-
-def proper_ideal_representatives(disc, fq):
-    """Primitive (proper) ideals (a, b + w) with a monic of degree at most
-    deg(disc)/2 + 1 and deg b < deg a; every ideal class of the order
-    contains one of these."""
-    if not is_imaginary(disc, fq):
-        raise ValueError("%s is not an imaginary discriminant" % disc)
-    bound = disc.degree() // 2 + 1
-    out = [(UPoly.one(fq), UPoly.zero(fq))]
-    for da in range(1, bound + 1):
-        for a in monic_polys(fq, da):
-            for bt in itertools.product(range(fq.q), repeat=da):
-                b = UPoly(fq, bt)
-                num = b * b - disc
-                quo, rem = divmod(num, a)
-                if not rem.is_zero():
-                    continue
-                # properness: the form (a, 2b, (b^2 - D)/a) must be primitive
-                gcd = a
-                for other in (b + b, quo):
-                    if not gcd.is_one() and other:
-                        gcd = gcd.gcd(other)
-                if not gcd.is_one():
-                    continue
-                out.append((a, b))
-    return out
-
-
-def _multiplier_pairs(fq, disc_deg, norm_degree_bound):
-    """Coefficient tuples (x, y) for the nonzero multipliers x + y*w with
-    deg(x^2 - y^2 disc) <= norm_degree_bound, up to F_q^* scaling.
-
-    The discriminant is imaginary, so the halves of the norm cannot
-    cancel and the bound splits into independent bounds on x and y; the
-    scaling normalization fixes the leading coefficient of y (or of x
-    when y = 0) to 1.
-    """
-    max_x = norm_degree_bound // 2
-    max_y = ((norm_degree_bound - disc_deg) // 2
-             if norm_degree_bound >= disc_deg else -1)
-
-    def polys_up_to(maxdeg, monic_only):
-        out = []
-        for k in range(maxdeg + 1):
-            lead = (1,) if monic_only else tuple(range(1, fq.q))
-            for tail in itertools.product(range(fq.q), repeat=k):
-                for lc in lead:
-                    out.append(tail + (lc,))
-        return out
-
-    pairs = []
-    if max_x >= 0:
-        for x in polys_up_to(max_x, True):
-            pairs.append((x, ()))
-    if max_y >= 0:
-        ys = polys_up_to(max_y, True)
-        xs = [()] if max_x < 0 else [()] + polys_up_to(max_x, False)
-        for y in ys:
-            for x in xs:
-                pairs.append((x, y))
-    return pairs
-
-
-def _partition(ideal_tuples, disc_t, fq, norm_degree_bound):
-    """Union-find partition of the ideals: two merge when some bounded
-    multiples coincide as lattices."""
-    kernel = fq.kernel
-    tadd, tsub, tmul, tdivmod = kernel.add, kernel.sub, kernel.mul, kernel.divmod
-    tmonic, tscale = kernel.monic, kernel.scale
-    inv_t = fq.inv_table
-
-    def canon(x1, y1, x2, y2):
-        while y2:
-            q, _ = tdivmod(y1, y2)
-            x1 = tsub(x1, tmul(q, x2))
-            y1 = tsub(y1, tmul(q, y2))
-            x1, y1, x2, y2 = x2, y2, x1, y1
-        f = tmonic(x2)
-        e, c = x1, y1
-        if c[-1] != 1:
-            e = tscale(e, inv_t[c[-1]])
-            c = tmonic(c)
-        e = tdivmod(e, f)[1]
-        return (f, e, c)
-
-    parent = list(range(len(ideal_tuples)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    multipliers = [(x, y, tmul(y, disc_t))
-                   for x, y in _multiplier_pairs(fq, len(disc_t) - 1,
-                                                 norm_degree_bound)]
-    seen = {}
-    for idx, (a, b) in enumerate(ideal_tuples):
-        for x, y, y_disc in multipliers:
-            # (x + y w) * a  and  (x + y w)(b + w), with w^2 = disc
-            h1x = tmul(x, a)
-            h1y = tmul(y, a)
-            h2x = tadd(tmul(x, b), y_disc)
-            h2y = tadd(x, tmul(y, b))
-            key = canon(h1x, h1y, h2x, h2y)
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = idx
-            else:
-                ri, rj = find(prev), find(idx)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(len(ideal_tuples)):
-        groups.setdefault(find(i), []).append(i)
-    return frozenset(frozenset(g) for g in groups.values())
-
-
-_CLASS_NUMBER_CACHE = {}
-
-
-def class_number(disc, fq, max_norm_degree=24):
-    """Number of classes of proper ideals of the order of discriminant disc.
-
-    The multiplier degree bound starts at deg(disc) + 2 and doubles until
-    two consecutive partitions agree; failure to stabilize raises
-    StabilizationError.  Returns (h, stabilized_at_bound).
-    """
-    key = (fq.p, fq.s, disc.coeffs)
-    if key in _CLASS_NUMBER_CACHE:
-        return _CLASS_NUMBER_CACHE[key]
+def _check(disc, fq):
     if fq.p == 2:
         raise ValueError("class numbers require odd q")
-    ideals = proper_ideal_representatives(disc, fq)
-    ideal_tuples = [(a.coeffs, b.coeffs) for a, b in ideals]
-    disc_t = disc.coeffs
-    bound = disc.degree() + 2
-    part = _partition(ideal_tuples, disc_t, fq, bound)
-    while True:
-        nxt = 2 * bound
-        if nxt > max_norm_degree:
-            raise StabilizationError(
-                "class partition for %s did not stabilize by bound %d"
-                % (disc, bound))
-        part2 = _partition(ideal_tuples, disc_t, fq, nxt)
-        if part2 == part:
-            result = (len(part), nxt)
-            _CLASS_NUMBER_CACHE[key] = result
-            return result
-        part = part2
-        bound = nxt
+    if not is_imaginary(disc, fq):
+        raise ValueError("%s is not an imaginary discriminant" % disc)
+
+
+def _conductor(disc):
+    """(D_K, [(l, e)]) with disc = f^2 D_K, f the product of the l^e and
+    D_K squarefree.  A repeated factor of disc divides its derivative, so
+    only gcd(disc, disc') is factored."""
+    fq = disc.fq
+    deriv = UPoly(fq, [fq.mul(i % fq.p, c) for i, c in enumerate(disc.coeffs)][1:])
+    dk, primes = disc, []
+    for l in irreducible_divisors(disc.gcd(deriv)):
+        sq, e = l * l, 0
+        while sq.divides(dk):
+            dk, e = dk // sq, e + 1
+        primes.append((l, e))
+    return dk, primes
+
+
+_MAXIMAL_ORDER_CACHE = {}
+
+
+def _maximal_order(dk, fq):
+    """(h(O_K), g, [a_0, ..., a_2g]) for squarefree imaginary dk; memoized."""
+    key = (fq.p, fq.s, dk.coeffs)
+    hit = _MAXIMAL_ORDER_CACHE.get(key)
+    if hit is not None:
+        return hit
+    deg, q = dk.degree(), fq.q
+    if deg == 0:
+        hit = (1, 0, [1])
+    else:
+        g = (deg - 1) // 2
+        if q ** g > MAX_FIELD_ORDER:
+            raise SizeBoundError("the L-polynomial of %s needs F_{q^%d}, above %d elements"
+                                 % (dk, g, MAX_FIELD_ORDER))
+        power_sums = []  # S_k = q^k + 1 - #points over F_{q^k}
+        for k in range(1, g + 1):
+            tower = build_tower(fq.p, fq.s, k)
+            half = (tower.order - 1) // 2
+            char_sum = 0
+            for x in tower.elements():
+                v = dk.eval_in_tower(tower, x)
+                if v:  # Euler's criterion
+                    char_sum += 1 if tower.pow(v, half) == 1 else -1
+            at_infinity = 1 if deg % 2 else 1 + (-1) ** k
+            power_sums.append(1 - at_infinity - char_sum)
+        a = [1]
+        for k in range(1, g + 1):
+            ak, r = divmod(-sum(power_sums[j - 1] * a[k - j] for j in range(1, k + 1)), k)
+            if r:
+                raise RuntimeError("Newton's identities left a fraction for %s" % dk)
+            a.append(ak)
+        a += [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
+        hit = ((2 - deg % 2) * sum(a), g, a)
+    _MAXIMAL_ORDER_CACHE[key] = hit
+    return hit
+
+
+def _legendre(dk, l):
+    """chi(l): 0 if l | dk, else 1 or -1 as dk is a square mod l or not
+    (Euler's criterion in A/l, a field of q^deg(l) elements)."""
+    base = dk % l
+    if base.is_zero():
+        return 0
+    acc, e = UPoly.one(dk.fq), (dk.fq.q ** l.degree() - 1) // 2
+    while e:
+        if e & 1:
+            acc = acc * base % l
+        base = base * base % l
+        e >>= 1
+    return 1 if acc.is_one() else -1
+
+
+def _order_class_number(dk, primes, fq):
+    """h of the order of conductor prod l^e in O_K, by the conductor formula."""
+    h = _maximal_order(dk, fq)[0]
+    for l, e in primes:
+        norm = fq.q ** l.degree()
+        h *= norm ** (e - 1) * (norm - _legendre(dk, l))
+    units = fq.q + 1 if primes and dk.degree() == 0 else 1
+    h, r = divmod(h, units)
+    if r:
+        raise RuntimeError("the conductor formula gave a fraction for %s" % dk)
+    return h
+
+
+def class_number(disc, fq):
+    """Number of classes of proper ideals of the order of discriminant disc."""
+    _check(disc, fq)
+    return _order_class_number(*_conductor(disc), fq)
 
 
 def hurwitz_class_number(disc, fq):
     """H(disc) = sum of h(disc / l^2) over monic l with l^2 | disc.
 
-    Returns (H, details) where details lists the per-term data, including
-    the bound at which each class count stabilized.
+    Returns (H, details): one term per l, in increasing order of l, with
+    h and the genus and L-polynomial coefficients of the maximal order.
     """
-    if fq.p == 2:
-        raise ValueError("Hurwitz class numbers require odd q")
-    if not is_imaginary(disc, fq):
-        raise ValueError("%s is not an imaginary discriminant" % disc)
-    ells = [UPoly.one(fq)]
-    for k in range(1, disc.degree() // 2 + 1):
-        for l in monic_polys(fq, k):
-            if (disc % (l * l)).is_zero():
-                ells.append(l)
-    total = 0
-    details = []
-    for l in ells:
-        sub = disc // (l * l)
-        h, bound = class_number(sub, fq)
-        total += h
-        details.append({"l": str(l), "disc": str(sub), "h": h,
-                        "stabilized_bound": bound})
-    return total, details
+    _check(disc, fq)
+    dk, primes = _conductor(disc)
+    _, genus, lpoly = _maximal_order(dk, fq)
+    terms = []
+    for exps in itertools.product(*(range(e + 1) for _, e in primes)):
+        l = UPoly.one(fq)
+        for (p, _), x in zip(primes, exps):
+            l = l * p.pow(x)
+        rest = [(p, e - x) for (p, e), x in zip(primes, exps) if e > x]
+        terms.append((l, _order_class_number(dk, rest, fq)))
+    terms.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
+    details = [{"l": str(l), "disc": str(disc // (l * l)), "h": h,
+                "genus": genus, "L": list(lpoly)} for l, h in terms]
+    return sum(h for _, h in terms), details

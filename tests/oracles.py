@@ -1,9 +1,9 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (a Smith normal form over A,
 linear solves for the Frobenius characteristic polynomial and for tau^n in
-the image of phi, the marking sweep over L x L^* for twist orbits, and the
-realization scan over every module), and closed-form census counts with
-their derivations.
+the image of phi, the marking sweep over L x L^* for twist orbits, the
+realization scan over every module, and the lattice enumeration of ideal
+classes), and closed-form census counts with their derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -14,11 +14,12 @@ module is Phi_T = gamma + g tau + delta tau^2 with j = g^(q+1) / delta.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly, UPoly,
-                       frobenius_charpoly, module_structure)
+                       frobenius_charpoly, is_imaginary, module_structure)
 from drinfeld2.fields import gauss_solve, nullspace
+from drinfeld2.polys import monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
 
 
@@ -507,3 +508,171 @@ def realize_by_scan(tower, prime, m, i1, i2):
             if (inv.i1, inv.i2) == (i1, i2):
                 return mod
     return NotRealizable("no witness found in any matching isogeny class")
+
+
+class StabilizationError(RuntimeError):
+    """The class partition did not stabilize within the multiplier cap."""
+
+
+def proper_ideal_representatives(disc, fq):
+    """Primitive (proper) ideals (a, b + w) of the order A + A*w, w^2 = disc,
+    with a monic of degree at most deg(disc)/2 + 1 and deg b < deg a; every
+    ideal class of the order contains one of these."""
+    if not is_imaginary(disc, fq):
+        raise ValueError("%s is not an imaginary discriminant" % disc)
+    bound = disc.degree() // 2 + 1
+    out = [(UPoly.one(fq), UPoly.zero(fq))]
+    for da in range(1, bound + 1):
+        for a in monic_polys(fq, da):
+            for bt in itertools.product(range(fq.q), repeat=da):
+                b = UPoly(fq, bt)
+                num = b * b - disc
+                quo, rem = divmod(num, a)
+                if not rem.is_zero():
+                    continue
+                # properness: the form (a, 2b, (b^2 - D)/a) must be primitive
+                gcd_ = a
+                for other in (b + b, quo):
+                    if not gcd_.is_one() and other:
+                        gcd_ = gcd_.gcd(other)
+                if not gcd_.is_one():
+                    continue
+                out.append((a, b))
+    return out
+
+
+def _multiplier_pairs(fq, disc_deg, norm_degree_bound):
+    """Coefficient tuples (x, y) for the nonzero multipliers x + y*w with
+    deg(x^2 - y^2 disc) <= norm_degree_bound, up to F_q^* scaling.
+
+    The discriminant is imaginary, so the halves of the norm cannot
+    cancel and the bound splits into independent bounds on x and y; the
+    scaling normalization fixes the leading coefficient of y (or of x
+    when y = 0) to 1.
+    """
+    max_x = norm_degree_bound // 2
+    max_y = ((norm_degree_bound - disc_deg) // 2
+             if norm_degree_bound >= disc_deg else -1)
+
+    def polys_up_to(maxdeg, monic_only):
+        out = []
+        for k in range(maxdeg + 1):
+            lead = (1,) if monic_only else tuple(range(1, fq.q))
+            for tail in itertools.product(range(fq.q), repeat=k):
+                for lc in lead:
+                    out.append(tail + (lc,))
+        return out
+
+    pairs = []
+    if max_x >= 0:
+        for x in polys_up_to(max_x, True):
+            pairs.append((x, ()))
+    if max_y >= 0:
+        ys = polys_up_to(max_y, True)
+        xs = [()] if max_x < 0 else [()] + polys_up_to(max_x, False)
+        for y in ys:
+            for x in xs:
+                pairs.append((x, y))
+    return pairs
+
+
+def _partition(ideal_tuples, disc_t, fq, norm_degree_bound):
+    """Union-find partition of the ideals: two merge when some bounded
+    multiples coincide as lattices.  Lattices are compared by their Hermite
+    normal form, computed on raw coefficient tuples through the field's
+    PolyKernel."""
+    kernel = fq.kernel
+    tadd, tsub, tmul, tdivmod = kernel.add, kernel.sub, kernel.mul, kernel.divmod
+    tmonic, tscale = kernel.monic, kernel.scale
+    inv_t = fq.inv_table
+
+    def canon(x1, y1, x2, y2):
+        while y2:
+            q, y1 = tdivmod(y1, y2)
+            x1 = tsub(x1, tmul(q, x2))
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        f = tmonic(x2)
+        e, c = x1, y1
+        if c[-1] != 1:
+            e = tscale(e, inv_t[c[-1]])
+            c = tmonic(c)
+        e = tdivmod(e, f)[1]
+        return (f, e, c)
+
+    parent = list(range(len(ideal_tuples)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    multipliers = _multiplier_pairs(fq, len(disc_t) - 1, norm_degree_bound)
+    parts = {x for x, _ in multipliers} | {y for _, y in multipliers}
+    times_disc = {y: tmul(y, disc_t) for _, y in multipliers}
+    seen = {}
+    for idx, (a, b) in enumerate(ideal_tuples):
+        times_a = {x: tmul(x, a) for x in parts}
+        times_b = {x: tmul(x, b) for x in parts}
+        for x, y in multipliers:
+            # (x + y w) * a  and  (x + y w)(b + w), with w^2 = disc
+            key = canon(times_a[x], times_a[y], tadd(times_b[x], times_disc[y]),
+                        tadd(x, times_b[y]))
+            prev = seen.get(key)
+            if prev is None:
+                seen[key] = idx
+            else:
+                ri, rj = find(prev), find(idx)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(ideal_tuples)):
+        groups.setdefault(find(i), []).append(i)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
+def class_number_by_enumeration(disc, fq, max_norm_degree=24):
+    """Class number of the order of discriminant disc (q odd) by brute force:
+    the proper ideals are listed as lattices, two are merged when bounded
+    multiples of them coincide, and the multiplier bound starts at
+    deg(disc) + 2 and doubles until two consecutive partitions agree.  A
+    larger bound only merges classes, so a single class is final at once.
+    Raises StabilizationError when the bound would pass max_norm_degree.
+    """
+    if fq.p == 2:
+        raise ValueError("class numbers require odd q")
+    ideal_tuples = [(a.coeffs, b.coeffs) for a, b in proper_ideal_representatives(disc, fq)]
+    bound = disc.degree() + 2
+    part = _partition(ideal_tuples, disc.coeffs, fq, bound)
+    while len(part) > 1:
+        nxt = 2 * bound
+        if nxt > max_norm_degree:
+            raise StabilizationError(
+                "class partition for %s did not stabilize by bound %d" % (disc, bound))
+        part2 = _partition(ideal_tuples, disc.coeffs, fq, nxt)
+        if part2 == part:
+            break
+        part, bound = part2, nxt
+    return len(part)
+
+
+def l_polynomial_problems(genus, coeffs, q):
+    """What keeps [a_0, ..., a_2g] from being the L-polynomial of a function
+    field of genus g over F_q; an empty list when nothing does.  Weil's
+    theorem gives L(t) = prod (1 - alpha_i t) over 2g inverse roots with
+    |alpha_i| = sqrt(q), closed under alpha -> q/alpha, so a_0 = 1,
+    a_{2g-i} = q^(g-i) a_i and |a_i| <= C(2g, i) q^(i/2); and L(1) is the
+    order of the divisor class group of degree 0, so L(1) >= 1."""
+    if len(coeffs) != 2 * genus + 1:
+        return ["%d coefficients for genus %d" % (len(coeffs), genus)]
+    problems = []
+    if coeffs[0] != 1:
+        problems.append("a_0 = %d" % coeffs[0])
+    for i, a in enumerate(coeffs):
+        if i < genus and coeffs[2 * genus - i] != q ** (genus - i) * a:
+            problems.append("a_%d != q^%d a_%d" % (2 * genus - i, genus - i, i))
+        if a * a > comb(2 * genus, i) ** 2 * q ** i:
+            problems.append("|a_%d| = %d exceeds the Weil bound" % (i, abs(a)))
+    if sum(coeffs) < 1:
+        problems.append("L(1) = %d" % sum(coeffs))
+    return problems

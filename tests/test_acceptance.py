@@ -25,8 +25,8 @@ import time
 from conftest import GRID, STRETCH, tower_for
 from oracles import (OutsideDomainError, c0_closed_form, cyclic_proportions_are_one,
                      determinantal_divisors, j0_class_count, j0_is_supersingular,
-                     point_scan_structure, poly_mat_det, poly_mat_mul,
-                     smith_normal_form, supersingular_iso_class_count,
+                     l_polynomial_problems, point_scan_structure, poly_mat_det,
+                     poly_mat_mul, smith_normal_form, supersingular_iso_class_count,
                      twist_automorphism_count)
 
 from drinfeld2 import (DrinfeldModule, UPoly, build_tower, module_structure,
@@ -301,9 +301,10 @@ def test_criterion_8_class_number_crosschecks(census_cache):
             if not cls["match"]:
                 failures.append((d, m, cls["c"], cls["mu"],
                                  "W = %d but H(disc) = %d" % (cls["W"], cls["H"])))
-            for term in cls["terms"]:
-                if term["stabilized_bound"] is None:
-                    failures.append((d, m, cls["c"], "no stabilization"))
+            terms = cls["terms"] + [t for sub in cls["admissible_i2"] for t in sub["terms"]]
+            for term in terms:
+                for problem in l_polynomial_problems(term["genus"], term["L"], 3):
+                    failures.append((d, m, cls["c"], term["disc"], problem))
             for sub in cls["admissible_i2"]:
                 if not sub["match"]:
                     failures.append((d, m, cls["c"], cls["mu"], sub["i2"],
@@ -312,7 +313,7 @@ def test_criterion_8_class_number_crosschecks(census_cache):
     elapsed = time.time() - t0
     report(8, not failures,
            "W(F) = H(disc) and n(P,i2) = H(disc/i2^2) for all ordinary classes, "
-           "q=3, n <= 2, stabilized (%.0fs)" % elapsed)
+           "q=3, n <= 2, L-polynomials checked (%.0fs)" % elapsed)
     assert not failures, failures
     assert elapsed < 300
 

@@ -11,9 +11,9 @@ from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               twist_orbits)
 from drinfeld2.drinfeld import orbit_members
 from drinfeld2.fields import SizeBoundError
-from oracles import twist_orbits_by_sweep
+from oracles import l_polynomial_problems, twist_orbits_by_sweep
 
-from conftest import GRID, Q_TO_PS, STRETCH
+from conftest import GRID, Q_TO_PS, STRETCH, tower_for
 
 
 def test_twist_orbits_partition_and_sizes():
@@ -217,14 +217,51 @@ def test_hurwitz_crosscheck_census_311(census_cache):
 
 
 def test_hurwitz_crosscheck_census_q5(census_cache):
-    # a second field size for the class-number machinery; n = 1 keeps the
-    # discriminant degrees (and hence the lattice searches) small
+    # a second field size for the class-number machinery
     import copy
 
     r = copy.deepcopy(census_cache(5, 1, 1))
     attach_class_number_checks(r, build_tower(5, 1, 1))
     assert r.hurwitz["all_match"]
     assert len(r.hurwitz["classes"]) == 16
+
+
+@pytest.mark.parametrize("case", [(3, 1, 3), (5, 1, 3), (3, 1, 4)],
+                         ids=lambda c: "q%d-d%d-m%d" % c)
+def test_hurwitz_crosscheck_census_n_at_least_3(census_cache, case):
+    # discriminants of degree 3 and 4 bring squarefree parts of genus 1
+    import copy
+
+    q, d, m = case
+    r = copy.deepcopy(census_cache(q, d, m))
+    attach_class_number_checks(r, tower_for(q, d * m))
+    assert r.hurwitz["all_match"]
+    classes = r.hurwitz["classes"]
+    assert len(classes) == r.totals["ordinary_isogeny_classes"]
+    terms = [t for c in classes
+             for t in c["terms"] + [t for sub in c["admissible_i2"] for t in sub["terms"]]]
+    assert any(t["genus"] == 1 for t in terms)
+    assert any(c["admissible_i2"] for c in classes)
+    for t in terms:
+        assert not l_polynomial_problems(t["genus"], t["L"], q), t
+
+
+def test_hurwitz_crosscheck_constant_squarefree_part(census_cache):
+    # 2*T^4+2*T^2+2 = 2(T^2+2)^2: D_K = 2 is a constant non-square, so
+    # O_K = F_9[T] and the order of conductor T^2+2 = (T+1)(T+2) has
+    # h = 4 * 4 / (q + 1) = 4, and H = 4 + 1 + 1 + 1
+    import copy
+
+    r = copy.deepcopy(census_cache(3, 2, 2))
+    attach_class_number_checks(r, tower_for(3, 4))
+    assert r.hurwitz["all_match"]
+    rows = [c for c in r.hurwitz["classes"] if c["disc"] == "2*T^4+2*T^2+2"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["W"] == row["H"] == 7
+        assert [(t["l"], t["h"]) for t in row["terms"]] == [
+            ("1", 4), ("T+1", 1), ("T+2", 1), ("T^2+2", 1)]
+        assert [sub["H"] for sub in row["admissible_i2"]] == [2]
 
 
 def test_report_serialization_deterministic(census_cache):

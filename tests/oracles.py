@@ -531,11 +531,11 @@ def proper_ideal_representatives(disc, fq):
                 if not rem.is_zero():
                     continue
                 # properness: the form (a, 2b, (b^2 - D)/a) must be primitive
-                gcd_ = a
+                content = a
                 for other in (b + b, quo):
-                    if not gcd_.is_one() and other:
-                        gcd_ = gcd_.gcd(other)
-                if not gcd_.is_one():
+                    if not content.is_one() and other:
+                        content = content.gcd(other)
+                if not content.is_one():
                     continue
                 out.append((a, b))
     return out

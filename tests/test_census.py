@@ -248,8 +248,9 @@ def test_hurwitz_crosscheck_census_n_at_least_3(census_cache, case):
 
 def test_hurwitz_crosscheck_constant_squarefree_part(census_cache):
     # 2*T^4+2*T^2+2 = 2(T^2+2)^2: D_K = 2 is a constant non-square, so
-    # O_K = F_9[T] and the order of conductor T^2+2 = (T+1)(T+2) has
-    # h = 4 * 4 / (q + 1) = 4, and H = 4 + 1 + 1 + 1
+    # O_K = F_9[T] with h = 1; 2 is a non-square mod T+1 and mod T+2, so
+    # the order of conductor T^2+2 = (T+1)(T+2) has
+    # h = 1 * (3 + 1)(3 + 1) / (q + 1) = 4, and H = 4 + 1 + 1 + 1
     import copy
 
     r = copy.deepcopy(census_cache(3, 2, 2))

@@ -6,7 +6,12 @@ serialization shows here as a changed hash.  A change that is meant to
 alter report bytes records new ones and says why.  These were recorded
 with schema version 2, which dropped the isogeny rows' conjecture_probe;
 the version-1 reports give the same hashes once that key is deleted and
-schema_version is set to "2".
+schema_version is set to "2".  The class-number report was recorded again
+when class numbers came to be computed from L-polynomials: each term's
+stabilized_bound gave way to the genus and L-polynomial coefficients of
+its squarefree part, and the earlier report gives the new hash once every
+stabilized_bound is replaced by genus 0 and L [1] (all its discriminants
+have degree at most 1).
 """
 
 import copy
@@ -49,7 +54,7 @@ ALL_REPORTS_SHA256 = "2baec517c27d02148c1f98a88445826503b7c99b7ddd0cb4dd064ca899
 
 # The (3, 1, 1) report with attach_class_number_checks, as `census --hurwitz`
 # writes it.
-HURWITZ_311_SHA256 = "369f820a16b3492649f784016db078c28949749f803eb2103ac2174f46962334"
+HURWITZ_311_SHA256 = "97874e813b557065dd96f64348a58ba04b0fdea5e9d556c898e04926bef7d72b"
 
 
 def sha256(data):

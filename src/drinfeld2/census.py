@@ -19,12 +19,16 @@ from math import gcd
 
 from .charpoly import annihilation_holds, frobenius_charpoly, is_imaginary
 from .drinfeld import DrinfeldModule, orbit_members, twist_orbits
-from .fields import CENSUS_MAX_ORDER, SizeBoundError, build_tower
+from .fields import SizeBoundError, build_tower
 from .polys import (UPoly, enumerate_monic_irreducibles, irreducible_divisors,
                     monic_polys)
 from .structure import check_criteria, module_structure, plane_torsion_rational
 
 SCHEMA_VERSION = "2"
+
+# Largest |L| for which a census re-verifies every member of every orbit
+# (verify_members): that visits all |L|(|L| - 1) modules, not one per orbit.
+MEMBER_VERIFICATION_MAX_ORDER = 1024
 
 
 def default_prime(fq, d):
@@ -276,10 +280,10 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     d = prime.degree()
     if m * d != tower.n:
         raise ValueError("m * deg(prime) = %d differs from n = %d" % (m * d, tower.n))
-    if tower.order > CENSUS_MAX_ORDER:
+    if verify_members and tower.order > MEMBER_VERIFICATION_MAX_ORDER:
         raise SizeBoundError(
-            "census over a field of order %d exceeds the bound %d"
-            % (tower.order, CENSUS_MAX_ORDER))
+            "member verification over a field of order %d exceeds the bound %d"
+            % (tower.order, MEMBER_VERIFICATION_MAX_ORDER))
     q = tower.q
     n = tower.n
 

@@ -18,15 +18,11 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-# Largest |L| for which tables are built.  Census code imposes its own,
-# smaller limit; this one only has to accommodate the splitting-field
+# Largest |L| for which tables are built, and so the largest field a
+# census or a realization search scans; it also bounds the splitting-field
 # towers used for torsion computations and the towers F_{q^k}, k <= g, in
 # which class numbers count points (and must allow at least 5^4).
 MAX_FIELD_ORDER = 8192
-
-# Largest |L| a census or a realization search scans: both classify one
-# module per twist orbit, and there are about (q-1)|L| orbits.
-CENSUS_MAX_ORDER = 1024
 
 # Largest base field F_q; keeps the q x q tables small.
 MAX_BASE_ORDER = 128

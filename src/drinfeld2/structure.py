@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .charpoly import frobenius_charpoly
 from .drinfeld import DrinfeldModule, action_matrix, twist_orbits  # action_matrix is re-exported
-from .fields import CENSUS_MAX_ORDER, SizeBoundError, second_invariant_factor
+from .fields import second_invariant_factor
 from .ore import OrePoly
 from .polys import UPoly, _wrap
 
@@ -146,8 +146,8 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
 
 def realize_structure(tower, prime, m, i1, i2):
     """Search for an ordinary module whose A-module structure is exactly
-    A/(i1) + A/(i2).  The search visits every twist orbit, so it raises
-    SizeBoundError when |L| exceeds CENSUS_MAX_ORDER.
+    A/(i1) + A/(i2).  The search visits every twist orbit; it runs on
+    every tower build_tower accepts, so |L| up to MAX_FIELD_ORDER.
 
     Candidate isogeny classes are scanned in lexicographic (trace, unit)
     order and for each one the pairs (g, delta) in lexicographic order;
@@ -166,10 +166,6 @@ def realize_structure(tower, prime, m, i1, i2):
         return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
     if not (i1 % i2).is_zero():
         return NotRealizable("divisibility: i2 must divide i1")
-    if tower.order > CENSUS_MAX_ORDER:
-        raise SizeBoundError(
-            "realization search over a field of order %d exceeds the bound %d"
-            % (tower.order, CENSUS_MAX_ORDER))
     candidates = _candidate_isogeny_keys(tower, prime, m, i1, i2)
     if not candidates:
         return NotRealizable(

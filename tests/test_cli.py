@@ -87,7 +87,7 @@ def test_census_csv(capsys):
 def test_census_size_bound_no_partial_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, err = run_cli(capsys, "census", "--p", "3", "--s", "1",
-                           "--d", "1", "--m", "8", "--out", str(out_path))
+                           "--d", "1", "--m", "9", "--out", str(out_path))
     assert code == 3
     assert not out_path.exists()
 
@@ -157,7 +157,8 @@ def test_census_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
     ["census", "--p", "3", "--s", "1000000000", "--d", "1", "--m", "1"],
     ["census", "--p", "1000000000000000003", "--d", "1", "--m", "1"],
     ["trend", "--q", "1000000000000000003", "--d", "1", "--m", "1"],
-    ["realize", "--p", "2", "--P", "T", "--m", "12", "--i1", "T^12", "--i2", "1"],
+    ["realize", "--p", "2", "--P", "T", "--m", "14", "--i1", "T^14", "--i2", "1"],
+    ["census", "--p", "2", "--d", "1", "--m", "11", "--verify-members"],
 ])
 def test_oversized_input_exits_3_quickly(capsys, argv):
     # each bound is checked before any big-integer work or allocation

@@ -1,5 +1,6 @@
-"""Golden report bytes: the census JSON of every GRID and STRETCH case, and
-one report with class-number checks attached, pinned by SHA-256.
+"""Golden report bytes: the census JSON of every GRID and STRETCH case, of
+one case above |L| = 1024, and one report with class-number checks
+attached, pinned by SHA-256.
 
 Any change to the library's answers, to the report schema or to its
 serialization shows here as a changed hash.  A change that is meant to
@@ -52,6 +53,11 @@ REPORT_SHA256 = {
 # SHA-256 of the 23 reports concatenated in GRID + STRETCH order.
 ALL_REPORTS_SHA256 = "2baec517c27d02148c1f98a88445826503b7c99b7ddd0cb4dd064ca899fa5d17"
 
+# The (3, 1, 7) report, |L| = 2187: a census above the member-verification
+# bound, where tower addition took the path for |L| > 256 when it was
+# recorded.
+REPORT_317_SHA256 = "bb377ad087857f627c6653451c4cdb15f8347200bd432f19852bb1c850eb4b37"
+
 # The (3, 1, 1) report with attach_class_number_checks, as `census --hurwitz`
 # writes it.
 HURWITZ_311_SHA256 = "97874e813b557065dd96f64348a58ba04b0fdea5e9d556c898e04926bef7d72b"
@@ -73,6 +79,10 @@ def test_census_report_bytes(unverified_census, case):
 def test_all_reports_concatenated(unverified_census):
     data = b"".join(unverified_census(*case).to_json_bytes() for case in GRID + STRETCH)
     assert sha256(data) == ALL_REPORTS_SHA256
+
+
+def test_census_report_bytes_317(unverified_census):
+    assert sha256(unverified_census(3, 1, 7).to_json_bytes()) == REPORT_317_SHA256
 
 
 def test_hurwitz_report_bytes(unverified_census):

@@ -257,16 +257,14 @@ def test_realize_matches_scan_of_every_module(case):
         assert (got.g, got.delta) == (want.g, want.delta)
 
 
-def test_realize_refuses_fields_above_the_census_bound():
-    from drinfeld2 import SizeBoundError
-    from drinfeld2.fields import CENSUS_MAX_ORDER
-
+def test_realize_runs_above_1024():
     tw = build_tower(2, 1, 11)
-    assert tw.order > CENSUS_MAX_ORDER
     fq = tw.fq
-    with pytest.raises(SizeBoundError):
-        realize_structure(tw, UPoly.parse(fq, "T"), 11, UPoly.parse(fq, "T^11"),
-                          UPoly.one(fq))
+    i1, i2 = UPoly.parse(fq, "T^11"), UPoly.one(fq)
+    mod = realize_structure(tw, UPoly.parse(fq, "T"), 11, i1, i2)
+    assert isinstance(mod, DrinfeldModule)
+    inv = module_structure(mod)
+    assert (inv.i1, inv.i2) == (i1, i2)
 
 
 def test_realize_deterministic():

@@ -47,7 +47,7 @@ def test_size_bound():
 
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 4),
-                                   (2, 3, 1), (3, 2, 1)])
+                                   (2, 3, 1), (3, 2, 1), (2, 1, 10), (3, 1, 7), (2, 1, 13)])
 def test_field_axioms_random(p, s, n):
     tw = build_tower(p, s, n)
     rng = random.Random(1234)
@@ -61,6 +61,30 @@ def test_field_axioms_random(p, s, n):
         assert tw.add(a, tw.neg(a)) == 0
         if a:
             assert tw.mul(a, tw.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 1), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2),
+                                   (2, 1, 10), (2, 2, 5), (3, 1, 7), (7, 1, 4), (2, 1, 13)])
+def test_add_and_sub_are_coordinatewise(p, s, n):
+    # addition in L is addition of coefficient vectors over F_q
+    tw = build_tower(p, s, n)
+    add_q, neg_q = tw.fq.add_table, tw.fq.neg_table
+
+    def vec_add(a, b):
+        return tw.from_vector([add_q[x][y] for x, y in zip(tw.vector(a), tw.vector(b))])
+
+    def vec_neg(a):
+        return tw.from_vector([neg_q[x] for x in tw.vector(a)])
+
+    rng = random.Random(99)
+    xs = [rng.randrange(tw.order) for _ in range(200)]
+    pairs = list(zip(xs[::2], xs[1::2]))
+    for a in xs[:20] + [0, 1, tw.order - 1]:
+        pairs += [(a, 0), (0, a), (a, vec_neg(a)), (vec_neg(a), a), (a, a)]
+    for a, b in pairs:
+        assert tw.add(a, b) == vec_add(a, b)
+        assert tw.sub(a, b) == vec_add(a, vec_neg(b))
+        assert tw.neg(a) == vec_neg(a)
 
 
 @pytest.mark.parametrize("p,s,n", [(3, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 3), (2, 1, 6)])

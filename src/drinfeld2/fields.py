@@ -9,9 +9,12 @@ from the same (p, s, n) are therefore identical, and the one built by
 Elements are plain ints.  An F_q element is the base-p digit encoding of
 its coefficient vector over F_p; an element of L is the base-q digit
 encoding of its coefficient vector over F_q.  In particular F_q sits
-inside L as the ints below q.  Towers precompute discrete-log and
-Frobenius tables, so field operations are table lookups; values are
-immutable and safe to share across worker processes.
+inside L as the ints below q.  Towers precompute discrete-log, Zech
+logarithm and Frobenius tables of O(|L|) entries each, so field operations
+are table lookups on every tower: a product adds logarithms, and a sum is
+a + b = g^(log a) (1 + g^(log b - log a)), with the Zech table giving the
+logarithm of 1 + g^k.  Values are immutable and safe to share across
+worker processes.
 """
 
 import itertools
@@ -364,34 +367,32 @@ class FieldTower:
             digits.append(tuple(vec))
         self._digits = digits
 
-        self._addtab = None
-        if order <= 256:
-            addq = fq.add_table
-            tab = [[0] * order for _ in range(order)]
-            for a in range(order):
-                da = digits[a]
-                for b in range(a, order):
-                    db = digits[b]
-                    v = 0
-                    for i in range(n - 1, -1, -1):
-                        v = v * q + addq[da[i]][db[i]]
-                    tab[a][b] = v
-                    tab[b][a] = v
-            self._addtab = tab
-
         gen = self._find_generator()
-        exp = [0] * (order - 1)
+        units = order - 1
+        exp = [0] * units
         log = [0] * order  # log[0] unused
         x = 1
-        for k in range(order - 1):
+        for k in range(units):
             exp[k] = x
             log[x] = k
             x = self._raw_mul(x, gen)
         if x != 1:
             raise RuntimeError("generator order mismatch")
+        # Zech logarithms: 1 + g^k = g^zech[k], or zech[k] = 2(|L| - 1) when
+        # 1 + g^k = 0.  Adding 1 changes only the constant digit.  exp runs
+        # over two periods and then |L| - 1 zeros, so a sum of two logs
+        # indexes it without reduction and the sentinel lands on 0.
+        one_plus = fq.add_table[1]
+        zech = [0] * units
+        for k in range(units):
+            x = exp[k]
+            c = x % q
+            y = x - c + one_plus[c]
+            zech[k] = log[y] if y else 2 * units
         self.generator = gen
-        self._exp = exp
+        self._exp = exp + exp + [0] * units
         self._log = log
+        self._zech = zech
 
         m1 = fq.neg_table[1]  # -1 as an element of F_q inside L
         self._negtab = [self.mul(a, m1) if m1 != 1 else a for a in range(order)]
@@ -440,16 +441,14 @@ class FieldTower:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        t = self._addtab
-        if t is not None:
-            return t[a][b]
-        da = self._digits[a]
-        db = self._digits[b]
-        addq = self.fq.add_table
-        v = 0
-        for i in range(self.n - 1, -1, -1):
-            v = v * self.q + addq[da[i]][db[i]]
-        return v
+        """a + b = g^(log a) (1 + g^(log b - log a)); a negative index
+        into the Zech table reduces log b - log a mod |L| - 1."""
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
         return self._negtab[a]
@@ -460,7 +459,7 @@ class FieldTower:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:

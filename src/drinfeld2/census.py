@@ -20,8 +20,7 @@ from math import gcd
 from .charpoly import annihilation_holds, frobenius_charpoly, is_imaginary
 from .drinfeld import DrinfeldModule, orbit_members, twist_orbits
 from .fields import SizeBoundError, build_tower
-from .polys import (UPoly, enumerate_monic_irreducibles, irreducible_divisors,
-                    monic_polys)
+from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
 from .structure import check_criteria, module_structure, plane_torsion_rational
 
 SCHEMA_VERSION = "2"
@@ -459,6 +458,23 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         q_even_caveat=q_even)
 
 
+def _admissible_i2(chi, c_minus_2):
+    """The monic i2 != 1 with i2^2 | chi and i2 | c - 2, in the order of
+    monic_polys (degree, then coefficients): the products of rho^e over the
+    irreducible rho | gcd(chi, c - 2), with rho^(2e) | chi and
+    rho^e | c - 2."""
+    one = UPoly.one(chi.fq)
+    out = [one]
+    for rho in irreducible_divisors(chi.gcd(c_minus_2)):
+        powers = [one]
+        nxt = rho
+        while (chi % (nxt * nxt)).is_zero() and (c_minus_2 % nxt).is_zero():
+            powers.append(nxt)
+            nxt = nxt * rho
+        out = [f * r for f in out for r in powers]
+    return sorted((f for f in out if not f.is_one()), key=lambda f: (f.degree(), f.coeffs))
+
+
 def attach_class_number_checks(report, tower):
     """Compare census class sizes with independently computed Hurwitz class
     numbers, per ordinary isogeny class: the class size W against H(disc),
@@ -483,31 +499,24 @@ def attach_class_number_checks(report, tower):
         w_match = H == cls["W"]
         all_match = all_match and w_match and imaginary
         sub_rows = []
-        two = UPoly.constant(fq, 2 % fq.p)
-        half = chi.degree() // 2
-        for k in range(1, half + 1):
-            for i2 in monic_polys(fq, k):
-                if not (chi % (i2 * i2)).is_zero():
-                    continue
-                if not ((trace - two) % i2).is_zero():
-                    continue
-                cumulative = 0
-                for srow in cls["structures"]:
-                    j2 = UPoly.parse(fq, srow["i2"])
-                    if (j2 % i2).is_zero():
-                        cumulative += srow["count"]
-                sub_disc, rem = divmod(disc, i2 * i2)
-                if not rem.is_zero():
-                    raise RuntimeError(
-                        "i2^2 divides P(1) and i2 divides c - 2, so it must "
-                        "divide the discriminant; got remainder %s" % rem)
-                H_sub, sub_details = hurwitz_class_number(sub_disc, fq)
-                sub_match = H_sub == cumulative
-                all_match = all_match and sub_match
-                sub_rows.append({
-                    "i2": str(i2), "census_members_with_plane": cumulative,
-                    "H": H_sub, "match": sub_match, "terms": sub_details,
-                })
+        for i2 in _admissible_i2(chi, trace - UPoly.constant(fq, 2 % fq.p)):
+            cumulative = 0
+            for srow in cls["structures"]:
+                j2 = UPoly.parse(fq, srow["i2"])
+                if (j2 % i2).is_zero():
+                    cumulative += srow["count"]
+            sub_disc, rem = divmod(disc, i2 * i2)
+            if not rem.is_zero():
+                raise RuntimeError(
+                    "i2^2 divides P(1) and i2 divides c - 2, so it must "
+                    "divide the discriminant; got remainder %s" % rem)
+            H_sub, sub_details = hurwitz_class_number(sub_disc, fq)
+            sub_match = H_sub == cumulative
+            all_match = all_match and sub_match
+            sub_rows.append({
+                "i2": str(i2), "census_members_with_plane": cumulative,
+                "H": H_sub, "match": sub_match, "terms": sub_details,
+            })
         rows.append({
             "c": cls["c"], "mu": cls["mu"], "disc": cls["disc"],
             "imaginary": imaginary, "W": cls["W"], "H": H, "match": w_match,

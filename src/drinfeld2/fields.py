@@ -10,11 +10,9 @@ Elements are plain ints.  An F_q element is the base-p digit encoding of
 its coefficient vector over F_p; an element of L is the base-q digit
 encoding of its coefficient vector over F_q.  In particular F_q sits
 inside L as the ints below q.  Towers precompute discrete-log, Zech
-logarithm and Frobenius tables of O(|L|) entries each, so field operations
-are table lookups on every tower: a product adds logarithms, and a sum is
-a + b = g^(log a) (1 + g^(log b - log a)), with the Zech table giving the
-logarithm of 1 + g^k.  Values are immutable and safe to share across
-worker processes.
+logarithm and Frobenius tables of O(|L|) entries each, so every field
+operation, sums included, is a table lookup on every tower; values are
+immutable and safe to share across worker processes.
 """
 
 import itertools
@@ -368,29 +366,24 @@ class FieldTower:
         self._digits = digits
 
         gen = self._find_generator()
-        units = order - 1
-        exp = [0] * units
+        exp = [0] * (order - 1)
         log = [0] * order  # log[0] unused
         x = 1
-        for k in range(units):
+        for k in range(order - 1):
             exp[k] = x
             log[x] = k
             x = self._raw_mul(x, gen)
         if x != 1:
             raise RuntimeError("generator order mismatch")
         # Zech logarithms: 1 + g^k = g^zech[k], or zech[k] = 2(|L| - 1) when
-        # 1 + g^k = 0.  Adding 1 changes only the constant digit.  exp runs
-        # over two periods and then |L| - 1 zeros, so a sum of two logs
-        # indexes it without reduction and the sentinel lands on 0.
-        one_plus = fq.add_table[1]
-        zech = [0] * units
-        for k in range(units):
-            x = exp[k]
-            c = x % q
-            y = x - c + one_plus[c]
-            zech[k] = log[y] if y else 2 * units
+        # 1 + g^k = 0; adding 1 changes only the constant digit.  add indexes
+        # zech by log b - log a, a negative index reducing it mod |L| - 1.
+        # exp runs over two periods and then |L| - 1 zeros, so a sum of two
+        # logs indexes it without reduction and the sentinel lands on 0.
+        plus_one = [x - x % q + fq.add_table[x % q][1] for x in exp]
+        zech = [log[y] if y else 2 * (order - 1) for y in plus_one]
         self.generator = gen
-        self._exp = exp + exp + [0] * units
+        self._exp = exp + exp + [0] * (order - 1)
         self._log = log
         self._zech = zech
 
@@ -441,8 +434,7 @@ class FieldTower:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        """a + b = g^(log a) (1 + g^(log b - log a)); a negative index
-        into the Zech table reduces log b - log a mod |L| - 1."""
+        # a + b = g^(log a) (1 + g^(log b - log a))
         if not a:
             return b
         if not b:

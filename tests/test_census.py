@@ -185,7 +185,7 @@ def test_weighted_class_sizes(census_cache):
 
 def test_census_size_bound():
     # a census runs on every tower build_tower accepts; only member
-    # verification, which visits all |L|(|L| - 1) modules, has a bound below
+    # verification, which visits all |L|(|L| - 1) modules, keeps a smaller bound
     tw = build_tower(3, 1, 8)
     with pytest.raises(SizeBoundError):
         run_census(tw, default_prime(tw.fq, 1), 8, verify_members=True)
@@ -265,6 +265,26 @@ def test_hurwitz_crosscheck_constant_squarefree_part(census_cache):
         assert [(t["l"], t["h"]) for t in row["terms"]] == [
             ("1", 4), ("T+1", 1), ("T+2", 1), ("T^2+2", 1)]
         assert [sub["H"] for sub in row["admissible_i2"]] == [2]
+
+
+def test_admissible_i2_match_the_monic_scan():
+    # every monic i2 of degree <= deg(chi)/2 with i2^2 | chi and i2 | c - 2,
+    # in monic_polys order, as attach_class_number_checks once scanned them
+    from drinfeld2.census import _admissible_i2
+    from drinfeld2.polys import monic_polys
+
+    fq = build_tower(3, 1, 1).fq
+    t, one = UPoly.gen(fq), UPoly.one(fq)
+    u, v = t + one, t * t + one  # T + 1 and the irreducible T^2 + 1
+    cases = [(t.pow(4) * u.pow(2) * v, t * u.pow(2) * v),  # T^2 fails i2 | c - 2
+             (t.pow(4) * v.pow(2), t.pow(3) * v),
+             (t.pow(6), UPoly.zero(fq)),  # c = 2
+             (t.pow(2) * u, u),  # gcd T + 1, but (T + 1)^2 does not divide chi
+             (v.pow(2) * u, one)]
+    for chi, c_minus_2 in cases:
+        scan = [f for k in range(1, chi.degree() // 2 + 1) for f in monic_polys(fq, k)
+                if (chi % (f * f)).is_zero() and (c_minus_2 % f).is_zero()]
+        assert _admissible_i2(chi, c_minus_2) == scan
 
 
 def test_report_serialization_deterministic(census_cache):

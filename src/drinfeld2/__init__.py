@@ -4,19 +4,17 @@ ordinary/supersingular classification, and exhaustive cyclicity censuses
 with class-number cross-checks.
 """
 
-from .fields import (FieldElement, FieldEmbedding, FieldTower, SizeBoundError,
-                     build_tower)
+from .fields import FieldElement, FieldTower, SizeBoundError, build_tower
 from .polys import (MonicIdeal, UPoly, embed_residue_field,
                     enumerate_monic_irreducibles)
 from .ore import OrePoly
-from .drinfeld import DrinfeldModule, SplittingBoundError, TorsionStructure
-from .charpoly import (FrobeniusCharPoly, annihilation_holds, discriminant,
+from .drinfeld import DrinfeldModule
+from .charpoly import (FrobeniusCharPoly, annihilation_holds,
                        euler_characteristic, frobenius_charpoly, is_imaginary,
                        is_isogenous, minimal_polynomial)
 from .structure import (InvariantFactors, NotRealizable, action_matrix,
                         check_criteria, module_structure,
-                        plane_torsion_rational, realize_structure,
-                        suborder_contained)
+                        plane_torsion_rational, realize_structure)
 from .hurwitz import class_number, hurwitz_class_number
 from .census import (CensusReport, attach_class_number_checks,
                      compute_statistics, counting_formulas, cyclicity_trend,
@@ -25,15 +23,14 @@ from .census import (CensusReport, attach_class_number_checks,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement", "FieldEmbedding", "FieldTower", "SizeBoundError",
-    "build_tower", "MonicIdeal", "UPoly", "embed_residue_field",
+    "FieldElement", "FieldTower", "SizeBoundError", "build_tower",
+    "MonicIdeal", "UPoly", "embed_residue_field",
     "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
-    "SplittingBoundError", "TorsionStructure", "FrobeniusCharPoly",
-    "annihilation_holds", "discriminant", "euler_characteristic",
+    "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
     "frobenius_charpoly", "is_imaginary", "is_isogenous",
     "minimal_polynomial", "InvariantFactors", "NotRealizable",
     "action_matrix", "check_criteria", "module_structure",
-    "plane_torsion_rational", "realize_structure", "suborder_contained",
+    "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",
     "counting_formulas", "cyclicity_trend", "run_census",

@@ -35,17 +35,7 @@ def default_prime(fq, d):
     return enumerate_monic_irreducibles(fq, d)[0]
 
 
-def _irreducible_divisors_of(chi, memo):
-    """The monic irreducible divisors of chi, memoized in `memo`, a dict
-    that lives for one census: every orbit of an isogeny class has the
-    same chi."""
-    hit = memo.get(chi.coeffs)
-    if hit is None:
-        hit = memo[chi.coeffs] = irreducible_divisors(chi)
-    return hit
-
-
-def _process_orbit(tower, prime, m, rep, size, aut, verify_members, divisors_memo):
+def _process_orbit(tower, prime, m, rep, size, aut, verify_members):
     """Classify one isomorphism class; returns a plain-data record."""
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
     cp = frobenius_charpoly(mod)
@@ -66,7 +56,7 @@ def _process_orbit(tower, prime, m, rep, size, aut, verify_members, divisors_mem
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
     torsion_equiv_ok = True
-    for rho in _irreducible_divisors_of(chi, divisors_memo):
+    for rho in irreducible_divisors(chi):
         if rho == prime:
             continue
         via_division = plane_torsion_rational(mod, rho)
@@ -124,13 +114,13 @@ def _fork_available():
 def _pool_init(p, s, n, prime_coeffs, m, verify_members):
     tower = build_tower(p, s, n)
     prime = UPoly(tower.fq, prime_coeffs)
-    _WORKER["args"] = (tower, prime, m, verify_members, {})
+    _WORKER["args"] = (tower, prime, m, verify_members)
 
 
 def _pool_work(item):
     rep, size, aut = item
-    tower, prime, m, verify_members, memo = _WORKER["args"]
-    return _process_orbit(tower, prime, m, rep, size, aut, verify_members, memo)
+    tower, prime, m, verify_members = _WORKER["args"]
+    return _process_orbit(tower, prime, m, rep, size, aut, verify_members)
 
 
 def counting_formulas(q, d, m):
@@ -301,9 +291,8 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
                                 verify_members)) as pool:
             records = pool.map(_pool_work, orbits)
     else:
-        memo = {}
         records = [
-            _process_orbit(tower, prime, m, rep, size, aut, verify_members, memo)
+            _process_orbit(tower, prime, m, rep, size, aut, verify_members)
             for rep, size, aut in orbits]
 
     # ---- per isomorphism class rows (serialized form) ----

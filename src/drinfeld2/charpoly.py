@@ -49,7 +49,10 @@ class FrobeniusCharPoly:
         return val.monic()
 
     def disc_poly(self):
-        """The discriminant trace^2 - 4*unit*prime^m as an element of A."""
+        """The discriminant trace^2 - 4*unit*prime^m as an element of A.
+
+        For q even this degenerates to trace^2; callers flag that case.
+        """
         four = UPoly.constant(self.trace.fq, 4 % self.trace.fq.p)
         return self.trace * self.trace - four * self.norm_term()
 
@@ -137,14 +140,6 @@ def euler_characteristic(mod):
     return MonicIdeal(chi)
 
 
-def discriminant(cp):
-    """The discriminant of the characteristic polynomial, as an element of A.
-
-    For q even this degenerates to trace^2; callers flag that case.
-    """
-    return cp.disc_poly()
-
-
 def is_imaginary(disc, fq):
     """True if the place at infinity does not split in K(sqrt(disc)):
     deg odd, or deg even with a non-square leading coefficient."""
@@ -176,14 +171,3 @@ def minimal_polynomial(mod):
         a = cp.frobenius_in_image
         return [-a, UPoly.one(fq)]
     return [cp.norm_term(), -cp.trace, UPoly.one(fq)]
-
-
-def minimal_polynomial_annihilates(mod):
-    """Exact check that M(F) = 0 in L{tau}."""
-    coeffs = minimal_polynomial(mod)
-    tw = mod.tower
-    acc = OrePoly.zero(tw)
-    for k, a in enumerate(coeffs):
-        if not a.is_zero():
-            acc = acc + mod.phi(a).shift(mod.n * k)
-    return acc.is_zero()

@@ -11,7 +11,7 @@ import sys
 
 from .census import (attach_class_number_checks, cyclicity_trend,
                      default_prime, run_census)
-from .charpoly import (annihilation_holds, discriminant, euler_characteristic,
+from .charpoly import (annihilation_holds, euler_characteristic,
                        frobenius_charpoly, is_imaginary)
 from .drinfeld import DrinfeldModule
 from .fields import FieldElement, SizeBoundError, build_tower
@@ -58,14 +58,19 @@ def _build_module(args):
 
 def _emit(args, payload, text_lines):
     """Write a report to --out or stdout: payload as canonical JSON for
-    --format json, else the lines of the text or CSV form."""
+    --format json, else the lines of the text or CSV form.  A path that
+    cannot be written is a validation error."""
     if args.format == "json":
         body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s"
+                             % (args.out, exc.strerror or exc)) from exc
     else:
         sys.stdout.write(body)
 
@@ -74,7 +79,7 @@ def cmd_charpoly(args):
     mod = _build_module(args)
     cp = frobenius_charpoly(mod)
     chi = euler_characteristic(mod)
-    disc = discriminant(cp)
+    disc = cp.disc_poly()
     ss = mod.is_supersingular()
     payload = {
         "schema_version": "1",

@@ -8,18 +8,11 @@ its image endows L, and every extension of L, with an A-module
 structure.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .fields import FieldElement, FieldEmbedding, build_tower, nullspace, gauss_solve
-from .fields import (MAX_FIELD_ORDER, SizeBoundError, char_and_min_poly,
-                     second_invariant_factor)
+from .fields import FieldElement, char_and_min_poly
 from .ore import OrePoly
-from .polys import MonicIdeal, UPoly, _wrap, embed_residue_field
-
-
-class SplittingBoundError(SizeBoundError):
-    """The splitting field of a torsion polynomial exceeds the search bound."""
+from .polys import UPoly, _wrap, embed_residue_field
 
 
 class DrinfeldModule:
@@ -97,21 +90,6 @@ class DrinfeldModule:
                 acc = acc + self._t_power(k).scale_left(c)
         return acc
 
-    def phi_ideal(self, ideal):
-        """Monic generator of the left ideal generated by the image of the
-        ideal; A is a principal ideal domain so this is the monic
-        normalization of phi of the generator."""
-        if isinstance(ideal, UPoly):
-            ideal = MonicIdeal(ideal)
-        if ideal.is_unit():
-            return OrePoly.one(self.tower)
-        return self.phi(ideal.gen).monic()
-
-    def phi_ideal_two_generators(self, a, b):
-        """Same result computed from two generators of the ideal (a, b) by a
-        right gcd; kept as a cross-check of the principal-generator path."""
-        return self.phi(a).right_gcd(self.phi(b))
-
     def gamma(self, a):
         """The structure map A -> L (constant term of phi(a))."""
         return a.eval_in_tower(self.tower, self.gamma_t)
@@ -151,63 +129,6 @@ class DrinfeldModule:
 
     def is_ordinary(self):
         return self.height() == 1
-
-    # -- torsion ----------------------------------------------------------------
-
-    def torsion_structure(self, ideal, max_splitting_degree=10):
-        """Invariant factors of the kernel of phi_I over a splitting extension.
-
-        Counts the roots of the additive polynomial phi_I in extensions
-        L_e of L of increasing degree e until the separable kernel is
-        complete, then reads off the A-module structure of the root space
-        from the action of T on it.
-        """
-        if isinstance(ideal, UPoly):
-            ideal = MonicIdeal(ideal)
-        tw = self.tower
-        f = self.phi_ideal(ideal)
-        if f.degree() == 0:
-            return TorsionStructure(ideal, (), 1, 1)
-        want = f.degree() - f.height()  # F_q-dimension of the kernel
-        if want == 0:
-            # purely inseparable: the torsion module is trivial
-            return TorsionStructure(ideal, (), 1, 1)
-        fq = tw.fq
-        for e in range(1, max_splitting_degree + 1):
-            if tw.q ** (tw.n * e) > MAX_FIELD_ORDER:
-                break
-            big = build_tower(tw.p, tw.s, tw.n * e)
-            emb = FieldEmbedding(tw, big)
-            dim = big.n
-            basis = [big.q ** j for j in range(dim)]
-            cols = [big.vector(f.apply(b, embedding=emb)) for b in basis]
-            rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-            null = nullspace(fq, rows)
-            if len(null) < want:
-                continue
-            if len(null) > want:
-                raise RuntimeError("kernel larger than the separable degree")
-            kernel = [big.from_vector(v) for v in null]
-            # matrix of T acting on the kernel, in the nullspace basis
-            kcols = [list(v) for v in null]
-            kmat_rows = [[kcols[j][i] for j in range(len(null))] for i in range(dim)]
-            tmat = []
-            for v in kernel:
-                img = self.phi_t.apply(v, embedding=emb)
-                status, coords = gauss_solve(fq, kmat_rows, list(big.vector(img)))
-                if status == "none":
-                    raise RuntimeError("kernel is not stable under T")
-                tmat.append(coords)
-            # columns of the action matrix are the coordinate vectors
-            k = len(null)
-            act = [[tmat[j][i] for j in range(k)] for i in range(k)]
-            chi, i1 = char_and_min_poly(fq, act)
-            i2 = second_invariant_factor(fq, act, chi, i1)
-            factors = tuple(_wrap(fq, f) for f in (i2, i1) if len(f) > 1)
-            return TorsionStructure(ideal, factors, tw.q ** len(null), e)
-        raise SplittingBoundError(
-            "splitting field of %s-torsion not found within degree %d"
-            % (ideal, max_splitting_degree))
 
 
 def action_matrix(mod):
@@ -265,16 +186,3 @@ def orbit_members(tower, rep):
     return sorted({(tower.mul(tower.pow(u, q - 1), g),
                     tower.mul(tower.pow(u, q * q - 1), delta))
                    for u in tower.units()})
-
-
-@dataclass(frozen=True)
-class TorsionStructure:
-    """Invariant factors of the kernel of phi_I in a splitting extension."""
-
-    ideal: MonicIdeal
-    invariant_factors: tuple
-    root_count: int
-    splitting_degree: int
-
-    def factor_multiset(self):
-        return tuple(sorted(f.coeffs for f in self.invariant_factors))

@@ -20,9 +20,9 @@ from collections import namedtuple
 from functools import lru_cache
 
 # Largest |L| for which tables are built, and so the largest field a
-# census or a realization search scans; it also bounds the splitting-field
-# towers used for torsion computations and the towers F_{q^k}, k <= g, in
-# which class numbers count points (and must allow at least 5^4).
+# census or a realization search scans; it also bounds the towers
+# F_{q^k}, k <= g, in which class numbers count points (and must allow at
+# least 5^4).
 MAX_FIELD_ORDER = 8192
 
 # Largest base field F_q; keeps the q x q tables small.
@@ -177,10 +177,15 @@ def _poly_kernel(fq):
     def irreducibles(degree):
         return (f for f in monics(degree) if is_irreducible(f))
 
+    divisors = {}
+
     def irreducible_divisors(f):
-        """The monic irreducible divisors of f != 0, by degree.  Each one
-        found is divided out; once 2d exceeds the degree of what is left,
-        that rest is 1 or irreducible."""
+        """The monic irreducible divisors of f != 0, by degree, as a tuple.
+        Each one found is divided out; once 2d exceeds the degree of what
+        is left, that rest is 1 or irreducible."""
+        hit = divisors.get(f)
+        if hit is not None:
+            return hit
         out = []
         rest = monic(f)
         d = 1
@@ -196,7 +201,8 @@ def _poly_kernel(fq):
             d += 1
         if len(rest) > 1:
             out.append(rest)
-        return out
+        hit = divisors[f] = tuple(out)
+        return hit
 
     return PolyKernel(add, sub, neg, mul, divmod_, scale, monic, monics, irreducibles,
                       is_irreducible, irreducible_divisors)
@@ -290,10 +296,14 @@ class Fq:
         return self.inv_table[a]
 
     def pow(self, a, e):
-        if e == 0:
-            return 1
         if a == 0:
+            if e == 0:
+                return 1
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in F_%d" % self.q)
             return 0
+        if e < 0:
+            a, e = self.inv_table[a], -e
         r = 1
         base = a
         while e:
@@ -536,37 +546,6 @@ class FieldElement:
     def vector(self):
         return self.tower.vector(self.value)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower is not self.tower:
-                raise ValueError("elements from different towers")
-            return other.value
-        return self.tower.element(other).value
-
-    def __add__(self, other):
-        return FieldElement(self.tower, self.tower.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.tower, self.tower.sub(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.tower.neg(self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.tower, self.tower.mul(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return FieldElement(self.tower, self.tower.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.tower, self.tower.inv(self.value))
-
-    def frobenius(self, k=1):
-        return FieldElement(self.tower, self.tower.frob(self.value, k))
-
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.tower == other.tower and self.value == other.value
@@ -626,42 +605,6 @@ def _row_reduce(fq, mat, ncols):
                     irow[j] = add_t[irow[j]][minus_f[prow[j]]]
         pivots.append(c)
     return pivots
-
-
-def gauss_solve(fq, rows, rhs):
-    """Solve rows * x = rhs over F_q.
-
-    Returns ("unique", x), ("many", x) with one witness, or ("none", None).
-    """
-    if not rows:
-        return "many", ()
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _row_reduce(fq, aug, ncols)
-    if any(row[ncols] for row in aug[len(pivots):]):
-        return "none", None
-    x = [0] * ncols
-    for row, c in zip(aug, pivots):
-        x[c] = row[ncols]
-    return ("unique" if len(pivots) == ncols else "many"), tuple(x)
-
-
-def nullspace(fq, rows):
-    """Basis of the right null space of the matrix over F_q."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(row) for row in rows]
-    pivots = _row_reduce(fq, mat, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            vec = [0] * ncols
-            vec[fc] = 1
-            for row, pc in zip(mat, pivots):
-                vec[pc] = fq.neg_table[row[fc]]
-            basis.append(tuple(vec))
-    return basis
 
 
 def _mat_mul(fq, a, b):
@@ -783,42 +726,3 @@ def second_invariant_factor(fq, mat, chi, i1):
         if n - len(_row_reduce(fq, value, n)) > 2 * (len(rho) - 1):
             raise RuntimeError("more than two invariant factors (at %s)" % (rho,))
     return i2
-
-
-class FieldEmbedding:
-    """The canonical embedding of one tower's L into a larger tower's L.
-
-    The image of the small tower's generator is the root of its defining
-    polynomial whose coefficient vector is lexicographically smallest
-    (compared low degree first), so the embedding is deterministic.
-    """
-
-    def __init__(self, small, big):
-        if small.fq is not big.fq and small.fq != big.fq:
-            raise ValueError("towers must share the same base field")
-        if big.n % small.n != 0:
-            raise ValueError("no embedding: %d does not divide %d" % (small.n, big.n))
-        self.small = small
-        self.big = big
-        roots = []
-        top = small.top_min_poly
-        for x in big.elements():
-            acc = 0
-            for c in reversed(top):
-                acc = big.add(big.mul(acc, x), c)
-            if acc == 0:
-                roots.append(x)
-        if len(roots) != small.n:
-            raise RuntimeError("expected %d roots, found %d" % (small.n, len(roots)))
-        root = min(roots, key=big.vector)
-        self.root = root
-        table = [0] * small.order
-        for v in range(small.order):
-            acc = 0
-            for c in reversed(small.vector(v)):
-                acc = big.add(big.mul(acc, root), c)
-            table[v] = acc
-        self._table = table
-
-    def map(self, value):
-        return self._table[value]

@@ -1,12 +1,10 @@
 """The twisted polynomial ring L{t} with the commutation rule t*c = c^q*t.
 
 Elements act on any extension of L as F_q-linear (additive) polynomials
-x -> sum c_k x^(q^k).  The ring has a right division algorithm, hence
-right gcds; only the right-sided theory is implemented because nothing
-here needs left gcds or lcms.
+x -> sum c_k x^(q^k); apply evaluates them on L.  The ring has a right
+division algorithm; only the right-sided theory is implemented because
+nothing here needs left division.
 """
-
-from .fields import FieldElement
 
 
 class OrePoly:
@@ -150,23 +148,6 @@ class OrePoly:
                 r.pop()
         return OrePoly(tw, quot), OrePoly(tw, r)
 
-    def right_mod(self, other):
-        return self.right_divmod(other)[1]
-
-    def right_divides(self, other):
-        """True if other = q*self for some q."""
-        return other.right_divmod(self)[1].is_zero()
-
-    def right_gcd(self, other):
-        """Monic generator of the left ideal generated by self and other."""
-        other = self._check(other)
-        a, b = self, other
-        while b:
-            a, b = b, a.right_divmod(b)[1]
-        if not a:
-            raise ValueError("right gcd of 0 and 0 is undefined")
-        return a.monic()
-
     def height(self):
         """Least k with a nonzero tau^k coefficient; 0 iff separable."""
         if not self.coeffs:
@@ -176,27 +157,14 @@ class OrePoly:
                 return k
         raise AssertionError("unreachable")
 
-    def is_separable(self):
-        return bool(self.coeffs) and self.coeffs[0] != 0
-
-    def apply(self, x, embedding=None):
-        """Evaluate the additive polynomial sum c_k x^(q^k) at x.
-
-        x lives in self.tower, or in embedding.big when an embedding from
-        self.tower is supplied.  Accepts a FieldElement or a raw int and
-        returns the same kind.
-        """
-        wrap = isinstance(x, FieldElement)
-        xv = x.value if wrap else x
-        tw = self.tower if embedding is None else embedding.big
+    def apply(self, x):
+        """Evaluate the additive polynomial sum c_k x^(q^k) at x in L."""
+        tw = self.tower
         acc = 0
         for k, c in enumerate(self.coeffs):
             if c:
-                cc = c if embedding is None else embedding.map(c)
-                acc = tw.add(acc, tw.mul(cc, tw.frob(xv, k)))
-        return FieldElement(tw, acc) if wrap else acc
-
-    __call__ = apply
+                acc = tw.add(acc, tw.mul(c, tw.frob(x, k)))
+        return acc
 
     def __str__(self):
         if not self.coeffs:

@@ -57,9 +57,6 @@ class UPoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def lc(self):
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
@@ -165,14 +162,6 @@ class UPoly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_fq(self, x):
-        """Evaluate at x in F_q."""
-        fq = self.fq
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fq.add(fq.mul(acc, x), c)
-        return acc
-
     def eval_in_tower(self, tower, x):
         """Evaluate at x in L (coefficients embed as the ints below q)."""
         acc = 0
@@ -271,19 +260,6 @@ def enumerate_monic_irreducibles(field, degree):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     return [_wrap(fq, f) for f in fq.kernel.irreducibles(degree)]
-
-
-def monic_divisors(f, max_degree=None):
-    """Monic divisors of f with 1 <= deg <= max_degree (default deg f)."""
-    if f.is_zero():
-        raise ValueError("divisors of 0")
-    top = f.degree() if max_degree is None else min(max_degree, f.degree())
-    out = []
-    for d in range(1, top + 1):
-        for g in monic_polys(f.fq, d):
-            if (f % g).is_zero():
-                out.append(g)
-    return out
 
 
 def irreducible_divisors(f):

@@ -24,10 +24,6 @@ class InvariantFactors:
     def is_cyclic(self):
         return self.i2.is_one()
 
-    def common_factor(self):
-        """gcd(i1, i2); equals i2 under the divisibility convention."""
-        return self.i2
-
     def as_pair(self):
         return (self.i1.coeffs, self.i2.coeffs)
 
@@ -58,12 +54,11 @@ def check_criteria(mod, inv=None, cp=None):
     chi = cp.chi_poly()
     two = UPoly.constant(fq, 2 % fq.p)
     c_minus_2 = cp.trace - two
-    i = inv.common_factor()
     flags = {
         "i2_divides_i1": (inv.i1 % inv.i2).is_zero(),
         "product_is_chi": (inv.i1 * inv.i2).monic() == chi,
         "i2_divides_c_minus_2": (c_minus_2 % inv.i2).is_zero(),
-        "i_sq_divides_chi": (chi % (i * i)).is_zero(),
+        "i_sq_divides_chi": (chi % (inv.i2 * inv.i2)).is_zero(),
     }
     return flags
 
@@ -84,26 +79,6 @@ def plane_torsion_rational(mod, rho):
     f_minus_1 = OrePoly(tw, (tw.neg(1),) + (0,) * (mod.n - 1) + (1,))
     rem = f_minus_1.right_divmod(mod.phi(rho))[1]
     return rem.is_zero()
-
-
-def suborder_contained(mod, rho):
-    """Whether the quadratic suborder of conductor rho lies in the
-    endomorphism ring; by the order-containment equivalence this is the
-    rational-plane-torsion test, which is how it is computed.
-
-    Preconditions: mod ordinary, rho != prime, rho^2 | P(1), rho | trace-2.
-    """
-    if not mod.is_ordinary():
-        raise ValueError("order containment is only meaningful for ordinary modules")
-    cp = frobenius_charpoly(mod)
-    fq = mod.tower.fq
-    chi = cp.chi_poly()
-    if not ((chi % (rho * rho)).is_zero()):
-        raise ValueError("rho^2 must divide P(1)")
-    two = UPoly.constant(fq, 2 % fq.p)
-    if not (((cp.trace - two) % rho).is_zero()):
-        raise ValueError("rho must divide trace - 2")
-    return plane_torsion_rational(mod, rho)
 
 
 # ---------------------------------------------------------------------------

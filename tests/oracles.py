@@ -1,9 +1,12 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (a Smith normal form over A,
 linear solves for the Frobenius characteristic polynomial and for tau^n in
-the image of phi, the marking sweep over L x L^* for twist orbits, the
-realization scan over every module, and the lattice enumeration of ideal
-classes), and closed-form census counts with their derivations.
+the image of phi, the torsion structure of ker phi_I from a nullspace in a
+splitting tower, with its field embeddings, right gcds in L{tau} and
+two-generator ideal images, the order-containment and minimal-polynomial
+checks, the marking sweep over L x L^* for twist orbits, the realization
+scan over every module, and the lattice enumeration of ideal classes), and
+closed-form census counts with their derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -13,13 +16,17 @@ module is Phi_T = gamma + g tau + delta tau^2 with j = g^(q+1) / delta.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly, UPoly,
-                       frobenius_charpoly, is_imaginary, module_structure)
-from drinfeld2.fields import gauss_solve, nullspace
-from drinfeld2.polys import monic_polys
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, MonicIdeal, OrePoly,
+                       SizeBoundError, UPoly, build_tower, frobenius_charpoly,
+                       is_imaginary, minimal_polynomial, module_structure,
+                       plane_torsion_rational)
+from drinfeld2.fields import (MAX_FIELD_ORDER, _row_reduce, char_and_min_poly,
+                              second_invariant_factor)
+from drinfeld2.polys import _wrap, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
 
 
@@ -335,6 +342,42 @@ def snf_invariant_factors(action, fq):
     return invariant_factors_from_snf(smith_normal_form(mat)[1])
 
 
+def gauss_solve(fq, rows, rhs):
+    """Solve rows * x = rhs over F_q.
+
+    Returns ("unique", x), ("many", x) with one witness, or ("none", None).
+    """
+    if not rows:
+        return "many", ()
+    ncols = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _row_reduce(fq, aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return "none", None
+    x = [0] * ncols
+    for row, c in zip(aug, pivots):
+        x[c] = row[ncols]
+    return ("unique" if len(pivots) == ncols else "many"), tuple(x)
+
+
+def nullspace(fq, rows):
+    """Basis of the right null space of the matrix over F_q."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    mat = [list(row) for row in rows]
+    pivots = _row_reduce(fq, mat, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [0] * ncols
+            vec[fc] = 1
+            for row, pc in zip(mat, pivots):
+                vec[pc] = fq.neg_table[row[fc]]
+            basis.append(tuple(vec))
+    return basis
+
+
 def _ore_columns_to_rows(tower, columns, rhs_poly, width):
     """Flatten Ore coefficient vectors into F_q rows (one per (tau-power,
     digit) pair) for a linear solve."""
@@ -454,6 +497,201 @@ def point_scan_structure(mod):
                 matches.append(tuple(sorted(f.coeffs for f in combo)))
     assert len(set(matches)) == 1, "point-scan oracle is ambiguous"
     return matches[0]
+
+
+# ---------------------------------------------------------------------------
+# Torsion in splitting towers: the A-module structure of ker phi_I read off
+# from a nullspace in an extension of L, a second route to the invariant
+# factors and to plane_torsion_rational.
+
+
+def monic_divisors(f, max_degree=None):
+    """Monic divisors of f with 1 <= deg <= max_degree (default deg f)."""
+    if f.is_zero():
+        raise ValueError("divisors of 0")
+    top = f.degree() if max_degree is None else min(max_degree, f.degree())
+    out = []
+    for d in range(1, top + 1):
+        for g in monic_polys(f.fq, d):
+            if (f % g).is_zero():
+                out.append(g)
+    return out
+
+
+def right_gcd(f, g):
+    """Monic generator of the left ideal of L{tau} generated by f and g."""
+    a, b = f, g
+    while b:
+        a, b = b, a.right_divmod(b)[1]
+    if not a:
+        raise ValueError("right gcd of 0 and 0 is undefined")
+    return a.monic()
+
+
+def phi_ideal(mod, ideal):
+    """Monic generator of the left ideal generated by the image of the
+    ideal; A is a principal ideal domain so this is the monic
+    normalization of phi of the generator."""
+    if isinstance(ideal, UPoly):
+        ideal = MonicIdeal(ideal)
+    if ideal.is_unit():
+        return OrePoly.one(mod.tower)
+    return mod.phi(ideal.gen).monic()
+
+
+def phi_ideal_two_generators(mod, a, b):
+    """Same result computed from two generators of the ideal (a, b) by a
+    right gcd; a cross-check of the principal-generator path."""
+    return right_gcd(mod.phi(a), mod.phi(b))
+
+
+def minimal_polynomial_annihilates(mod):
+    """Exact check that M(F) = 0 in L{tau}, M the minimal polynomial."""
+    acc = OrePoly.zero(mod.tower)
+    for k, a in enumerate(minimal_polynomial(mod)):
+        if not a.is_zero():
+            acc = acc + mod.phi(a).shift(mod.n * k)
+    return acc.is_zero()
+
+
+def suborder_contained(mod, rho):
+    """Whether the quadratic suborder of conductor rho lies in the
+    endomorphism ring; by the order-containment equivalence this is the
+    rational-plane-torsion test, which is how it is computed.
+
+    Preconditions: mod ordinary, rho != prime, rho^2 | P(1), rho | trace-2.
+    """
+    if not mod.is_ordinary():
+        raise ValueError("order containment is only meaningful for ordinary modules")
+    cp = frobenius_charpoly(mod)
+    fq = mod.tower.fq
+    chi = cp.chi_poly()
+    if not ((chi % (rho * rho)).is_zero()):
+        raise ValueError("rho^2 must divide P(1)")
+    two = UPoly.constant(fq, 2 % fq.p)
+    if not (((cp.trace - two) % rho).is_zero()):
+        raise ValueError("rho must divide trace - 2")
+    return plane_torsion_rational(mod, rho)
+
+
+class FieldEmbedding:
+    """The canonical embedding of one tower's L into a larger tower's L.
+
+    The image of the small tower's generator is the root of its defining
+    polynomial whose coefficient vector is lexicographically smallest
+    (compared low degree first), so the embedding is deterministic.
+    """
+
+    def __init__(self, small, big):
+        if small.fq is not big.fq and small.fq != big.fq:
+            raise ValueError("towers must share the same base field")
+        if big.n % small.n != 0:
+            raise ValueError("no embedding: %d does not divide %d" % (small.n, big.n))
+        self.small = small
+        self.big = big
+        roots = []
+        top = small.top_min_poly
+        for x in big.elements():
+            acc = 0
+            for c in reversed(top):
+                acc = big.add(big.mul(acc, x), c)
+            if acc == 0:
+                roots.append(x)
+        if len(roots) != small.n:
+            raise RuntimeError("expected %d roots, found %d" % (small.n, len(roots)))
+        root = min(roots, key=big.vector)
+        self.root = root
+        table = [0] * small.order
+        for v in range(small.order):
+            acc = 0
+            for c in reversed(small.vector(v)):
+                acc = big.add(big.mul(acc, root), c)
+            table[v] = acc
+        self._table = table
+
+    def map(self, value):
+        return self._table[value]
+
+    def ore(self, f):
+        """f with its coefficients mapped into the big tower, so that
+        .apply evaluates f on the big tower's L."""
+        return OrePoly(self.big, [self._table[c] for c in f.coeffs])
+
+
+class SplittingBoundError(SizeBoundError):
+    """The splitting field of a torsion polynomial exceeds the search bound."""
+
+
+@dataclass(frozen=True)
+class TorsionStructure:
+    """Invariant factors of the kernel of phi_I in a splitting extension."""
+
+    ideal: MonicIdeal
+    invariant_factors: tuple
+    root_count: int
+    splitting_degree: int
+
+    def factor_multiset(self):
+        return tuple(sorted(f.coeffs for f in self.invariant_factors))
+
+
+def torsion_structure(mod, ideal, max_splitting_degree=10):
+    """Invariant factors of the kernel of phi_I over a splitting extension.
+
+    Counts the roots of the additive polynomial phi_I in extensions L_e of
+    L of increasing degree e until the separable kernel is complete, then
+    reads off the A-module structure of the root space from the action of
+    T on it.  Raises SplittingBoundError when no L_e with e <=
+    max_splitting_degree and |L_e| <= MAX_FIELD_ORDER holds the kernel; at
+    max_splitting_degree = 1 it returns exactly when the kernel lies in L.
+    """
+    if isinstance(ideal, UPoly):
+        ideal = MonicIdeal(ideal)
+    tw = mod.tower
+    f = phi_ideal(mod, ideal)
+    if f.degree() == 0:
+        return TorsionStructure(ideal, (), 1, 1)
+    want = f.degree() - f.height()  # F_q-dimension of the kernel
+    if want == 0:
+        # purely inseparable: the torsion module is trivial
+        return TorsionStructure(ideal, (), 1, 1)
+    fq = tw.fq
+    for e in range(1, max_splitting_degree + 1):
+        if tw.q ** (tw.n * e) > MAX_FIELD_ORDER:
+            break
+        big = build_tower(tw.p, tw.s, tw.n * e)
+        emb = FieldEmbedding(tw, big)
+        big_f, big_t = emb.ore(f), emb.ore(mod.phi_t)
+        dim = big.n
+        basis = [big.q ** j for j in range(dim)]
+        cols = [big.vector(big_f.apply(b)) for b in basis]
+        rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+        null = nullspace(fq, rows)
+        if len(null) < want:
+            continue
+        if len(null) > want:
+            raise RuntimeError("kernel larger than the separable degree")
+        kernel = [big.from_vector(v) for v in null]
+        # matrix of T acting on the kernel, in the nullspace basis
+        kcols = [list(v) for v in null]
+        kmat_rows = [[kcols[j][i] for j in range(len(null))] for i in range(dim)]
+        tmat = []
+        for v in kernel:
+            img = big_t.apply(v)
+            status, coords = gauss_solve(fq, kmat_rows, list(big.vector(img)))
+            if status == "none":
+                raise RuntimeError("kernel is not stable under T")
+            tmat.append(coords)
+        # columns of the action matrix are the coordinate vectors
+        k = len(null)
+        act = [[tmat[j][i] for j in range(k)] for i in range(k)]
+        chi, i1 = char_and_min_poly(fq, act)
+        i2 = second_invariant_factor(fq, act, chi, i1)
+        factors = tuple(_wrap(fq, g) for g in (i2, i1) if len(g) > 1)
+        return TorsionStructure(ideal, factors, tw.q ** len(null), e)
+    raise SplittingBoundError(
+        "splitting field of %s-torsion not found within degree %d"
+        % (ideal, max_splitting_degree))
 
 
 def twist_orbits_by_sweep(tower):

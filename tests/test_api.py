@@ -1,0 +1,53 @@
+"""The public API of drinfeld2, and the names that left the library: the
+second structure route and other test-only code live in tests/oracles.py,
+dead methods are gone."""
+
+import inspect
+
+import drinfeld2
+from drinfeld2 import charpoly, drinfeld, fields, ore, polys, structure
+
+PUBLIC = [
+    "FieldElement", "FieldTower", "SizeBoundError", "build_tower",
+    "MonicIdeal", "UPoly", "embed_residue_field",
+    "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
+    "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
+    "frobenius_charpoly", "is_imaginary", "is_isogenous",
+    "minimal_polynomial", "InvariantFactors", "NotRealizable",
+    "action_matrix", "check_criteria", "module_structure",
+    "plane_torsion_rational", "realize_structure",
+    "class_number", "hurwitz_class_number",
+    "CensusReport", "attach_class_number_checks", "compute_statistics",
+    "counting_formulas", "cyclicity_trend", "run_census",
+]
+
+REMOVED = {
+    drinfeld2: ["FieldEmbedding", "SplittingBoundError", "TorsionStructure",
+                "discriminant", "suborder_contained"],
+    drinfeld: ["SplittingBoundError", "TorsionStructure"],
+    drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
+                              "phi_ideal_two_generators"],
+    fields: ["FieldEmbedding", "gauss_solve", "nullspace"],
+    fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
+                          "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
+    ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
+                  "__call__"],
+    polys: ["monic_divisors"],
+    polys.UPoly: ["is_constant", "eval_fq"],
+    structure: ["suborder_contained"],
+    structure.InvariantFactors: ["common_factor"],
+    charpoly: ["discriminant", "minimal_polynomial_annihilates"],
+}
+
+
+def test_public_names():
+    assert drinfeld2.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(drinfeld2, name) is not None
+
+
+def test_removed_names_are_gone_from_the_library():
+    for owner, names in REMOVED.items():
+        for name in names:
+            assert name not in vars(owner), (owner, name)
+    assert list(inspect.signature(ore.OrePoly.apply).parameters) == ["self", "x"]

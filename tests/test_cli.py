@@ -102,6 +102,18 @@ def test_census_outfile_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ("census", "--p", "3", "--d", "1", "--m", "1"),
+    ("charpoly", "--p", "3", "--P", "T", "--m", "1", "--g", "1", "--delta", "1")])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing_directory" else tmp_path
+    code, out, err = run_cli(capsys, *command, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_census_report_validates_against_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources as resources

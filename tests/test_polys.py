@@ -5,7 +5,8 @@ import pytest
 
 from drinfeld2 import MonicIdeal, UPoly, build_tower, embed_residue_field
 from drinfeld2 import enumerate_monic_irreducibles
-from drinfeld2.polys import monic_divisors, monic_polys
+from drinfeld2.polys import monic_polys
+from oracles import monic_divisors
 
 
 def fq3():
@@ -176,6 +177,9 @@ def test_irreducible_divisors_match_trial_division():
                 expected = [g for g in monic_divisors(f) if g.is_irreducible()]
                 assert irreducible_divisors(f) == expected
                 assert irreducible_divisors(f.scale(fq.q - 1)) == expected
+                # memoized per field, so the kernel hands out tuples
+                assert fq.kernel.irreducible_divisors(f.coeffs) == tuple(
+                    g.coeffs for g in expected)
 
 
 def test_scale_and_shift():

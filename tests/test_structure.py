@@ -5,10 +5,16 @@ import pytest
 from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
                        euler_characteristic, frobenius_charpoly,
                        module_structure, plane_torsion_rational,
-                       realize_structure, suborder_contained)
+                       realize_structure)
+from drinfeld2.census import default_prime, twist_orbits
+from drinfeld2.polys import irreducible_divisors
 from drinfeld2.structure import NotRealizable, action_matrix
-from oracles import (determinantal_divisors, point_scan_structure, poly_mat_det,
-                     poly_mat_mul, realize_by_scan, smith_normal_form)
+from oracles import (SplittingBoundError, determinantal_divisors,
+                     point_scan_structure, poly_mat_det, poly_mat_mul,
+                     realize_by_scan, smith_normal_form, suborder_contained,
+                     torsion_structure)
+
+from conftest import tower_for
 
 
 def fq3():
@@ -153,8 +159,6 @@ def test_plane_torsion_rational_noncyclic_instance():
 
 @pytest.mark.parametrize("n,ptxt", [(1, "T"), (2, "T"), (2, "T^2+1")])
 def test_plane_torsion_equivalent_to_invariant_divisibility(n, ptxt):
-    from drinfeld2.polys import irreducible_divisors
-
     tw = build_tower(3, 1, n)
     prime = UPoly.parse(tw.fq, ptxt)
     for g in range(tw.order):
@@ -166,6 +170,28 @@ def test_plane_torsion_equivalent_to_invariant_divisibility(n, ptxt):
                 if rho == prime:
                     continue
                 assert plane_torsion_rational(mod, rho) == (inv.i2 % rho).is_zero()
+
+
+@pytest.mark.parametrize("q,d,m", [(3, 1, 2), (3, 2, 1), (2, 2, 2)])
+def test_plane_torsion_rational_matches_the_torsion_oracle(q, d, m):
+    # the full rho-plane lies in L exactly when the oracle finds the whole
+    # kernel of phi(rho) without leaving L (splitting degree 1)
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    outcomes = set()
+    for (g, delta), _, _ in twist_orbits(tw):
+        mod = DrinfeldModule(tw, prime, g, delta)
+        for rho in irreducible_divisors(euler_characteristic(mod).gen):
+            if rho == prime:
+                continue
+            try:
+                torsion_structure(mod, rho, max_splitting_degree=1)
+                rational = True
+            except SplittingBoundError:
+                rational = False
+            assert plane_torsion_rational(mod, rho) == rational
+            outcomes.add(rational)
+    assert outcomes == {True, False}
 
 
 def test_suborder_contained():

@@ -18,9 +18,8 @@ possible witness a with phi(a) = tau^n is read off from P = (X - a)^2
 in closed form and checked.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .ore import OrePoly
 from .polys import MonicIdeal, UPoly
 
 
@@ -35,10 +34,15 @@ class FrobeniusCharPoly:
     # when tau^n = phi(a) for some a in A (so the minimal polynomial is
     # X - a and this polynomial is its square), that witness; else None
     frobenius_in_image: UPoly = None
+    norm: UPoly = field(default=None, compare=False, repr=False)  # unit * prime^m
+
+    def __post_init__(self):
+        if self.norm is None:  # computed once; each orbit reads it four times
+            object.__setattr__(self, "norm", self.prime.pow(self.ext_degree).scale(self.unit))
 
     def norm_term(self):
         """The constant coefficient unit * prime^m, an element of A."""
-        return self.prime.pow(self.ext_degree).scale(self.unit)
+        return self.norm
 
     def chi_poly(self):
         """Monic generator of the Euler-Poincare characteristic: the monic
@@ -100,18 +104,17 @@ def frobenius_charpoly(mod):
         return mod._charpoly
     tower = mod.tower
     fq = tower.fq
-    _, chi, _ = mod.action_invariants()
-    norm = tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1))
-    unit = fq.inv(norm)
+    chi, _ = mod.action_invariants()
+    unit = fq.inv(tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1)))
     if mod.n % 2:
         unit = fq.neg(unit)
-    norm_term = mod.prime.pow(mod.m).scale(unit)
-    trace = UPoly.one(fq) + norm_term - chi.scale(unit)
-    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
+    norm = mod.prime.pow(mod.m).scale(unit)
+    trace = UPoly.one(fq) + norm - chi.scale(unit)
+    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, norm=norm)
     if cp.disc_poly().is_zero():
         a = _frobenius_witness(mod, cp)
         if a is not None:
-            cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, frobenius_in_image=a)
+            cp = replace(cp, frobenius_in_image=a)
     if not cp.trace_degree_ok():
         raise RuntimeError("trace degree violates the half-degree bound")
     if not annihilation_holds(mod, cp):
@@ -123,13 +126,18 @@ def frobenius_charpoly(mod):
 
 def annihilation_holds(mod, cp=None):
     """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0."""
-    if cp is None:
-        cp = frobenius_charpoly(mod)
-    tw = mod.tower
-    lhs = OrePoly.tau_power(tw, 2 * mod.n)
-    lhs = lhs - mod.phi(cp.trace).shift(mod.n)
-    lhs = lhs + mod.phi(cp.norm_term())
-    return lhs.is_zero()
+    return not any(_annihilation_residue(mod, cp or frobenius_charpoly(mod)))
+
+
+def _annihilation_residue(mod, cp):
+    """The coefficients, low degree first, of tau^(2n) - phi(trace) tau^n
+    + phi(unit prime^m) in L{tau}."""
+    n = mod.n
+    out = [0] * max(2 * n + 1, n + 2 * len(cp.trace.coeffs), 2 * len(cp.norm_term().coeffs))
+    out[2 * n] = 1
+    mod._phi_into(out, (-cp.trace).coeffs, n)
+    mod._phi_into(out, cp.norm_term().coeffs)
+    return out
 
 
 def euler_characteristic(mod):

@@ -44,6 +44,23 @@ def _add_output_args(sub, formats=("json", "text")):
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
+def _add_jobs_arg(sub):
+    # a string default goes through type=int, so a bad value exits 2
+    sub.add_argument("--jobs", type=int, default=os.environ.get("DRINFELD2_JOBS", "1"),
+                     help="worker processes, capped at the CPU count "
+                          "(default $DRINFELD2_JOBS or 1)")
+
+
+def _check_out(path):
+    """Reject an --out path before any work, creating nothing: a directory,
+    or a file whose directory is missing or not writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError("cannot write %s: is a directory" % path)
+    if not os.access(parent, os.W_OK):
+        raise ValueError("cannot write %s: %s is missing or not writable" % (path, parent))
+
+
 def _build_module(args):
     prime_probe = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
     n = args.m * prime_probe.degree()
@@ -223,10 +240,7 @@ def build_parser():
     p_ce.add_argument("--m", type=int, required=True)
     p_ce.add_argument("--P", default=None,
                       help="explicit prime (default: lex-first irreducible of degree d)")
-    # a string default goes through type=int, so a bad value exits 2
-    p_ce.add_argument("--jobs", type=int, default=os.environ.get("DRINFELD2_JOBS", "1"),
-                      help="worker processes, capped at the CPU count "
-                           "(default $DRINFELD2_JOBS or 1)")
+    _add_jobs_arg(p_ce)
     p_ce.add_argument("--verify-members", action="store_true",
                       help="re-verify every module, not only orbit representatives")
     p_ce.add_argument("--hurwitz", action="store_true",
@@ -247,7 +261,7 @@ def build_parser():
     p_tr.add_argument("--q", required=True, help="comma-separated prime powers")
     p_tr.add_argument("--d", type=int, required=True)
     p_tr.add_argument("--m", type=int, required=True)
-    p_tr.add_argument("--jobs", type=int, default=1)
+    _add_jobs_arg(p_tr)
     _add_output_args(p_tr)
     p_tr.set_defaults(func=cmd_trend)
 
@@ -261,6 +275,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except SizeBoundError as exc:
         print("size bound exceeded: %s" % exc, file=sys.stderr)

@@ -83,12 +83,17 @@ class DrinfeldModule:
             a = UPoly.constant(self.tower.fq, a)
         if a.fq != self.tower.fq:
             raise ValueError("argument lives over a different base field")
-        tw = self.tower
-        acc = OrePoly.zero(tw)
-        for k, c in enumerate(a.coeffs):
+        out = [0] * (2 * len(a.coeffs))
+        self._phi_into(out, a.coeffs)
+        return OrePoly(self.tower, out)
+
+    def _phi_into(self, out, a, at=0):
+        """Add phi(a) tau^at into the coefficient list out, for a the
+        coefficient tuple of an element of A; out must reach degree
+        at + 2 deg a."""
+        for k, c in enumerate(a):
             if c:
-                acc = acc + self._t_power(k).scale_left(c)
-        return acc
+                self.tower.add_scaled(out, at, c, self._t_power(k).coeffs)
 
     def gamma(self, a):
         """The structure map A -> L (constant term of phi(a))."""
@@ -99,14 +104,13 @@ class DrinfeldModule:
         return OrePoly.tau_power(self.tower, self.n)
 
     def action_invariants(self):
-        """(M, chi, i1): M = action_matrix(self), chi = det(T*I - M) and i1
-        the minimal polynomial of M, from one Krylov pass over F_q; cached.
-        The characteristic polynomial and the invariant factors both start
-        from it."""
+        """(chi, i1): chi = det(T*I - M) and i1 the minimal polynomial of
+        M: x -> phi_T(x), from one Krylov pass over the elements of L;
+        cached.  The characteristic polynomial and the invariant factors
+        both start from it."""
         if self._action is None:
-            mat = action_matrix(self)
-            chi, i1 = char_and_min_poly(self.tower.fq, mat)
-            self._action = (mat, _wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
+            chi, i1 = char_and_min_poly(self.tower, self.phi_t.apply)
+            self._action = (_wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
         return self._action
 
     # -- height and supersingularity -------------------------------------------

@@ -12,7 +12,9 @@ encoding of its coefficient vector over F_q.  In particular F_q sits
 inside L as the ints below q.  Towers precompute discrete-log, Zech
 logarithm and Frobenius tables of O(|L|) entries each, so every field
 operation, sums included, is a table lookup on every tower; values are
-immutable and safe to share across worker processes.
+immutable and safe to share across worker processes.  A vector of F_q^n
+is an element of L, so the Krylov and echelon steps that classify a
+module run on the same tables.
 """
 
 import itertools
@@ -452,6 +454,25 @@ class FieldTower:
         la = self._log[a]
         return self._exp[la + self._zech[self._log[b] - la]]
 
+    def add_scaled(self, out, at, c, ys, k=0):
+        """out[at + j] += c * ys[j]^(q^k) for every j, in place, c != 0: the
+        multiply-accumulate loop of sums, products and right division in
+        L{tau} and of phi."""
+        exp, log, zech = self._exp, self._log, self._zech
+        frob = self._frob[k % self.n]
+        units = self.order - 1
+        lc = log[c]
+        for j, y in enumerate(ys, at):
+            if y:
+                lv = lc + log[frob[y]]
+                o = out[j]
+                if o:
+                    lo = log[o]
+                    d = lv - lo  # in (1 - |L|, 2(|L| - 1)); zech takes (1 - |L|, |L| - 1)
+                    out[j] = exp[lo + zech[d - units if d >= units else d]]
+                else:
+                    out[j] = exp[lv]
+
     def neg(self, a):
         return self._negtab[a]
 
@@ -577,120 +598,84 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over F_q (small dense systems).
+# Exact linear algebra over F_q on L itself: in the canonical power basis a
+# vector of F_q^n is an element of L, its coordinates are its digits, and
+# an F_q-linear map is a function on ints such as x -> phi_T(x).
 
 
-def _row_reduce(fq, mat, ncols):
-    """Bring mat (a list of row lists, changed in place) to reduced row
-    echelon form in its first ncols columns; row operations act on whole
-    rows.  Returns the pivot columns."""
+def _echelon_insert(tower, rows, u):
+    """Reduce u in L against rows, (pivot, row) pairs with digit `pivot` of
+    row 1 and every earlier pivot digit 0; a nonzero remainder joins rows
+    scaled to a leading digit 1.  Returns (cs, lead): cs[i] is the
+    multiple of rows[i] subtracted, lead the remainder's leading digit."""
+    exp, log, zech, digits = tower._exp, tower._log, tower._zech, tower._digits
+    neg = tower.fq.neg_table
+    cs = []
+    for p, row in rows:
+        c = digits[u][p]
+        cs.append(c)
+        if c:  # u - c row, as u + (-c) row; c != 0 makes u != 0
+            lu = log[u]
+            u = exp[lu + zech[log[exp[log[neg[c]] + log[row]]] - lu]]
+    if not u:
+        return cs, 0
+    vec = digits[u]
+    p = next(j for j, x in enumerate(vec) if x)
+    rows.append((p, tower.mul(tower.fq.inv_table[vec[p]], u)))
+    return cs, vec[p]
+
+
+def _krylov_relation(tower, step, seed, rows):
+    """Extend the basis `rows` (see _echelon_insert) by seed, M seed,
+    M^2 seed, ..., M the F_q-linear map `step` on L, until M^d seed depends
+    on what is there.  Returns the monic f of degree d, a kernel tuple, with
+    f(M) seed in the span of the rows given.  Each row added carries a tag,
+    its coordinates over the powers of the seed modulo the rows given."""
+    fq = tower.fq
     add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
-    m = len(mat)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        to_one = mul_t[inv_t[mat[r][c]]]
-        prow = mat[r] = [to_one[v] for v in mat[r]]
-        for i in range(m):
-            irow = mat[i]
-            if i != r and irow[c]:
-                minus_f = mul_t[neg_t[irow[c]]]
-                for j in range(c, len(irow)):
-                    irow[j] = add_t[irow[j]][minus_f[prow[j]]]
-        pivots.append(c)
-    return pivots
-
-
-def _mat_mul(fq, a, b):
-    add_t, mul_t = fq.add_table, fq.mul_table
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                to_x = mul_t[x]
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = add_t[acc[j]][to_x[y]]
-        out.append(acc)
-    return out
-
-
-def _krylov_relation(fq, cols, seed, rows):
-    """Extend the basis `rows` by seed, M seed, M^2 seed, ..., M being the
-    matrix with columns `cols`, until M^d seed depends on what is there.
-    Returns the monic f of degree d, a kernel tuple, with f(M) seed in the
-    span of the rows given.
-
-    `rows` is changed in place.  It holds (pivot, row) pairs in
-    semi-echelon form: row[pivot] = 1, and the row is zero before its pivot
-    and at every earlier row's pivot.  Each row added here carries a tag,
-    its coordinates over the powers of the seed modulo the rows given.
-    """
-    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
-    n = len(cols)
     first = len(rows)
     tags = []
-    power = list(seed)
+    power = seed
     while True:
-        u = list(power)
+        cs, lead = _echelon_insert(tower, rows, power)
         tag = [0] * len(tags) + [1]
-        for i, (p, row) in enumerate(rows):
-            c = u[p]
-            if not c:
-                continue
-            minus_c = mul_t[neg_t[c]]
-            for j in range(p, n):
-                if row[j]:
-                    u[j] = add_t[u[j]][minus_c[row[j]]]
-            if i >= first:
-                for j, t in enumerate(tags[i - first]):
+        for c, row_tag in zip(cs[first:], tags):
+            if c:
+                minus_c = mul_t[neg_t[c]]
+                for j, t in enumerate(row_tag):
                     if t:
                         tag[j] = add_t[tag[j]][minus_c[t]]
-        p = next((j for j, x in enumerate(u) if x), None)
-        if p is None:
+        if not lead:
             return tuple(tag)
-        to_one = mul_t[inv_t[u[p]]]
-        rows.append((p, [to_one[x] for x in u]))
+        to_one = mul_t[inv_t[lead]]
         tags.append([to_one[t] for t in tag])
-        power = _mat_mul(fq, [power], cols)[0]
+        power = step(power)
 
 
-def char_and_min_poly(fq, mat):
-    """(chi, i1) for the square matrix M = mat over F_q: chi = det(T*I - M)
+def char_and_min_poly(tower, step):
+    """(chi, i1) for the F_q-linear map M = step on L: chi = det(T*I - M)
     and i1 the minimal polynomial of M, as kernel tuples, from one pass of
     Krylov sequences.
 
-    The seeds are the standard basis vectors not yet in the span W of the
+    The seeds are the basis elements q^j not yet in the span W of the
     earlier sequences.  A seed's sequence stops at its relative minimal
     polynomial f, with f(M) seed in W; in the basis the sequences build, M
     is block triangular with companion blocks, so chi is the product of
-    the f.  The seeds generate F_q^n over F_q[T], so i1 is the lcm of their
+    the f.  The seeds generate L over F_q[T], so i1 is the lcm of their
     own minimal polynomials: f for the first seed, one more sequence from
     nothing for each later one.
     """
-    kernel = fq.kernel
-    n = len(mat)
-    cols = [list(col) for col in zip(*mat)]
+    kernel = tower.fq.kernel
     rows = []
-    chi = i1 = (1,)
-    for j in range(n):
-        if len(rows) == n:
+    chi = i1 = _krylov_relation(tower, step, 1, rows)
+    for j in range(1, tower.n):
+        if len(rows) == tower.n:
             break
-        seed = [0] * n
-        seed[j] = 1
-        fresh = not rows
-        f = _krylov_relation(fq, cols, seed, rows)
+        f = _krylov_relation(tower, step, tower.q ** j, rows)
         if len(f) == 1:
             continue  # the seed already lies in W
         chi = kernel.mul(chi, f)
-        own = f if fresh else _krylov_relation(fq, cols, seed, [])
+        own = _krylov_relation(tower, step, tower.q ** j, [])
         g, h = i1, own
         while h:
             g, h = h, kernel.divmod(g, h)[1]
@@ -698,31 +683,33 @@ def char_and_min_poly(fq, mat):
     return chi, i1
 
 
-def second_invariant_factor(fq, mat, chi, i1):
-    """i2 = chi / i1 for the F_q[T]-module F_q^n on which T acts by mat,
-    given chi = det(T*I - mat) and the minimal polynomial i1 (kernel
-    tuples); the module is then A/(i1) + A/(i2) with i2 | i1.
+def second_invariant_factor(tower, step, chi, i1):
+    """i2 = chi / i1 for the F_q[T]-module L on which T acts by the
+    F_q-linear map step, given chi = det(T*I - step) and its minimal
+    polynomial i1 (kernel tuples); L is then A/(i1) + A/(i2), i2 | i1.
 
     Raises RuntimeError when i1 does not divide chi, when i2 does not
     divide i1, or when the module has more than two invariant factors.  For
     the last: with factors e_1 | ... | e_k, i2 = e_1 ... e_(k-1) and an
-    irreducible rho | e_1 has dim ker rho(mat) = k deg rho, so
-    dim ker rho(mat) <= 2 deg rho for every irreducible rho | i2 proves
-    k <= 2.
+    irreducible rho | e_1 has dim ker rho(step) = k deg rho, so
+    dim ker rho(step) <= 2 deg rho for every irreducible rho | i2 proves
+    k <= 2.  The rank of rho(step) is that of the images of the q^j.
     """
-    kernel = fq.kernel
+    if i1 == chi:
+        return (1,)  # cyclic
+    kernel = tower.fq.kernel
     i2, r = kernel.divmod(chi, i1)
     if r:
         raise RuntimeError("the minimal polynomial does not divide det(T*I - M)")
     if kernel.divmod(i1, i2)[1]:
         raise RuntimeError("invariant factors do not form a divisibility chain")
-    n = len(mat)
     for rho in kernel.irreducible_divisors(i2):
-        value = [[rho[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-        for c in reversed(rho[:-1]):  # Horner's rule for rho(mat)
-            value = _mat_mul(fq, value, mat)
-            for i in range(n):
-                value[i][i] = fq.add_table[value[i][i]][c]
-        if n - len(_row_reduce(fq, value, n)) > 2 * (len(rho) - 1):
+        rows = []
+        for j in range(tower.n):
+            value = basis = tower.q ** j  # Horner's rule for rho(step) basis, rho monic
+            for c in reversed(rho[:-1]):
+                value = tower.add(step(value), tower.mul(c, basis))
+            _echelon_insert(tower, rows, value)
+        if tower.n - len(rows) > 2 * (len(rho) - 1):
             raise RuntimeError("more than two invariant factors (at %s)" % (rho,))
     return i2

@@ -69,14 +69,12 @@ class OrePoly:
 
     def __add__(self, other):
         other = self._check(other)
-        tw = self.tower
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, v in enumerate(b):
-            out[i] = tw.add(out[i], v)
-        return OrePoly(tw, out)
+        self.tower.add_scaled(out, 0, 1, b)
+        return OrePoly(self.tower, out)
 
     def __neg__(self):
         tw = self.tower
@@ -92,19 +90,17 @@ class OrePoly:
         tw = self.tower
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        k = i + j
-                        out[k] = tw.add(out[k], tw.mul(x, tw.frob(y, i)))
+            if x:  # x tau^i y = x y^(q^i) tau^i
+                tw.add_scaled(out, i, x, other.coeffs, i)
         return OrePoly(tw, out)
 
     def scale_left(self, c):
         """Left-multiply by the constant c in L."""
         if c == 0:
             return OrePoly.zero(self.tower)
-        tw = self.tower
-        return OrePoly(tw, [tw.mul(c, v) for v in self.coeffs])
+        exp, log = self.tower._exp, self.tower._log
+        lc = log[c]
+        return OrePoly(self.tower, [exp[lc + log[v]] if v else 0 for v in self.coeffs])
 
     def monic(self):
         if not self.coeffs:
@@ -112,12 +108,6 @@ class OrePoly:
         if self.coeffs[-1] == 1:
             return self
         return self.scale_left(self.tower.inv(self.coeffs[-1]))
-
-    def shift(self, k):
-        """Multiply by tau^k on the right (coefficients are unchanged)."""
-        if not self.coeffs:
-            return self
-        return OrePoly(self.tower, (0,) * k + self.coeffs)
 
     def right_divmod(self, other):
         """Quotient and remainder for division on the right: self = q*other + r,
@@ -132,18 +122,12 @@ class OrePoly:
         dg = len(g) - 1
         inv_lc = tw.inv(g[-1])
         quot = [0] * max(0, len(r) - dg)
-        while len(r) - 1 >= dg and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
+        while len(r) - 1 >= dg:
             k = len(r) - 1 - dg
             # leading coefficient of (c*tau^k) * other is c * lc(other)^(q^k)
             coef = tw.mul(r[-1], tw.frob(inv_lc, k))
             quot[k] = coef
-            for i in range(dg + 1):
-                gi = g[i]
-                if gi:
-                    r[k + i] = tw.sub(r[k + i], tw.mul(coef, tw.frob(gi, k)))
+            tw.add_scaled(r, k, tw.neg(coef), g, k)  # cancels r[-1]
             while r and r[-1] == 0:
                 r.pop()
         return OrePoly(tw, quot), OrePoly(tw, r)
@@ -160,11 +144,11 @@ class OrePoly:
     def apply(self, x):
         """Evaluate the additive polynomial sum c_k x^(q^k) at x in L."""
         tw = self.tower
-        acc = 0
+        out = [0]
         for k, c in enumerate(self.coeffs):
             if c:
-                acc = tw.add(acc, tw.mul(c, tw.frob(x, k)))
-        return acc
+                tw.add_scaled(out, 0, c, (x,), k)
+        return out[0]
 
     def __str__(self):
         if not self.coeffs:

@@ -1,5 +1,5 @@
 """The A-module structure induced on L: invariant factors from the action
-matrix of phi_T over F_q, the divisibility criteria they satisfy, the
+of phi_T on L, the divisibility criteria they satisfy, the
 right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
@@ -31,15 +31,14 @@ class InvariantFactors:
 def module_structure(mod):
     """Invariant factors of L as an A-module via phi.
 
-    i1 is the minimal polynomial of the action matrix M of phi_T and
+    i1 is the minimal polynomial of M: x -> phi_T(x) on L and
     i2 = det(T*I - M) / i1.  Raises RuntimeError when i1 does not divide
     det(T*I - M), when i2 does not divide i1, or when the rank check finds
     more than two invariant factors, which the rank-2 theory forbids.
     """
-    mat, chi, i1 = mod.action_invariants()
-    fq = mod.tower.fq
-    i2 = second_invariant_factor(fq, mat, chi.coeffs, i1.coeffs)
-    return InvariantFactors(i1, _wrap(fq, i2))
+    chi, i1 = mod.action_invariants()
+    i2 = second_invariant_factor(mod.tower, mod.phi_t.apply, chi.coeffs, i1.coeffs)
+    return InvariantFactors(i1, _wrap(mod.tower.fq, i2))
 
 
 def check_criteria(mod, inv=None, cp=None):

@@ -1,7 +1,8 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (a Smith normal form over A,
-linear solves for the Frobenius characteristic polynomial and for tau^n in
-the image of phi, the torsion structure of ker phi_I from a nullspace in a
+Krylov sequences of the n x n action matrix over F_q, linear solves for the
+Frobenius characteristic polynomial and for tau^n in the image of phi, the
+annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
 splitting tower, with its field embeddings, right gcds in L{tau} and
 two-generator ideal images, the order-containment and minimal-polynomial
 checks, the marking sweep over L x L^* for twist orbits, the realization
@@ -24,8 +25,7 @@ from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, MonicIdeal, OrePoly,
                        SizeBoundError, UPoly, build_tower, frobenius_charpoly,
                        is_imaginary, minimal_polynomial, module_structure,
                        plane_torsion_rational)
-from drinfeld2.fields import (MAX_FIELD_ORDER, _row_reduce, char_and_min_poly,
-                              second_invariant_factor)
+from drinfeld2.fields import MAX_FIELD_ORDER
 from drinfeld2.polys import _wrap, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
 
@@ -342,6 +342,160 @@ def snf_invariant_factors(action, fq):
     return invariant_factors_from_snf(smith_normal_form(mat)[1])
 
 
+# ---------------------------------------------------------------------------
+# Matrices over F_q: row reduction, and chi, i1 and i2 from Krylov
+# sequences of an n x n matrix, the classification route before the library
+# ran it on the elements of L.
+
+
+def _row_reduce(fq, mat, ncols):
+    """Bring mat (a list of row lists, changed in place) to reduced row
+    echelon form in its first ncols columns; row operations act on whole
+    rows.  Returns the pivot columns."""
+    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
+    m = len(mat)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        to_one = mul_t[inv_t[mat[r][c]]]
+        prow = mat[r] = [to_one[v] for v in mat[r]]
+        for i in range(m):
+            irow = mat[i]
+            if i != r and irow[c]:
+                minus_f = mul_t[neg_t[irow[c]]]
+                for j in range(c, len(irow)):
+                    irow[j] = add_t[irow[j]][minus_f[prow[j]]]
+        pivots.append(c)
+    return pivots
+
+
+def _mat_mul(fq, a, b):
+    add_t, mul_t = fq.add_table, fq.mul_table
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                to_x = mul_t[x]
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = add_t[acc[j]][to_x[y]]
+        out.append(acc)
+    return out
+
+
+def _matrix_krylov_relation(fq, cols, seed, rows):
+    """Extend the basis `rows` by seed, M seed, M^2 seed, ..., M being the
+    matrix with columns `cols`, until M^d seed depends on what is there.
+    Returns the monic f of degree d, a kernel tuple, with f(M) seed in the
+    span of the rows given.
+
+    `rows` is changed in place.  It holds (pivot, row) pairs in
+    semi-echelon form: row[pivot] = 1, and the row is zero before its pivot
+    and at every earlier row's pivot.  Each row added here carries a tag,
+    its coordinates over the powers of the seed modulo the rows given.
+    """
+    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
+    n = len(cols)
+    first = len(rows)
+    tags = []
+    power = list(seed)
+    while True:
+        u = list(power)
+        tag = [0] * len(tags) + [1]
+        for i, (p, row) in enumerate(rows):
+            c = u[p]
+            if not c:
+                continue
+            minus_c = mul_t[neg_t[c]]
+            for j in range(p, n):
+                if row[j]:
+                    u[j] = add_t[u[j]][minus_c[row[j]]]
+            if i >= first:
+                for j, t in enumerate(tags[i - first]):
+                    if t:
+                        tag[j] = add_t[tag[j]][minus_c[t]]
+        p = next((j for j, x in enumerate(u) if x), None)
+        if p is None:
+            return tuple(tag)
+        to_one = mul_t[inv_t[u[p]]]
+        rows.append((p, [to_one[x] for x in u]))
+        tags.append([to_one[t] for t in tag])
+        power = _mat_mul(fq, [power], cols)[0]
+
+
+def matrix_char_and_min_poly(fq, mat):
+    """(chi, i1) for the square matrix M = mat over F_q: chi = det(T*I - M)
+    and i1 the minimal polynomial of M, as kernel tuples, from one pass of
+    Krylov sequences.
+
+    The seeds are the standard basis vectors not yet in the span W of the
+    earlier sequences.  A seed's sequence stops at its relative minimal
+    polynomial f, with f(M) seed in W; in the basis the sequences build, M
+    is block triangular with companion blocks, so chi is the product of
+    the f.  The seeds generate F_q^n over F_q[T], so i1 is the lcm of their
+    own minimal polynomials: f for the first seed, one more sequence from
+    nothing for each later one.
+    """
+    kernel = fq.kernel
+    n = len(mat)
+    cols = [list(col) for col in zip(*mat)]
+    rows = []
+    chi = i1 = (1,)
+    for j in range(n):
+        if len(rows) == n:
+            break
+        seed = [0] * n
+        seed[j] = 1
+        fresh = not rows
+        f = _matrix_krylov_relation(fq, cols, seed, rows)
+        if len(f) == 1:
+            continue  # the seed already lies in W
+        chi = kernel.mul(chi, f)
+        own = f if fresh else _matrix_krylov_relation(fq, cols, seed, [])
+        g, h = i1, own
+        while h:
+            g, h = h, kernel.divmod(g, h)[1]
+        i1 = kernel.monic(kernel.divmod(kernel.mul(i1, own), g)[0])
+    return chi, i1
+
+
+def matrix_second_invariant_factor(fq, mat, chi, i1):
+    """i2 = chi / i1 for the F_q[T]-module F_q^n on which T acts by mat,
+    given chi = det(T*I - mat) and the minimal polynomial i1 (kernel
+    tuples); the module is then A/(i1) + A/(i2) with i2 | i1.
+
+    Raises RuntimeError when i1 does not divide chi, when i2 does not
+    divide i1, or when the module has more than two invariant factors.  For
+    the last: with factors e_1 | ... | e_k, i2 = e_1 ... e_(k-1) and an
+    irreducible rho | e_1 has dim ker rho(mat) = k deg rho, so
+    dim ker rho(mat) <= 2 deg rho for every irreducible rho | i2 proves
+    k <= 2.
+    """
+    kernel = fq.kernel
+    i2, r = kernel.divmod(chi, i1)
+    if r:
+        raise RuntimeError("the minimal polynomial does not divide det(T*I - M)")
+    if kernel.divmod(i1, i2)[1]:
+        raise RuntimeError("invariant factors do not form a divisibility chain")
+    n = len(mat)
+    for rho in kernel.irreducible_divisors(i2):
+        value = [[rho[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+        for c in reversed(rho[:-1]):  # Horner's rule for rho(mat)
+            value = _mat_mul(fq, value, mat)
+            for i in range(n):
+                value[i][i] = fq.add_table[value[i][i]][c]
+        if n - len(_row_reduce(fq, value, n)) > 2 * (len(rho) - 1):
+            raise RuntimeError("more than two invariant factors (at %s)" % (rho,))
+    return i2
+
+
 def gauss_solve(fq, rows, rhs):
     """Solve rows * x = rhs over F_q.
 
@@ -438,7 +592,8 @@ def charpoly_by_solve(mod):
         square = a * a
         return FrobeniusCharPoly(a + a, square.lc(), mod.prime, mod.m,
                                  frobenius_in_image=a)
-    columns = [mod._t_power(j).shift(n) for j in range(mod.m * mod.d // 2 + 1)]
+    tau_n = OrePoly.tau_power(tower, n)
+    columns = [mod._t_power(j) * tau_n for j in range(mod.m * mod.d // 2 + 1)]
     columns.append(-mod.phi(mod.prime.pow(mod.m)))
     rhs = OrePoly.tau_power(tower, 2 * n)
     rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, 2 * n + 1)
@@ -446,6 +601,26 @@ def charpoly_by_solve(mod):
     assert status == "unique", "characteristic polynomial not unique"
     assert sol[-1] != 0, "vanishing norm unit"
     return FrobeniusCharPoly(UPoly(fq, sol[:-1]), sol[-1], mod.prime, mod.m)
+
+
+def annihilation_residue_by_ore(mod, cp):
+    """tau^(2n) - phi(trace) tau^n + phi(unit prime^m) as OrePoly objects:
+    phi(a) is the sum of the a_k phi_T^k, with the powers multiplied
+    afresh from mod.phi_t and unit prime^m recomputed from cp's fields.
+    The annihilation check before the library accumulated the residue in
+    one coefficient list."""
+    tw = mod.tower
+
+    def phi(a):
+        acc, power = OrePoly.zero(tw), OrePoly.one(tw)
+        for c in a.coeffs:
+            if c:
+                acc = acc + power.scale_left(c)
+            power = power * mod.phi_t
+        return acc
+
+    norm = cp.prime.pow(cp.ext_degree).scale(cp.unit)
+    return (OrePoly.tau_power(tw, 2 * mod.n) - phi(cp.trace) * OrePoly.tau_power(tw, mod.n) + phi(norm))
 
 
 def determinantal_divisors(mat):
@@ -550,7 +725,7 @@ def minimal_polynomial_annihilates(mod):
     acc = OrePoly.zero(mod.tower)
     for k, a in enumerate(minimal_polynomial(mod)):
         if not a.is_zero():
-            acc = acc + mod.phi(a).shift(mod.n * k)
+            acc = acc + mod.phi(a) * OrePoly.tau_power(mod.tower, mod.n * k)
     return acc.is_zero()
 
 
@@ -685,8 +860,8 @@ def torsion_structure(mod, ideal, max_splitting_degree=10):
         # columns of the action matrix are the coordinate vectors
         k = len(null)
         act = [[tmat[j][i] for j in range(k)] for i in range(k)]
-        chi, i1 = char_and_min_poly(fq, act)
-        i2 = second_invariant_factor(fq, act, chi, i1)
+        chi, i1 = matrix_char_and_min_poly(fq, act)
+        i2 = matrix_second_invariant_factor(fq, act, chi, i1)
         factors = tuple(_wrap(fq, g) for g in (i2, i1) if len(g) > 1)
         return TorsionStructure(ideal, factors, tw.q ** len(null), e)
     raise SplittingBoundError(

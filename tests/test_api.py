@@ -27,11 +27,11 @@ REMOVED = {
     drinfeld: ["SplittingBoundError", "TorsionStructure"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators"],
-    fields: ["FieldEmbedding", "gauss_solve", "nullspace"],
+    fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul"],
     fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
                           "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
     ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
-                  "__call__"],
+                  "__call__", "shift"],
     polys: ["monic_divisors"],
     polys.UPoly: ["is_constant", "eval_fq"],
     structure: ["suborder_contained"],

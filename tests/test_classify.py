@@ -1,23 +1,33 @@
-"""The classification route: chi, i1 and i2 from one Krylov pass over the
-n x n action matrix over F_q, and (c, mu) from chi and the norm of delta.
+"""The classification route: chi, i1 and i2 from Krylov sequences over
+the elements of L under x -> phi_T(x), and (c, mu) from chi and the norm
+of delta, accepted by the annihilation residue.
 
-Each result is compared with the routes the library no longer takes:
-the Smith normal form of T*I - M over A and the linear solve for the
-characteristic polynomial (oracles.snf_invariant_factors and
-oracles.charpoly_by_solve).
+Each result is compared with the routes the library no longer takes: the
+Krylov pass over the n x n action matrix, the Smith normal form of
+T*I - M over A, the linear solve for the characteristic polynomial and the
+residue built from OrePoly objects (oracles.matrix_char_and_min_poly,
+oracles.snf_invariant_factors, oracles.charpoly_by_solve and
+oracles.annihilation_residue_by_ore).  Matrices run through both routes:
+a k x k matrix over F_q is the linear step x -> M x on the L of
+build_tower(p, s, k).
 """
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld2 import (DrinfeldModule, UPoly, action_matrix, annihilation_holds,
+from drinfeld2 import (DrinfeldModule, OrePoly, UPoly, action_matrix, annihilation_holds,
                        build_tower, frobenius_charpoly, module_structure)
-from drinfeld2.fields import char_and_min_poly, second_invariant_factor
+from drinfeld2.charpoly import _annihilation_residue
+from drinfeld2.drinfeld import twist_orbits
+from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
-from oracles import charpoly_by_solve, snf_invariant_factors
+from oracles import (annihilation_residue_by_ore, charpoly_by_solve,
+                     matrix_char_and_min_poly, matrix_second_invariant_factor,
+                     snf_invariant_factors)
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
@@ -27,9 +37,44 @@ def base_field(q):
 
 
 def classify(fq, mat):
-    chi, i1 = char_and_min_poly(fq, mat)
-    i2 = second_invariant_factor(fq, mat, chi, i1)
+    """(chi, i1, i2) by the Krylov pass over the matrix."""
+    chi, i1 = matrix_char_and_min_poly(fq, mat)
+    i2 = matrix_second_invariant_factor(fq, mat, chi, i1)
     return UPoly(fq, chi), UPoly(fq, i1), UPoly(fq, i2)
+
+
+def on_l(fq, mat):
+    """The tower whose L is F_q^k for the k x k matrix mat, and the step
+    x -> mat x on it."""
+    tower = build_tower(fq.p, fq.s, len(mat))
+
+    def step(x):
+        v = tower.vector(x)
+        out = []
+        for row in mat:
+            acc = 0
+            for a, b in zip(row, v):
+                acc = fq.add(acc, fq.mul(a, b))
+            out.append(acc)
+        return tower.from_vector(out)
+
+    return tower, step
+
+
+def classify_on_l(fq, mat):
+    """(chi, i1, i2) by the library's route on L."""
+    tower, step = on_l(fq, mat)
+    chi, i1 = char_and_min_poly(tower, step)
+    i2 = second_invariant_factor(tower, step, chi, i1)
+    return UPoly(fq, chi), UPoly(fq, i1), UPoly(fq, i2)
+
+
+def both_routes(fq, mat):
+    """classify and, when F_q^k is small enough to be a tower, classify_on_l."""
+    routes = [classify]
+    if fq.q ** len(mat) <= MAX_FIELD_ORDER:
+        routes.append(classify_on_l)
+    return [route(fq, mat) for route in routes]
 
 
 def companion(f):
@@ -86,35 +131,91 @@ def test_classifier_matches_smith_oracle_on_random_matrices(q):
         i1 = i2 * random_monic(fq, n - 2 * i2.degree(), rng)
         blocks = [companion(f) for f in (i1, i2) if f.degree() > 0]
         mat = conjugate(fq, block_diagonal(blocks), rng, 4 * n)
-        chi, got1, got2 = classify(fq, mat)
-        assert (got1, got2) == (i1, i2)
-        assert chi == i1 * i2
-        nonunit = [f for f in (got2, got1) if f.degree() > 0]
-        assert nonunit == snf_invariant_factors(mat, fq)
+        smith = snf_invariant_factors(mat, fq)
+        for chi, got1, got2 in both_routes(fq, mat):
+            assert (got1, got2) == (i1, i2)
+            assert chi == i1 * i2
+            nonunit = [f for f in (got2, got1) if f.degree() > 0]
+            assert nonunit == smith
 
 
 def test_three_invariant_factors_raise():
     fq = base_field(3)
-    # T, T, T: i1 = T and chi / i1 = T^2 does not divide it
-    with pytest.raises(RuntimeError):
-        classify(fq, [[0] * 3 for _ in range(3)])
+    for route in (classify, classify_on_l):
+        # T, T, T: i1 = T and chi / i1 = T^2 does not divide it
+        with pytest.raises(RuntimeError):
+            route(fq, [[0] * 3 for _ in range(3)])
     # T, T, T^2: i2 = T^2 divides i1 = T^2, but dim ker M = 3 > 2 deg T
     t, t2 = UPoly.parse(fq, "T"), UPoly.parse(fq, "T^2")
     mat = block_diagonal([companion(t), companion(t), companion(t2)])
     assert snf_invariant_factors(mat, fq) == [t, t, t2]
     for seed in range(5):
         shuffled = conjugate(fq, mat, random.Random(seed), 12)
-        with pytest.raises(RuntimeError, match="more than two invariant factors"):
-            classify(fq, shuffled)
+        for route in (classify, classify_on_l):
+            with pytest.raises(RuntimeError, match="more than two invariant factors"):
+                route(fq, shuffled)
 
 
 def test_inconsistent_factors_raise():
     fq = base_field(3)
     mat = companion(UPoly.parse(fq, "T^2+1"))
-    with pytest.raises(RuntimeError, match="does not divide"):
-        second_invariant_factor(fq, mat, (1, 0, 1), (0, 1))  # T does not divide T^2+1
-    with pytest.raises(RuntimeError, match="divisibility chain"):
-        second_invariant_factor(fq, mat, (0, 0, 0, 1), (0, 1))  # chi/i1 = T^2, i1 = T
+    tower, step = on_l(fq, mat)
+    for second in (lambda chi, i1: matrix_second_invariant_factor(fq, mat, chi, i1),
+                   lambda chi, i1: second_invariant_factor(tower, step, chi, i1)):
+        with pytest.raises(RuntimeError, match="does not divide"):
+            second((1, 0, 1), (0, 1))  # T does not divide T^2+1
+        with pytest.raises(RuntimeError, match="divisibility chain"):
+            second((0, 0, 0, 1), (0, 1))  # chi/i1 = T^2, i1 = T
+
+
+def primes_and_orbits(q, d, m):
+    """Every (prime, orbit representative) over L = F_{q^(d m)}."""
+    tower = build_tower(*FIELDS[q], d * m)
+    for prime in monic_polys(tower.fq, d):
+        if prime.is_irreducible():
+            for (g, delta), _, _ in twist_orbits(tower):
+                yield DrinfeldModule(tower, prime, g, delta)
+
+
+@pytest.mark.parametrize("q,d,m", [(3, 1, 2), (3, 2, 1), (2, 2, 2), (2, 1, 5)])
+def test_l_route_matches_the_matrix_krylov_and_smith_on_every_orbit(q, d, m):
+    non_cyclic = 0
+    for mod in primes_and_orbits(q, d, m):
+        fq = mod.tower.fq
+        mat = action_matrix(mod)
+        chi, i1 = matrix_char_and_min_poly(fq, mat)
+        i2 = matrix_second_invariant_factor(fq, mat, chi, i1)
+        got_chi, got_i1 = mod.action_invariants()
+        inv = module_structure(mod)
+        assert (got_chi.coeffs, got_i1.coeffs) == (chi, i1)
+        assert inv.as_pair() == (i1, i2)
+        nonunit = [f for f in (inv.i2, inv.i1) if f.degree() > 0]
+        assert nonunit == snf_invariant_factors(mat, fq)
+        non_cyclic += not inv.is_cyclic()
+    assert non_cyclic  # the rank test runs, not only the cyclic case
+
+
+@pytest.mark.parametrize("q,d,m", [(3, 1, 2), (2, 2, 2), (4, 1, 2), (5, 1, 2)])
+def test_annihilation_residue_holds_only_for_the_true_charpoly(q, d, m):
+    """The residue equals the one built from OrePoly objects, vanishes for
+    (c, mu) and for no pair with c + 1 or another unit in place."""
+    for mod in primes_and_orbits(q, d, m):
+        cp = frobenius_charpoly(mod)
+        one = UPoly.one(mod.tower.fq)
+        wrong = [replace(cp, trace=cp.trace + one, norm=None)] + [
+            replace(cp, unit=u, norm=None) for u in mod.tower.fq.units() if u != cp.unit]
+        for other in [cp] + wrong:
+            residue = _annihilation_residue(mod, other)
+            assert OrePoly(mod.tower, residue) == annihilation_residue_by_ore(mod, other)
+            assert annihilation_holds(mod, other) == (other is cp)
+
+
+def test_annihilation_fails_for_the_charpoly_of_a_larger_field():
+    # its norm term has degree 3 > n = 1, so phi of it is longer than tau^(2n)
+    t = UPoly.parse(build_tower(3, 1, 1).fq, "T")
+    small = DrinfeldModule(build_tower(3, 1, 1), t, 1, 1)
+    big = DrinfeldModule(build_tower(3, 1, 3), t, 1, 1)
+    assert not annihilation_holds(small, frobenius_charpoly(big))
 
 
 def test_charpoly_raises_when_the_annihilation_identity_fails(monkeypatch):

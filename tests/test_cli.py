@@ -162,6 +162,27 @@ def test_census_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("env,jobs", [("abc", None), (None, "0"), (None, "-3")])
+def test_trend_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
+    if env is not None:
+        monkeypatch.setenv("DRINFELD2_JOBS", env)
+    argv = ["trend", "--q", "3", "--d", "1", "--m", "1"]
+    code, out, err = run_cli(capsys, *(argv + (["--jobs", jobs] if jobs else [])))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+def test_unwritable_out_is_rejected_before_the_census(capsys):
+    # |L| = 2187 takes seconds to classify; the path is checked first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--p", "3", "--d", "1", "--m", "7",
+                             "--out", "/nonexistent/x.json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "cannot write /nonexistent/x.json" in err
+    assert not os.path.exists("/nonexistent")
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--p", "3", "--d", "1", "--m", "1000000000"],
     ["charpoly", "--p", "3", "--P", "T^5000000", "--m", "1", "--g", "1", "--delta", "1"],

@@ -57,7 +57,7 @@ def _check_out(path):
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise ValueError("cannot write %s: is a directory" % path)
-    if not os.access(parent, os.W_OK):
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise ValueError("cannot write %s: %s is missing or not writable" % (path, parent))
 
 

@@ -172,15 +172,21 @@ def test_trend_rejects_bad_jobs(capsys, monkeypatch, env, jobs):
     assert out == "" and "Traceback" not in err
 
 
-def test_unwritable_out_is_rejected_before_the_census(capsys):
+@pytest.mark.parametrize("target", ["missing_directory", "file_as_directory"])
+def test_unwritable_out_is_rejected_before_the_census(tmp_path, capsys, target):
     # |L| = 2187 takes seconds to classify; the path is checked first
+    if target == "missing_directory":
+        path = "/nonexistent/x.json"
+    else:
+        (tmp_path / "plain").write_text("")
+        path = str(tmp_path / "plain" / "x.json")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "census", "--p", "3", "--d", "1", "--m", "7",
-                             "--out", "/nonexistent/x.json")
+                             "--out", path)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert "cannot write /nonexistent/x.json" in err
-    assert not os.path.exists("/nonexistent")
+    assert "cannot write %s" % path in err
+    assert not os.path.exists("/nonexistent") and not os.path.exists(path)
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,11 +34,10 @@ class FrobeniusCharPoly:
     # when tau^n = phi(a) for some a in A (so the minimal polynomial is
     # X - a and this polynomial is its square), that witness; else None
     frobenius_in_image: UPoly = None
-    norm: UPoly = field(default=None, compare=False, repr=False)  # unit * prime^m
+    norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
 
-    def __post_init__(self):
-        if self.norm is None:  # computed once; each orbit reads it four times
-            object.__setattr__(self, "norm", self.prime.pow(self.ext_degree).scale(self.unit))
+    def __post_init__(self):  # derived once from the fields; each orbit reads it four times
+        object.__setattr__(self, "norm", self.prime.pow(self.ext_degree).scale(self.unit))
 
     def norm_term(self):
         """The constant coefficient unit * prime^m, an element of A."""
@@ -108,9 +107,8 @@ def frobenius_charpoly(mod):
     unit = fq.inv(tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1)))
     if mod.n % 2:
         unit = fq.neg(unit)
-    norm = mod.prime.pow(mod.m).scale(unit)
-    trace = UPoly.one(fq) + norm - chi.scale(unit)
-    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m, norm=norm)
+    trace = UPoly.one(fq) + mod.prime.pow(mod.m).scale(unit) - chi.scale(unit)
+    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
     if cp.disc_poly().is_zero():
         a = _frobenius_witness(mod, cp)
         if a is not None:

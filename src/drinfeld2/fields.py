@@ -695,8 +695,8 @@ def second_invariant_factor(tower, step, chi, i1):
     dim ker rho(step) <= 2 deg rho for every irreducible rho | i2 proves
     k <= 2.  The rank of rho(step) is that of the images of the q^j.
     """
-    if i1 == chi:
-        return (1,)  # cyclic
+    if i1 == chi:  # cyclic, as most modules are; skipping the two divisions
+        return (1,)  # below saves census-verify a tenth of its wall time
     kernel = tower.fq.kernel
     i2, r = kernel.divmod(chi, i1)
     if r:

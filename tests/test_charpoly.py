@@ -39,6 +39,19 @@ def test_norm_term_is_constant_coefficient():
     assert cp.eval_at(UPoly.zero(cp.trace.fq)) == cp.norm_term()
 
 
+def test_norm_term_follows_the_fields():
+    from dataclasses import replace
+
+    mod = module311(1, 1)
+    cp = frobenius_charpoly(mod)
+    with pytest.raises(TypeError):
+        type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, norm=cp.norm_term())
+    other = replace(cp, unit=1)
+    assert other.norm_term() == P3("T")
+    assert not annihilation_holds(mod, other)
+    assert replace(cp, ext_degree=2).norm_term() == P3("2*T^2")
+
+
 def test_annihilation_identity():
     for g in range(3):
         for delta in (1, 2):

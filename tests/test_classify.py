@@ -202,8 +202,8 @@ def test_annihilation_residue_holds_only_for_the_true_charpoly(q, d, m):
     for mod in primes_and_orbits(q, d, m):
         cp = frobenius_charpoly(mod)
         one = UPoly.one(mod.tower.fq)
-        wrong = [replace(cp, trace=cp.trace + one, norm=None)] + [
-            replace(cp, unit=u, norm=None) for u in mod.tower.fq.units() if u != cp.unit]
+        wrong = [replace(cp, trace=cp.trace + one)] + [
+            replace(cp, unit=u) for u in mod.tower.fq.units() if u != cp.unit]
         for other in [cp] + wrong:
             residue = _annihilation_residue(mod, other)
             assert OrePoly(mod.tower, residue) == annihilation_residue_by_ore(mod, other)

@@ -69,13 +69,14 @@ def _process_orbit(tower, prime, m, rep, size, aut, verify_members):
     if verify_members:
         members = orbit_members(tower, rep)
         members_ok = len(members) == size
+        pair = inv.as_pair()
         for g, delta in members:
             if not members_ok:
                 break
-            if (g, delta) != rep:
+            if (g, delta) != rep:  # each member gets its own Krylov pass and residue
                 other = DrinfeldModule(tower, prime, g, delta)
                 members_ok = (annihilation_holds(other, cp)
-                              and module_structure(other).as_pair() == inv.as_pair())
+                              and module_structure(other).as_pair() == pair)
 
     return {
         "g": rep[0],

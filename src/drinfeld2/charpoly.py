@@ -19,8 +19,15 @@ in closed form and checked.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .polys import MonicIdeal, UPoly
+
+
+@lru_cache(maxsize=None)
+def _prime_power(prime, m):
+    """prime^m, computed once per (prime, m)."""
+    return prime.pow(m)
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,7 @@ class FrobeniusCharPoly:
     norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
 
     def __post_init__(self):  # derived once from the fields; each orbit reads it four times
-        object.__setattr__(self, "norm", self.prime.pow(self.ext_degree).scale(self.unit))
+        object.__setattr__(self, "norm", _prime_power(self.prime, self.ext_degree).scale(self.unit))
 
     def norm_term(self):
         """The constant coefficient unit * prime^m, an element of A."""
@@ -107,7 +114,7 @@ def frobenius_charpoly(mod):
     unit = fq.inv(tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1)))
     if mod.n % 2:
         unit = fq.neg(unit)
-    trace = UPoly.one(fq) + mod.prime.pow(mod.m).scale(unit) - chi.scale(unit)
+    trace = UPoly.one(fq) + _prime_power(mod.prime, mod.m).scale(unit) - chi.scale(unit)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
     if cp.disc_poly().is_zero():
         a = _frobenius_witness(mod, cp)

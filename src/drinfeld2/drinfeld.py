@@ -19,27 +19,22 @@ class DrinfeldModule:
     """The rank-2 module determined by (tower, prime, g, delta)."""
 
     def __init__(self, tower, prime, g, delta):
-        if not isinstance(prime, UPoly) or prime.fq != tower.fq:
-            raise ValueError("prime must be a polynomial over the tower's base field")
-        if not prime.is_monic() or not prime.is_irreducible():
-            raise ValueError("prime must be monic irreducible")
-        d = prime.degree()
-        if tower.n % d != 0:
-            raise ValueError("deg(prime) = %d must divide n = %d" % (d, tower.n))
-        g = tower.element(g).value
-        delta = tower.element(delta).value
+        # raises ValueError unless prime is monic irreducible over tower.fq
+        # with deg(prime) | n; memoized, so each prime is checked once
+        self.gamma_t = embed_residue_field(tower, prime).value
+        g, delta = [v if type(v) is int and 0 <= v < tower.order else tower.element(v).value
+                    for v in (g, delta)]
         if delta == 0:
             raise ValueError("the tau^2 coefficient delta must be nonzero")
         self.tower = tower
         self.prime = prime
-        self.d = d
-        self.m = tower.n // d
+        self.d = prime.degree()
+        self.m = tower.n // self.d
         self.n = tower.n
-        self.gamma_t = embed_residue_field(tower, prime).value
         self.g = g
         self.delta = delta
         self.phi_t = OrePoly(tower, (self.gamma_t, g, delta))
-        self._t_powers = [OrePoly.one(tower), self.phi_t]
+        self._t_powers = [[1], [self.gamma_t, g, delta]]
         self._charpoly = None
         self._action = None
 
@@ -71,11 +66,18 @@ class DrinfeldModule:
 
     # -- the homomorphism ------------------------------------------------------
 
-    def _t_power(self, k):
-        powers = self._t_powers
+    def _t_powers_to(self, k):
+        """[phi_T^0, phi_T^1, ...] as coefficient lists, through at least
+        phi_T^k; cached.  phi_T^(k+1) is (gamma + g tau + delta tau^2)
+        phi_T^k, three multiply-accumulates."""
+        powers, tw = self._t_powers, self.tower
         while len(powers) <= k:
-            powers.append(powers[-1] * self.phi_t)
-        return powers[k]
+            last = powers[-1]
+            nxt = [0] * (len(last) + 2)
+            for j, c in enumerate(powers[1]):
+                tw.add_scaled(nxt, j, c, last, j)
+            powers.append(nxt)
+        return powers
 
     def phi(self, a):
         """The image of a in L{tau}; additive and multiplicative in a."""
@@ -91,9 +93,10 @@ class DrinfeldModule:
         """Add phi(a) tau^at into the coefficient list out, for a the
         coefficient tuple of an element of A; out must reach degree
         at + 2 deg a."""
-        for k, c in enumerate(a):
+        add_scaled = self.tower.add_scaled
+        for c, power in zip(a, self._t_powers_to(len(a) - 1)):
             if c:
-                self.tower.add_scaled(out, at, c, self._t_power(k).coeffs)
+                add_scaled(out, at, c, power)
 
     def gamma(self, a):
         """The structure map A -> L (constant term of phi(a))."""
@@ -170,7 +173,7 @@ def twist_orbits(tower):
     """
     q = tower.q
     units = tower.order - 1
-    powers = [tower.pow(tower.generator, k) for k in range(units)]
+    powers = tower._exp[:units]
 
     def coset_minima(k):
         step = gcd(k, units)
@@ -184,9 +187,13 @@ def twist_orbits(tower):
 
 
 def orbit_members(tower, rep):
-    """The members of the twist orbit of rep = (g, delta), sorted."""
+    """The members of the twist orbit of rep = (g, delta), sorted.  From
+    discrete logs: u = gamma^k, gamma = tower.generator, sends rep to
+    (gamma^(log g + k(q-1)), gamma^(log delta + k(q^2-1))), g = 0 to 0."""
     q = tower.q
+    exp, log = tower._exp, tower._log
+    units = tower.order - 1
     g, delta = rep
-    return sorted({(tower.mul(tower.pow(u, q - 1), g),
-                    tower.mul(tower.pow(u, q * q - 1), delta))
-                   for u in tower.units()})
+    lg, ld = log[g], log[delta]
+    return sorted({(exp[(lg + k * (q - 1)) % units] if g else 0,
+                    exp[(ld + k * (q * q - 1)) % units]) for k in range(units)})

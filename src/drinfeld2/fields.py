@@ -455,9 +455,11 @@ class FieldTower:
         return self._exp[la + self._zech[self._log[b] - la]]
 
     def add_scaled(self, out, at, c, ys, k=0):
-        """out[at + j] += c * ys[j]^(q^k) for every j, in place, c != 0: the
+        """out[at + j] += c * ys[j]^(q^k) for every j, in place: the
         multiply-accumulate loop of sums, products and right division in
         L{tau} and of phi."""
+        if not c:  # log[0] reads 0, which would add ys as if c were 1
+            return
         exp, log, zech = self._exp, self._log, self._zech
         frob = self._frob[k % self.n]
         units = self.order - 1
@@ -610,18 +612,22 @@ def _echelon_insert(tower, rows, u):
     multiple of rows[i] subtracted, lead the remainder's leading digit."""
     exp, log, zech, digits = tower._exp, tower._log, tower._zech, tower._digits
     neg = tower.fq.neg_table
+    units = tower.order - 1
     cs = []
     for p, row in rows:
         c = digits[u][p]
         cs.append(c)
         if c:  # u - c row, as u + (-c) row; c != 0 makes u != 0
             lu = log[u]
-            u = exp[lu + zech[log[exp[log[neg[c]] + log[row]]] - lu]]
+            d = log[neg[c]] + log[row] - lu  # in (1 - |L|, 2(|L| - 1)), as in add_scaled
+            u = exp[lu + zech[d - units if d >= units else d]]
     if not u:
         return cs, 0
     vec = digits[u]
-    p = next(j for j, x in enumerate(vec) if x)
-    rows.append((p, tower.mul(tower.fq.inv_table[vec[p]], u)))
+    p = 0
+    while not vec[p]:
+        p += 1
+    rows.append((p, exp[log[tower.fq.inv_table[vec[p]]] + log[u]]))
     return cs, vec[p]
 
 
@@ -696,7 +702,7 @@ def second_invariant_factor(tower, step, chi, i1):
     k <= 2.  The rank of rho(step) is that of the images of the q^j.
     """
     if i1 == chi:  # cyclic, as most modules are; skipping the two divisions
-        return (1,)  # below saves census-verify a tenth of its wall time
+        return (1,)  # below saves about 4 us a module, 0.06 s of census-verify
     kernel = tower.fq.kernel
     i2, r = kernel.divmod(chi, i1)
     if r:

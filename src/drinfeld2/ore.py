@@ -142,13 +142,26 @@ class OrePoly:
         raise AssertionError("unreachable")
 
     def apply(self, x):
-        """Evaluate the additive polynomial sum c_k x^(q^k) at x in L."""
+        """Evaluate the additive polynomial sum c_k x^(q^k) at x in L, in
+        log space: log x^(q^k) = q^k log x, and each sum is a Zech lookup."""
+        if not x:
+            return 0
         tw = self.tower
-        out = [0]
-        for k, c in enumerate(self.coeffs):
+        exp, log, zech = tw._exp, tw._log, tw._zech
+        q, units = tw.q, tw.order - 1
+        lx = log[x]
+        out = 0
+        for c in self.coeffs:
             if c:
-                tw.add_scaled(out, 0, c, (x,), k)
-        return out[0]
+                lv = log[c] + lx
+                if out:
+                    lo = log[out]
+                    d = lv - lo  # reduced as in FieldTower.add_scaled
+                    out = exp[lo + zech[d - units if d >= units else d]]
+                else:
+                    out = exp[lv]
+            lx = lx * q % units
+        return out
 
     def __str__(self):
         if not self.coeffs:

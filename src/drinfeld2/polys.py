@@ -320,12 +320,12 @@ def embed_residue_field(tower, prime):
 
     Requires deg(prime) to divide n.  Returns a FieldElement.
     """
+    if not isinstance(prime, UPoly) or (prime.fq is not tower.fq and prime.fq != tower.fq):
+        raise ValueError("prime must be a polynomial over the tower's base field")
     key = (tower.p, tower.s, tower.n, prime.coeffs)
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return FieldElement(tower, hit)
-    if not isinstance(prime, UPoly) or prime.fq != tower.fq:
-        raise ValueError("prime must be a polynomial over the tower's base field")
     if not prime.is_monic():
         raise ValueError("prime must be monic")
     if not prime.is_irreducible():

@@ -551,6 +551,25 @@ def _ore_columns_to_rows(tower, columns, rhs_poly, width):
     return rows, rhs
 
 
+def _t_powers_by_ore(mod, count):
+    """[phi_T^0, ..., phi_T^(count-1)] as OrePoly products of mod.phi_t,
+    apart from the library's cached powers."""
+    powers = [OrePoly.one(mod.tower)]
+    while len(powers) < count:
+        powers.append(powers[-1] * mod.phi_t)
+    return powers
+
+
+def phi_by_ore(mod, a):
+    """phi(a) for a in A, the sum of the a_k phi_T^k over the powers of
+    _t_powers_by_ore."""
+    acc = OrePoly.zero(mod.tower)
+    for c, power in zip(a.coeffs, _t_powers_by_ore(mod, len(a.coeffs))):
+        if c:
+            acc = acc + power.scale_left(c)
+    return acc
+
+
 def _solve_frobenius_in_image(mod):
     """Look for a in A with phi(a) = tau^n by a linear solve over F_q in the
     coefficients of a, deg a <= n/2; only possible when n is even.
@@ -562,7 +581,7 @@ def _solve_frobenius_in_image(mod):
         return None
     tower = mod.tower
     half = n // 2
-    columns = [mod._t_power(j) for j in range(half + 1)]
+    columns = _t_powers_by_ore(mod, half + 1)
     rhs = mod.frobenius()
     rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, n + 1)
     status, sol = gauss_solve(tower.fq, rows, rhs_v)
@@ -593,8 +612,8 @@ def charpoly_by_solve(mod):
         return FrobeniusCharPoly(a + a, square.lc(), mod.prime, mod.m,
                                  frobenius_in_image=a)
     tau_n = OrePoly.tau_power(tower, n)
-    columns = [mod._t_power(j) * tau_n for j in range(mod.m * mod.d // 2 + 1)]
-    columns.append(-mod.phi(mod.prime.pow(mod.m)))
+    columns = [power * tau_n for power in _t_powers_by_ore(mod, mod.m * mod.d // 2 + 1)]
+    columns.append(-phi_by_ore(mod, mod.prime.pow(mod.m)))
     rhs = OrePoly.tau_power(tower, 2 * n)
     rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, 2 * n + 1)
     status, sol = gauss_solve(fq, rows, rhs_v)
@@ -604,23 +623,14 @@ def charpoly_by_solve(mod):
 
 
 def annihilation_residue_by_ore(mod, cp):
-    """tau^(2n) - phi(trace) tau^n + phi(unit prime^m) as OrePoly objects:
-    phi(a) is the sum of the a_k phi_T^k, with the powers multiplied
-    afresh from mod.phi_t and unit prime^m recomputed from cp's fields.
-    The annihilation check before the library accumulated the residue in
-    one coefficient list."""
+    """tau^(2n) - phi(trace) tau^n + phi(unit prime^m) as OrePoly objects,
+    phi by phi_by_ore and unit prime^m recomputed from cp's fields.  The
+    annihilation check before the library accumulated the residue in one
+    coefficient list."""
     tw = mod.tower
-
-    def phi(a):
-        acc, power = OrePoly.zero(tw), OrePoly.one(tw)
-        for c in a.coeffs:
-            if c:
-                acc = acc + power.scale_left(c)
-            power = power * mod.phi_t
-        return acc
-
     norm = cp.prime.pow(cp.ext_degree).scale(cp.unit)
-    return (OrePoly.tau_power(tw, 2 * mod.n) - phi(cp.trace) * OrePoly.tau_power(tw, mod.n) + phi(norm))
+    return (OrePoly.tau_power(tw, 2 * mod.n)
+            - phi_by_ore(mod, cp.trace) * OrePoly.tau_power(tw, mod.n) + phi_by_ore(mod, norm))
 
 
 def determinantal_divisors(mat):

@@ -32,6 +32,18 @@ def test_twist_orbits_partition_and_sizes():
             seen.update(members)
 
 
+@pytest.mark.parametrize("p,s,n", [(5, 1, 3), (2, 1, 10)])
+def test_orbit_members_match_the_pow_definition(p, s, n):
+    # members from discrete logs against (u^(q-1) g, u^(q^2-1) delta) by
+    # tower.pow, for u in L^*, on every orbit
+    tw = build_tower(p, s, n)
+    q = tw.q
+    twists = [(tw.pow(u, q - 1), tw.pow(u, q * q - 1)) for u in tw.units()]
+    for (g, delta), _, _ in twist_orbits(tw):
+        assert orbit_members(tw, (g, delta)) == sorted(
+            {(tw.mul(a, g), tw.mul(b, delta)) for a, b in twists})
+
+
 def test_twist_orbits_n1_are_singletons():
     tw = build_tower(3, 1, 1)
     orbits = twist_orbits(tw)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from drinfeld2 import DrinfeldModule, MonicIdeal, OrePoly, UPoly, build_tower
-from oracles import (FieldEmbedding, SplittingBoundError, phi_ideal,
+from oracles import (FieldEmbedding, SplittingBoundError, phi_by_ore, phi_ideal,
                      phi_ideal_two_generators, torsion_structure)
 
 
@@ -26,6 +26,52 @@ def test_constructor_validation():
     mod = DrinfeldModule(tw2, UPoly.parse(tw2.fq, "T^2+1"), 1, 1)
     assert mod.m == 1 and mod.d == 2
     assert mod.gamma_t == 3  # the canonical root [0,1]
+
+
+def test_constructor_rejects_bad_primes_and_coefficients():
+    tw = build_tower(3, 1, 2)
+    T = UPoly.parse(tw.fq, "T")
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw, UPoly.parse(tw.fq, "2*T+1"), 1, 1)  # not monic
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw, UPoly.parse(build_tower(3, 2, 1).fq, "T"), 1, 1)  # over F_9
+    for g, delta in ((-1, 1), (tw.order, 1), (1, -1), (1, tw.order)):
+        with pytest.raises(ValueError):
+            DrinfeldModule(tw, T, g, delta)
+    other = build_tower(3, 1, 1)
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw, T, other.element(1), 1)
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw, T, 1, other.element(1))
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw, T, 1, tw.element(0))
+    mod = DrinfeldModule(tw, T, tw.element(2), tw.element([1, 1]))
+    assert (mod.g, mod.delta) == (2, 4)
+
+
+def test_constructor_rejects_a_prime_over_another_field_with_cached_coefficients():
+    # T over F_9 is embedded first, so its coefficients are in the memo
+    tw9 = build_tower(3, 2, 1)
+    DrinfeldModule(tw9, UPoly.parse(tw9.fq, "T"), 1, 1)
+    with pytest.raises(ValueError):
+        DrinfeldModule(tw9, UPoly.parse(build_tower(3, 1, 1).fq, "T"), 1, 1)
+
+
+@pytest.mark.parametrize("p,s,n,prime,g,delta", [
+    (3, 1, 2, "T", 2, 5),        # gamma = 0
+    (3, 1, 2, "T", 0, 5),        # gamma = 0 and g = 0
+    (2, 2, 2, "T", 0, 3),        # q = 4, gamma = 0 and g = 0
+    (2, 1, 3, "T+1", 0, 6),      # g = 0
+    (5, 1, 2, "T^2+2", 7, 11),   # d = 2
+])
+def test_phi_matches_the_ore_product_oracle(p, s, n, prime, g, delta):
+    # every a of degree <= n against the sum of a_k phi_T^k, the powers
+    # multiplied as OrePolys; the module is fresh, so its cache fills here
+    tw = build_tower(p, s, n)
+    mod = DrinfeldModule(tw, UPoly.parse(tw.fq, prime), g, delta)
+    for t in itertools.product(range(tw.q), repeat=n + 1):
+        a = UPoly(tw.fq, t)
+        assert mod.phi(a) == phi_by_ore(mod, a)
 
 
 def test_phi_basic_examples():

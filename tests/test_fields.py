@@ -183,3 +183,15 @@ def test_embedding_is_ring_map():
     assert emb.map(1) == 1
     with pytest.raises(ValueError):
         FieldEmbedding(build_tower(3, 1, 2), build_tower(3, 1, 3))
+
+
+def test_add_scaled_with_zero_multiplier_adds_nothing():
+    tw = build_tower(3, 1, 2)
+    out = [0, 0]
+    tw.add_scaled(out, 0, 0, (5, 7))
+    assert out == [0, 0]
+    out = [4, 0, 8]
+    tw.add_scaled(out, 1, 0, (5, 7), 1)
+    assert out == [4, 0, 8]
+    tw.add_scaled(out, 1, 1, (5, 7))  # c = 1 does add, for contrast
+    assert out == [4, 5, tw.add(8, 7)]

@@ -153,6 +153,27 @@ def test_apply_examples():
     assert OrePoly.zero(tw).apply(2) == 0
 
 
+@pytest.mark.parametrize("p,s,n", [(2, 2, 2), (3, 1, 4), (2, 1, 13)])
+def test_apply_matches_the_power_sum(p, s, n):
+    # the log-domain apply against sum c_k x^(q^k) from pow, mul and add,
+    # with zero coefficients and x = 0 among the inputs
+    tw = build_tower(p, s, n)
+    rng = random.Random(7 * p + n)
+
+    def power_sum(coeffs, x):
+        out = 0
+        for k, c in enumerate(coeffs):
+            out = tw.add(out, tw.mul(c, tw.pow(x, tw.q ** k)))
+        return out
+
+    xs = list(tw.elements()) if tw.order <= 256 else [0, 1] + rng.sample(range(2, tw.order), 200)
+    for length in range(0, 2 * n + 3):
+        coeffs = [rng.randrange(tw.order) if rng.random() < 0.6 else 0 for _ in range(length)]
+        f = OrePoly(tw, coeffs)
+        for x in xs:
+            assert f.apply(x) == power_sum(coeffs, x)
+
+
 def test_apply_is_additive_and_composes():
     tw = build_tower(2, 2, 2)
     rng = random.Random(61)

@@ -2,9 +2,15 @@
 
 Modules (g, delta) in L x L^* are grouped into isomorphism classes
 (orbits of the twist action u: (g, delta) -> (u^(q-1) g, u^(q^2-1) delta)
-for u in L^*, listed by representative in `drinfeld.twist_orbits`),
-classified per orbit representative, and aggregated into
-isogeny classes keyed by the Frobenius characteristic polynomial.  All
+for u in L^*, listed by representative in `drinfeld.twist_orbits`) and
+aggregated into isogeny classes keyed by the Frobenius characteristic
+polynomial.  One representative is classified per orbit of
+sigma: x -> x^(q^d) on the twist orbits (`drinfeld.sigma_orbits`):
+sigma fixes gamma(T), so it is an isomorphism of A-modules from L^phi
+to L^(phi^sigma), and the two share (c, mu), chi, the invariant factors,
+the height, the witness and the rational planes.  Each twist orbit keeps
+its own row, with its own size, automorphism count and unit, the last
+recomputed from its own delta and checked against its head's.  All
 statistics are exact rationals; closed-form counting formulas are
 evaluated alongside and reported with match flags, never silently
 assumed.  Reports serialize deterministically: identical inputs give
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import annihilation_holds, frobenius_charpoly, is_imaginary
-from .drinfeld import DrinfeldModule, orbit_members, twist_orbits
+from .charpoly import annihilation_holds, frobenius_charpoly, frobenius_unit, is_imaginary
+from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
 from .structure import check_criteria, module_structure, plane_torsion_rational
@@ -35,8 +41,13 @@ def default_prime(fq, d):
     return enumerate_monic_irreducibles(fq, d)[0]
 
 
-def _process_orbit(tower, prime, m, rep, size, aut, verify_members):
-    """Classify one isomorphism class; returns a plain-data record."""
+def _process_orbit(tower, prime, m, group, verify_members):
+    """Classify the head of one sigma-orbit of isomorphism classes; returns
+    one plain-data record per twist orbit of group, a list of
+    (rep, orbit_size, aut_count) with the head first.  Each record keeps
+    its own rep, size, automorphism count and unit, the last recomputed
+    from its delta; the rest is the head's, which sigma carries over."""
+    rep = group[0][0]
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
     cp = frobenius_charpoly(mod)
     inv = module_structure(mod)
@@ -65,26 +76,8 @@ def _process_orbit(tower, prime, m, rep, size, aut, verify_members):
             torsion_equiv_ok = False
             break
 
-    members_ok = True
-    if verify_members:
-        members = orbit_members(tower, rep)
-        members_ok = len(members) == size
-        pair = inv.as_pair()
-        for g, delta in members:
-            if not members_ok:
-                break
-            if (g, delta) != rep:  # each member gets its own Krylov pass and residue
-                other = DrinfeldModule(tower, prime, g, delta)
-                members_ok = (annihilation_holds(other, cp)
-                              and module_structure(other).as_pair() == pair)
-
-    return {
-        "g": rep[0],
-        "delta": rep[1],
-        "orbit_size": size,
-        "aut_count": aut,
+    head = {
         "trace": cp.trace.coeffs,
-        "unit": cp.unit,
         "chi": chi.coeffs,
         "i1": inv.i1.coeffs,
         "i2": inv.i2.coeffs,
@@ -97,10 +90,26 @@ def _process_orbit(tower, prime, m, rep, size, aut, verify_members):
         "trace_bound_ok": cp.trace_degree_ok(),
         "criteria": flags,
         "torsion_equiv_ok": torsion_equiv_ok,
-        "members_ok": members_ok,
         "frobenius_in_image": (cp.frobenius_in_image.coeffs
                                if cp.frobenius_in_image is not None else None),
     }
+    pair = inv.as_pair()
+    records = []
+    for (g, delta), size, aut in group:
+        members_ok = True
+        if verify_members:
+            members = orbit_members(tower, (g, delta))
+            members_ok = len(members) == size
+            for member in members:
+                if not members_ok:
+                    break
+                if member != rep:  # each module gets its own Krylov pass and residue
+                    other = DrinfeldModule(tower, prime, *member)
+                    members_ok = (annihilation_holds(other, cp)
+                                  and module_structure(other).as_pair() == pair)
+        records.append(dict(head, g=g, delta=delta, orbit_size=size, aut_count=aut,
+                            unit=frobenius_unit(tower, delta), members_ok=members_ok))
+    return records
 
 
 _WORKER = {}
@@ -118,10 +127,9 @@ def _pool_init(p, s, n, prime_coeffs, m, verify_members):
     _WORKER["args"] = (tower, prime, m, verify_members)
 
 
-def _pool_work(item):
-    rep, size, aut = item
+def _pool_work(group):
     tower, prime, m, verify_members = _WORKER["args"]
-    return _process_orbit(tower, prime, m, rep, size, aut, verify_members)
+    return _process_orbit(tower, prime, m, group, verify_members)
 
 
 def counting_formulas(q, d, m):
@@ -256,13 +264,54 @@ class CensusReport:
         return [c for c in self.isogeny_classes if c["ordinary"]]
 
 
+def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
+    """One record per twist orbit, in the order of orbits, classifying one
+    head per sigma-orbit (see drinfeld.sigma_orbits).  Raises RuntimeError
+    unless the sigma-orbits partition the twist orbits, each has a length
+    dividing m, and each carried orbit's size, automorphism count and
+    unit equal its head's."""
+    groups = sigma_orbits(tower, prime.degree(), orbits)
+    if sorted(i for group in groups for i in group) != list(range(len(orbits))):
+        raise RuntimeError("the sigma-orbits do not partition the twist orbits")
+    for group in groups:
+        if m % len(group):
+            raise RuntimeError("a sigma-orbit of length %d does not divide m = %d"
+                               % (len(group), m))
+    work = [[orbits[i] for i in group] for group in groups]
+
+    workers = min(jobs, os.cpu_count() or 1, len(work))
+    if workers > 1 and _fork_available():
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_pool_init,
+                      initargs=(tower.p, tower.s, tower.n, prime.coeffs, m,
+                                verify_members)) as pool:
+            done = pool.map(_pool_work, work)
+    else:
+        done = [_process_orbit(tower, prime, m, group, verify_members) for group in work]
+
+    records = [None] * len(orbits)
+    for group, group_records in zip(groups, done):
+        head = group_records[0]
+        for i, r in zip(group, group_records):
+            for key in ("orbit_size", "aut_count", "unit"):
+                if r[key] != head[key]:
+                    raise RuntimeError(
+                        "twist orbit %r differs from its sigma-orbit head %r in %s"
+                        % (orbits[i][0], orbits[group[0]][0], key))
+            records[i] = r
+    return records
+
+
 def run_census(tower, prime, m, jobs=1, verify_members=False):
     """Classify every module (g, delta) over the tower for the given prime.
 
-    jobs > 1 distributes the per-orbit work over worker processes, at most
-    one per CPU and one per orbit; the merge order is the orbit order, so
-    reports are identical regardless of the job count.  jobs < 1 raises
-    ValueError.
+    One module is classified per sigma-orbit of twist orbits; every twist
+    orbit still gets its own row.  jobs > 1 distributes the per-sigma-orbit
+    work over worker processes, at most one per CPU and one per
+    sigma-orbit; the merge order is the orbit order, so reports are
+    identical regardless of the job count.  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
@@ -281,20 +330,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     total_pairs = sum(size for _, size, _ in orbits)
     if total_pairs != tower.order * (tower.order - 1):
         raise RuntimeError("orbits do not partition the module space")
-
-    workers = min(jobs, os.cpu_count() or 1, len(orbits))
-    if workers > 1 and _fork_available():
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init,
-                      initargs=(tower.p, tower.s, n, prime.coeffs, m,
-                                verify_members)) as pool:
-            records = pool.map(_pool_work, orbits)
-    else:
-        records = [
-            _process_orbit(tower, prime, m, rep, size, aut, verify_members)
-            for rep, size, aut in orbits]
+    records = _classify_orbits(tower, prime, m, orbits, jobs, verify_members)
 
     # ---- per isomorphism class rows (serialized form) ----
     iso_rows = []

@@ -42,9 +42,13 @@ class FrobeniusCharPoly:
     # X - a and this polynomial is its square), that witness; else None
     frobenius_in_image: UPoly = None
     norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
+    neg_trace: tuple = field(init=False, compare=False, repr=False)  # (-trace).coeffs
 
-    def __post_init__(self):  # derived once from the fields; each orbit reads it four times
+    def __post_init__(self):
+        # derived once from the fields: each orbit reads the norm four times,
+        # and every member's annihilation residue reads both
         object.__setattr__(self, "norm", _prime_power(self.prime, self.ext_degree).scale(self.unit))
+        object.__setattr__(self, "neg_trace", (-self.trace).coeffs)
 
     def norm_term(self):
         """The constant coefficient unit * prime^m, an element of A."""
@@ -111,9 +115,7 @@ def frobenius_charpoly(mod):
     tower = mod.tower
     fq = tower.fq
     chi, _ = mod.action_invariants()
-    unit = fq.inv(tower.pow(mod.delta, (tower.order - 1) // (tower.q - 1)))
-    if mod.n % 2:
-        unit = fq.neg(unit)
+    unit = frobenius_unit(tower, mod.delta)
     trace = UPoly.one(fq) + _prime_power(mod.prime, mod.m).scale(unit) - chi.scale(unit)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
     if cp.disc_poly().is_zero():
@@ -129,6 +131,14 @@ def frobenius_charpoly(mod):
     return cp
 
 
+def frobenius_unit(tower, delta):
+    """The unit (-1)^n N(delta)^(-1) of P, N(delta) = delta^((q^n-1)/(q-1))
+    the norm from L to F_q; one table pow."""
+    fq = tower.fq
+    unit = fq.inv(tower.pow(delta, (tower.order - 1) // (tower.q - 1)))
+    return fq.neg(unit) if tower.n % 2 else unit
+
+
 def annihilation_holds(mod, cp=None):
     """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0."""
     return not any(_annihilation_residue(mod, cp or frobenius_charpoly(mod)))
@@ -140,7 +150,7 @@ def _annihilation_residue(mod, cp):
     n = mod.n
     out = [0] * max(2 * n + 1, n + 2 * len(cp.trace.coeffs), 2 * len(cp.norm_term().coeffs))
     out[2 * n] = 1
-    mod._phi_into(out, (-cp.trace).coeffs, n)
+    mod._phi_into(out, cp.neg_trace, n)
     mod._phi_into(out, cp.norm_term().coeffs)
     return out
 

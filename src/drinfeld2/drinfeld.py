@@ -12,7 +12,7 @@ from math import gcd
 
 from .fields import FieldElement, char_and_min_poly
 from .ore import OrePoly
-from .polys import UPoly, _wrap, embed_residue_field
+from .polys import UPoly, _wrap, residue_root
 
 
 class DrinfeldModule:
@@ -21,7 +21,7 @@ class DrinfeldModule:
     def __init__(self, tower, prime, g, delta):
         # raises ValueError unless prime is monic irreducible over tower.fq
         # with deg(prime) | n; memoized, so each prime is checked once
-        self.gamma_t = embed_residue_field(tower, prime).value
+        self.gamma_t = residue_root(tower, prime)
         g, delta = [v if type(v) is int and 0 <= v < tower.order else tower.element(v).value
                     for v in (g, delta)]
         if delta == 0:
@@ -168,22 +168,79 @@ def twist_orbits(tower):
 
     Cosets: with gamma = tower.generator, (L^*)^k = <gamma^step> for
     step = gcd(k, q^n-1), so the coset of gamma^i is
-    {gamma^(i + j*step)}, the slice powers[i::step] of
-    powers = [gamma^0, ..., gamma^(q^n-2)].  O(|L|) time and memory.
+    {gamma^(i + j*step)}; see _coset_minima.  O(|L|) time and memory.
     """
     q = tower.q
     units = tower.order - 1
-    powers = tower._exp[:units]
-
-    def coset_minima(k):
-        step = gcd(k, units)
-        return sorted(min(powers[i::step]) for i in range(step))
-
     e = gcd(q * q - 1, units)
-    orbits = [((0, d), units // e, e) for d in coset_minima(q * q - 1)]
-    for g in coset_minima(q - 1):
+    orbits = [((0, d), units // e, e) for d in sorted(_coset_minima(tower, q * q - 1))]
+    for g in sorted(_coset_minima(tower, q - 1)):
         orbits.extend(((g, d), units // (q - 1), q - 1) for d in tower.units())
     return orbits
+
+
+def _coset_minima(tower, k):
+    """The least element of each coset of (L^*)^k = <gamma^step>,
+    step = gcd(k, |L| - 1), indexed by the common residue of its logs
+    mod step: the coset of gamma^i is the slice powers[i::step]."""
+    units = tower.order - 1
+    step = gcd(k, units)
+    powers = tower._exp[:units]
+    return [min(powers[i::step]) for i in range(step)]
+
+
+def sigma_orbits(tower, d, orbits):
+    """The orbits of sigma: x -> x^(q^d) on the twist orbits, for orbits
+    as listed by twist_orbits(tower) and d = deg(prime).
+
+    sigma fixes F_{q^d}, which holds gamma(T), so it is an isomorphism of
+    A-modules from L^phi to L^(phi^sigma), with phi^sigma_T = gamma +
+    sigma(g) tau + sigma(delta) tau^2: the two share (c, mu), chi, the
+    invariant factors, the height, the witness and the rational planes.
+    sigma(u . (g, delta)) = sigma(u) . sigma(g, delta), so sigma permutes
+    the twist orbits, and sigma^m is the identity on L.
+
+    Returns lists of indices into orbits, one per sigma-orbit in order of
+    its least index, each starting there and following sigma.  The image
+    of a pair is found from discrete logs, log sigma(x) = q^d log x: a pair
+    (0, delta) lies in the orbit of (0, least of the coset of delta mod
+    (L^*)^(q^2-1)); for g != 0, u = gamma^k with u^(q-1) g = g_min, the
+    least of the coset of g mod (L^*)^(q-1), sends (g, delta) to
+    (g_min, u^(q^2-1) delta).  O(#orbits) after two O(|L|) tables.
+    """
+    q = tower.q
+    units = tower.order - 1
+    exp, log = tower._exp, tower._log
+    qd = q ** d
+    min_g, min_d = _coset_minima(tower, q - 1), _coset_minima(tower, q * q - 1)
+    index = {rep: i for i, (rep, _, _) in enumerate(orbits)}
+
+    def image(i):
+        g, delta = orbits[i][0]
+        ld = log[delta] * qd
+        if g:
+            lg = log[g] * qd
+            g_min = min_g[lg % len(min_g)]
+            k = (log[g_min] - lg) // (q - 1)  # exact: q - 1 = len(min_g)
+            rep = (g_min, exp[(ld + k * (q * q - 1)) % units])
+        else:
+            rep = (0, min_d[ld % len(min_d)])
+        if rep not in index:
+            raise RuntimeError("the sigma-image %r of orbit %r is not a listed "
+                               "representative" % (rep, orbits[i][0]))
+        return index[rep]
+
+    groups, seen = [], set()
+    for i in range(len(orbits)):
+        if i in seen:
+            continue
+        group, j = [i], image(i)
+        while j != i and len(group) < len(orbits):  # bounded if sigma is no permutation
+            group.append(j)
+            j = image(j)
+        seen.update(group)
+        groups.append(group)
+    return groups
 
 
 def orbit_members(tower, rep):

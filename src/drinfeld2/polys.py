@@ -154,12 +154,6 @@ class UPoly:
             e >>= 1
         return r
 
-    def shift(self, k):
-        """Multiply by T^k."""
-        if not self.coeffs:
-            return self
-        return _wrap(self.fq, (0,) * k + self.coeffs)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_in_tower(self, tower, x):
@@ -320,12 +314,18 @@ def embed_residue_field(tower, prime):
 
     Requires deg(prime) to divide n.  Returns a FieldElement.
     """
+    return FieldElement(tower, residue_root(tower, prime))
+
+
+def residue_root(tower, prime):
+    """embed_residue_field's root as an element of L (an int); memoized,
+    so each prime is checked once and a hit builds no FieldElement."""
     if not isinstance(prime, UPoly) or (prime.fq is not tower.fq and prime.fq != tower.fq):
         raise ValueError("prime must be a polynomial over the tower's base field")
     key = (tower.p, tower.s, tower.n, prime.coeffs)
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
-        return FieldElement(tower, hit)
+        return hit
     if not prime.is_monic():
         raise ValueError("prime must be monic")
     if not prime.is_irreducible():
@@ -340,4 +340,4 @@ def embed_residue_field(tower, prime):
         raise RuntimeError("expected %d roots of %s, found %d" % (d, prime, len(roots)))
     value = min(roots, key=tower.vector)
     _EMBED_CACHE[key] = value
-    return FieldElement(tower, value)
+    return value

@@ -8,7 +8,8 @@ import itertools
 from dataclasses import dataclass
 
 from .charpoly import frobenius_charpoly
-from .drinfeld import DrinfeldModule, action_matrix, twist_orbits  # action_matrix is re-exported
+from .drinfeld import (DrinfeldModule, action_matrix,  # action_matrix is re-exported
+                       sigma_orbits, twist_orbits)
 from .fields import second_invariant_factor
 from .ore import OrePoly
 from .polys import UPoly, _wrap
@@ -125,11 +126,14 @@ def realize_structure(tower, prime, m, i1, i2):
 
     Candidate isogeny classes are scanned in lexicographic (trace, unit)
     order and for each one the pairs (g, delta) in lexicographic order;
-    the first witness wins, so the result is deterministic.  Only orbit
-    representatives are visited: the members of an orbit share the class
-    and the structure, so the least witness of a class is the least
-    member of its orbit, which is the orbit's representative.  Returns a
-    DrinfeldModule or a NotRealizable naming the failed condition.
+    the first witness wins, so the result is deterministic.  Only the
+    heads of sigma-orbits of twist orbits are classified
+    (drinfeld.sigma_orbits): the members of an orbit share the class and
+    the structure, so the least witness of a class is an orbit
+    representative, and x -> x^(q^d) carries class and structure to the
+    other orbits of its sigma-orbit, whose least representative is the
+    head.  Returns a DrinfeldModule or a NotRealizable naming the failed
+    condition.
     """
     fq = tower.fq
     if not (i1.is_monic() and i2.is_monic()):
@@ -147,8 +151,9 @@ def realize_structure(tower, prime, m, i1, i2):
             "unit and i2 | trace - 2)")
     want = (i1, i2)
     by_class = {}
-    for (g, delta), _, _ in twist_orbits(tower):
-        mod = DrinfeldModule(tower, prime, g, delta)
+    orbits = twist_orbits(tower)
+    for group in sigma_orbits(tower, prime.degree(), orbits):
+        mod = DrinfeldModule(tower, prime, *orbits[group[0]][0])
         by_class.setdefault(frobenius_charpoly(mod).key(), []).append(mod)
     for trace, unit in candidates:
         for mod in by_class.get((trace.coeffs, unit), ()):

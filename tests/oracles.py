@@ -5,7 +5,8 @@ Frobenius characteristic polynomial and for tau^n in the image of phi, the
 annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
 splitting tower, with its field embeddings, right gcds in L{tau} and
 two-generator ideal images, the order-containment and minimal-polynomial
-checks, the marking sweep over L x L^* for twist orbits, the realization
+checks, the marking sweep over L x L^* for twist orbits, the census
+records of every twist orbit classified on its own, the realization
 scan over every module, and the lattice enumeration of ideal classes), and
 closed-form census counts with their derivations.
 
@@ -25,6 +26,8 @@ from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, MonicIdeal, OrePoly,
                        SizeBoundError, UPoly, build_tower, frobenius_charpoly,
                        is_imaginary, minimal_polynomial, module_structure,
                        plane_torsion_rational)
+from drinfeld2.census import _process_orbit
+from drinfeld2.drinfeld import twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER
 from drinfeld2.polys import _wrap, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
@@ -901,6 +904,14 @@ def twist_orbits_by_sweep(tower):
                 seen[gg * order + dd] = 1
             orbits.append(((g, delta), members, (order - 1) // len(members)))
     return orbits
+
+
+def census_records_without_descent(tower, prime, m):
+    """The census's per-orbit records without Galois descent: every twist
+    orbit is classified as a head of its own, so no record is carried
+    from another orbit by x -> x^(q^d)."""
+    return [record for orbit in twist_orbits(tower)
+            for record in _process_orbit(tower, prime, m, [orbit], False)]
 
 
 def realize_by_scan(tower, prime, m, i1, i2):

@@ -33,7 +33,7 @@ REMOVED = {
     ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
                   "__call__", "shift"],
     polys: ["monic_divisors"],
-    polys.UPoly: ["is_constant", "eval_fq"],
+    polys.UPoly: ["is_constant", "eval_fq", "shift"],
     structure: ["suborder_contained"],
     structure.InvariantFactors: ["common_factor"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates"],

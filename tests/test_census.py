@@ -9,9 +9,10 @@ from drinfeld2 import DrinfeldModule, UPoly, build_tower, census
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
-from drinfeld2.drinfeld import orbit_members
+from drinfeld2.drinfeld import orbit_members, sigma_orbits
 from drinfeld2.fields import SizeBoundError
-from oracles import l_polynomial_problems, twist_orbits_by_sweep
+from oracles import (census_records_without_descent, l_polynomial_problems,
+                     twist_orbits_by_sweep)
 
 from conftest import GRID, Q_TO_PS, STRETCH, tower_for
 
@@ -66,6 +67,142 @@ def test_twist_orbits_match_sweep(p, s, n):
     if tw.order <= 256:
         for rep, members, _ in sweep:
             assert orbit_members(tw, rep) == members
+
+
+def _cycles(image):
+    """The cycles of the permutation i -> image[i], each from its least
+    index, in order of that index."""
+    cycles, seen = [], set()
+    for i in range(len(image)):
+        if i not in seen:
+            cycle = [i]
+            while image[cycle[-1]] != i:
+                cycle.append(image[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+@pytest.mark.parametrize("q,d,m", GRID + STRETCH, ids=lambda v: str(v))
+def test_sigma_orbits_match_the_frobenius_on_members(q, d, m):
+    # x -> x^(q^d) applied to every member of every twist orbit lands in a
+    # single orbit, permuting them; the helper's groups are its cycles
+    tw = tower_for(q, d * m)
+    orbits = twist_orbits(tw)
+    where = {member: i for i, (rep, _, _) in enumerate(orbits)
+             for member in orbit_members(tw, rep)}
+    image = []
+    for rep, _, _ in orbits:
+        targets = {where[(tw.frob(g, d), tw.frob(delta, d))]
+                   for g, delta in orbit_members(tw, rep)}
+        assert len(targets) == 1
+        image.append(targets.pop())
+    assert sorted(image) == list(range(len(orbits)))
+    groups = sigma_orbits(tw, d, orbits)
+    assert groups == _cycles(image)
+    assert all(m % len(group) == 0 for group in groups)
+    if m == 1:  # e.g. (3, 2, 1) and (3, 4, 1): sigma fixes L
+        assert groups == [[i] for i in range(len(orbits))]
+
+
+@pytest.mark.parametrize("q,d,m", GRID + STRETCH + [(3, 1, 7), (2, 1, 10)],
+                         ids=lambda v: str(v))
+def test_descent_matches_classifying_every_orbit(monkeypatch, q, d, m):
+    # the records carried by sigma equal those of classifying each twist
+    # orbit on its own, flags included, and so do the report bytes
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    want = census_records_without_descent(tw, prime, m)
+    assert census._classify_orbits(tw, prime, m, twist_orbits(tw), 1, False) == want
+    report = run_census(tw, prime, m).to_json_bytes()
+    monkeypatch.setattr(census, "_classify_orbits", lambda *args: want)
+    assert run_census(tw, prime, m).to_json_bytes() == report
+
+
+def _regroup(monkeypatch, groups):
+    monkeypatch.setattr(census, "sigma_orbits", lambda tower, d, orbits: groups)
+
+
+def test_descent_guards_raise(monkeypatch):
+    # q = 3, n = 2, m = 2: the first orbit has g = 0 (size 1, 8
+    # automorphisms), the others g != 0 (size 4, 2 automorphisms)
+    tw = tower_for(3, 2)
+    prime = default_prime(tw.fq, 1)
+    orbits = twist_orbits(tw)
+    records = census_records_without_descent(tw, prime, 2)
+    rest = [i for i, (rep, _, _) in enumerate(orbits) if rep[0]]
+    by_unit = {}
+    for i in rest:
+        by_unit.setdefault(records[i]["unit"], []).append(i)
+    same, other = by_unit.values()
+    singles = [[i] for i in range(len(orbits))]
+
+    def apart(*taken):
+        return [[i] for i in range(len(orbits)) if not any(i in t for t in taken)]
+
+    cases = [
+        (singles[1:], "partition"),
+        (singles + [[0]], "partition"),
+        ([same[:3]] + apart(same[:3]), "does not divide"),
+        ([[0, rest[0]]] + apart([0, rest[0]]), "orbit_size"),
+        ([[same[0], other[0]]] + apart([same[0], other[0]]), "unit"),
+    ]
+    for groups, match in cases:
+        _regroup(monkeypatch, groups)
+        with pytest.raises(RuntimeError, match=match):
+            run_census(tw, prime, 2)
+
+
+def test_descent_guard_on_automorphism_counts(monkeypatch):
+    # sizes times automorphism counts are |L| - 1, so only an edited
+    # listing can differ in the count alone: orbits 0 and 1 of q = 3, n = 2
+    # are both (0, delta) orbits of size 1
+    tw = tower_for(3, 2)
+    prime = default_prime(tw.fq, 1)
+    orbits = twist_orbits(tw)
+    edited = [orbits[0], orbits[1][:2] + (orbits[1][2] + 1,)] + orbits[2:]
+    monkeypatch.setattr(census, "twist_orbits", lambda tower: edited)
+    _regroup(monkeypatch, [[0, 1]] + [[i] for i in range(2, len(orbits))])
+    with pytest.raises(RuntimeError, match="aut_count"):
+        run_census(tw, prime, 2)
+
+
+def test_members_of_carried_orbits_are_verified(monkeypatch):
+    # every one of the |L|(|L| - 1) modules gets its own structure, and all
+    # but the sigma-orbit heads their own annihilation residue
+    tw = tower_for(3, 3)
+    prime = default_prime(tw.fq, 1)
+    heads = len(sigma_orbits(tw, 1, twist_orbits(tw)))
+    calls = {"annihilation_holds": 0, "module_structure": 0}
+    for name in calls:
+        real = getattr(census, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(census, name, counted)
+    report = run_census(tw, prime, 3, verify_members=True)
+    assert report.checks["members_all_ok"]
+    modules = tw.order * (tw.order - 1)
+    assert calls == {"annihilation_holds": modules - heads, "module_structure": modules}
+
+
+def test_carried_members_are_checked_against_the_head(monkeypatch):
+    # regroup two orbits of equal unit but different class: only member
+    # verification, which checks a carried orbit's members against its
+    # head's charpoly and structure, notices
+    tw = tower_for(3, 2)
+    prime = default_prime(tw.fq, 1)
+    orbits = twist_orbits(tw)
+    records = census_records_without_descent(tw, prime, 2)
+    i, j = next((i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))
+                if orbits[i][1:] == orbits[j][1:]
+                and records[i]["unit"] == records[j]["unit"]
+                and records[i]["trace"] != records[j]["trace"])
+    _regroup(monkeypatch, [[i, j]] + [[k] for k in range(len(orbits)) if k not in (i, j)])
+    assert run_census(tw, prime, 2).checks["members_all_ok"]
+    assert not run_census(tw, prime, 2, verify_members=True).checks["members_all_ok"]
 
 
 def direct_isomorphism_classes(tower, prime):

@@ -46,6 +46,10 @@ def test_norm_term_follows_the_fields():
     cp = frobenius_charpoly(mod)
     with pytest.raises(TypeError):
         type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, norm=cp.norm_term())
+    with pytest.raises(TypeError):
+        type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, neg_trace=(1,))
+    assert cp.neg_trace == (-cp.trace).coeffs
+    assert replace(cp, trace=P3("T+1")).neg_trace == P3("2*T+2").coeffs
     other = replace(cp, unit=1)
     assert other.norm_term() == P3("T")
     assert not annihilation_holds(mod, other)

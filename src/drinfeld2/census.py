@@ -333,6 +333,14 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     records = _classify_orbits(tower, prime, m, orbits, jobs, verify_members)
 
     # ---- per isomorphism class rows (serialized form) ----
+    texts = {}  # carried orbits repeat their head's polynomials
+
+    def text(coeffs):
+        hit = texts.get(coeffs)
+        if hit is None:
+            hit = texts[coeffs] = str(UPoly(fq, coeffs))
+        return hit
+
     iso_rows = []
     for r in records:
         iso_rows.append({
@@ -341,11 +349,11 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             "orbit_size": r["orbit_size"],
             "aut_count": r["aut_count"],
             "ordinary": r["ordinary"],
-            "c": str(UPoly(fq, r["trace"])),
+            "c": text(r["trace"]),
             "mu": r["unit"],
-            "chi": str(UPoly(fq, r["chi"])),
-            "i1": str(UPoly(fq, r["i1"])),
-            "i2": str(UPoly(fq, r["i2"])),
+            "chi": text(r["chi"]),
+            "i1": text(r["i1"]),
+            "i2": text(r["i2"]),
             "cyclic": r["cyclic"],
             "height": r["height"],
         })
@@ -379,7 +387,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
                 cnt for (j1c, j2c), cnt in structures.items()
                 if (UPoly(fq, j2c) % i2).is_zero()) if i2c != (1,) else len(group)
             struct_rows.append({
-                "i1": str(UPoly(fq, i1c)),
+                "i1": text(i1c),
                 "i2": str(i2),
                 "count": structures[(i1c, i2c)],
                 "cumulative": cumulative,

@@ -146,6 +146,8 @@ def cmd_structure(args):
 
 def cmd_census(args):
     tower = build_tower(args.p, args.s, args.d * args.m)
+    if args.hurwitz and tower.q % 2 == 0:  # refused before the census, not after
+        raise ValueError("class-number checks require odd q")
     if args.P is not None:
         prime = UPoly.parse(tower.fq, args.P)
         if prime.degree() != args.d:

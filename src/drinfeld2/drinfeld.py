@@ -50,13 +50,7 @@ class DrinfeldModule:
     def __repr__(self):
         return ("DrinfeldModule(q=%d, n=%d, prime=%s, g=%s, delta=%s)"
                 % (self.tower.q, self.n, self.prime,
-                   self.g_element(), self.delta_element()))
-
-    def g_element(self):
-        return FieldElement(self.tower, self.g)
-
-    def delta_element(self):
-        return FieldElement(self.tower, self.delta)
+                   FieldElement(self.tower, self.g), FieldElement(self.tower, self.delta)))
 
     def same_category(self, other):
         """True if other is defined over the same tower with the same prime

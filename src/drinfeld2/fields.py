@@ -605,57 +605,75 @@ class FieldElement:
 # an F_q-linear map is a function on ints such as x -> phi_T(x).
 
 
-def _echelon_insert(tower, rows, u):
-    """Reduce u in L against rows, (pivot, row) pairs with digit `pivot` of
-    row 1 and every earlier pivot digit 0; a nonzero remainder joins rows
-    scaled to a leading digit 1.  Returns (cs, lead): cs[i] is the
-    multiple of rows[i] subtracted, lead the remainder's leading digit."""
+def _echelon_insert(tower, rows, u, first=None, tag=None):
+    """Reduce u in L against rows, (pivot, row, tag) triples with digit
+    `pivot` of row 1 and every earlier pivot digit 0.  Returns (u, acc):
+    the remainder, and acc = -sum c_i tag_i over rows[first:], where c_i
+    is the multiple of rows[i] subtracted.  A nonzero remainder joins rows
+    scaled to a leading digit 1, with tag + acc, scaled alike, as its tag.
+
+    Tags are elements of L, updated by the same Zech step as the rows.
+    With first None no tags are read, and tag None keeps none."""
     exp, log, zech, digits = tower._exp, tower._log, tower._zech, tower._digits
     neg = tower.fq.neg_table
     units = tower.order - 1
-    cs = []
-    for p, row in rows:
+    if first is None:
+        first = len(rows)
+    acc = 0
+    for i, (p, row, row_tag) in enumerate(rows):
         c = digits[u][p]
-        cs.append(c)
         if c:  # u - c row, as u + (-c) row; c != 0 makes u != 0
+            lc = log[neg[c]]
             lu = log[u]
-            d = log[neg[c]] + log[row] - lu  # in (1 - |L|, 2(|L| - 1)), as in add_scaled
+            d = lc + log[row] - lu  # in (1 - |L|, 2(|L| - 1)), as in add_scaled
             u = exp[lu + zech[d - units if d >= units else d]]
-    if not u:
-        return cs, 0
-    vec = digits[u]
-    p = 0
-    while not vec[p]:
-        p += 1
-    rows.append((p, exp[log[tower.fq.inv_table[vec[p]]] + log[u]]))
-    return cs, vec[p]
+            if i >= first:  # acc + (-c) row_tag, the same step
+                lv = lc + log[row_tag]
+                if acc:
+                    la = log[acc]
+                    d = lv - la
+                    acc = exp[la + zech[d - units if d >= units else d]]
+                else:
+                    acc = exp[lv]
+    if u:
+        vec = digits[u]
+        p = 0
+        while not vec[p]:
+            p += 1
+        to_one = log[tower.fq.inv_table[vec[p]]]
+        if tag is not None:
+            tag = exp[to_one + log[tower.add(tag, acc)]]
+        rows.append((p, exp[to_one + log[u]], tag))
+    return u, acc
 
 
 def _krylov_relation(tower, step, seed, rows):
     """Extend the basis `rows` (see _echelon_insert) by seed, M seed,
     M^2 seed, ..., M the F_q-linear map `step` on L, until M^d seed depends
     on what is there.  Returns the monic f of degree d, a kernel tuple, with
-    f(M) seed in the span of the rows given.  Each row added carries a tag,
-    its coordinates over the powers of the seed modulo the rows given."""
-    fq = tower.fq
-    add_t, neg_t, mul_t, inv_t = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
+    f(M) seed in the span of the rows given.
+
+    Each row added carries a tag, its coordinates over the powers of the
+    seed modulo the rows given, as an element of L: M^k seed has the tag
+    q^k, and the row it leaves has q^k + acc with acc below digit k.  The
+    sequence has at most n rows, so every tag fits in L, and the relation
+    is the digits of the last acc before its implicit leading 1."""
     first = len(rows)
-    tags = []
-    power = seed
+    power, k = seed, 0
     while True:
-        cs, lead = _echelon_insert(tower, rows, power)
-        tag = [0] * len(tags) + [1]
-        for c, row_tag in zip(cs[first:], tags):
-            if c:
-                minus_c = mul_t[neg_t[c]]
-                for j, t in enumerate(row_tag):
-                    if t:
-                        tag[j] = add_t[tag[j]][minus_c[t]]
-        if not lead:
-            return tuple(tag)
-        to_one = mul_t[inv_t[lead]]
-        tags.append([to_one[t] for t in tag])
+        # at k = n the rows span L, so u is 0 and the tag q^n is never kept
+        u, acc = _echelon_insert(tower, rows, power, first, tower.q ** k)
+        if not u:
+            return tower._digits[acc][:k] + (1,)
         power = step(power)
+        k += 1
+
+
+def _gcd(kernel, a, b):
+    """A greatest common divisor of kernel tuples a and b, up to a unit."""
+    while b:
+        a, b = b, kernel.divmod(a, b)[1]
+    return a
 
 
 def char_and_min_poly(tower, step):
@@ -668,8 +686,14 @@ def char_and_min_poly(tower, step):
     polynomial f, with f(M) seed in W; in the basis the sequences build, M
     is block triangular with companion blocks, so chi is the product of
     the f.  The seeds generate L over F_q[T], so i1 is the lcm of their
-    own minimal polynomials: f for the first seed, one more sequence from
-    nothing for each later one.
+    own minimal polynomials `own`: f for the first seed.
+
+    A later seed needs its own sequence, from nothing, only when f shares
+    a factor with the i1 so far.  That i1 kills W, and f(M) seed lies in
+    W, so own divides i1 f; own(M) seed = 0 lies in W, so f divides own.
+    When gcd(i1, f) = 1, i1 f divides lcm(i1, own), which divides i1 f,
+    so the new i1 is i1 f.  tests/oracles.matrix_char_and_min_poly runs
+    the own sequence of every seed.
     """
     kernel = tower.fq.kernel
     rows = []
@@ -681,11 +705,11 @@ def char_and_min_poly(tower, step):
         if len(f) == 1:
             continue  # the seed already lies in W
         chi = kernel.mul(chi, f)
+        if len(_gcd(kernel, i1, f)) == 1:
+            i1 = kernel.mul(i1, f)
+            continue
         own = _krylov_relation(tower, step, tower.q ** j, [])
-        g, h = i1, own
-        while h:
-            g, h = h, kernel.divmod(g, h)[1]
-        i1 = kernel.monic(kernel.divmod(kernel.mul(i1, own), g)[0])
+        i1 = kernel.monic(kernel.divmod(kernel.mul(i1, own), _gcd(kernel, i1, own))[0])
     return chi, i1
 
 

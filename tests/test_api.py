@@ -26,7 +26,7 @@ REMOVED = {
                 "discriminant", "suborder_contained"],
     drinfeld: ["SplittingBoundError", "TorsionStructure"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
-                              "phi_ideal_two_generators"],
+                              "phi_ideal_two_generators", "g_element", "delta_element"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul"],
     fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
                           "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],

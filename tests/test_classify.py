@@ -23,9 +23,10 @@ from drinfeld2 import (DrinfeldModule, OrePoly, UPoly, action_matrix, annihilati
                        build_tower, frobenius_charpoly, module_structure)
 from drinfeld2.charpoly import _annihilation_residue
 from drinfeld2.drinfeld import twist_orbits
+from drinfeld2 import fields
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
-from oracles import (annihilation_residue_by_ore, charpoly_by_solve,
+from oracles import (_matrix_krylov_relation, annihilation_residue_by_ore, charpoly_by_solve,
                      matrix_char_and_min_poly, matrix_second_invariant_factor,
                      snf_invariant_factors)
 
@@ -166,6 +167,60 @@ def test_inconsistent_factors_raise():
             second((1, 0, 1), (0, 1))  # T does not divide T^2+1
         with pytest.raises(RuntimeError, match="divisibility chain"):
             second((0, 0, 0, 1), (0, 1))  # chi/i1 = T^2, i1 = T
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_krylov_relation_matches_the_matrix_oracle_after_earlier_seeds(q):
+    """Seed by seed, as char_and_min_poly runs them: each relation, and the
+    rows it leaves, equal the matrix route's, also when rows from earlier
+    seeds are present."""
+    fq = base_field(q)
+    rng = random.Random(2000 + q)
+    later = 0
+    for _ in range(25):
+        n = rng.randrange(2, 7)
+        if q ** n > MAX_FIELD_ORDER:
+            continue
+        i2 = random_monic(fq, rng.randrange(1, n // 2 + 1), rng)
+        i1 = i2 * random_monic(fq, n - 2 * i2.degree(), rng)
+        blocks = [companion(f) for f in (i1, i2) if f.degree() > 0]
+        mat = conjugate(fq, block_diagonal(blocks), rng, 4 * n)
+        tower, step = on_l(fq, mat)
+        cols = [list(col) for col in zip(*mat)]
+        rows, matrix_rows = [], []
+        for j in range(n):
+            first = len(rows)
+            seed = [0] * n
+            seed[j] = 1
+            f = fields._krylov_relation(tower, step, tower.q ** j, rows)
+            assert f == _matrix_krylov_relation(fq, cols, seed, matrix_rows)
+            assert [(p, tower.vector(row)) for p, row, _ in rows] == [
+                (p, tuple(row)) for p, row in matrix_rows]
+            later += first > 0 and len(f) > 1
+    assert later  # relations over earlier seeds' rows are compared
+
+
+@pytest.mark.parametrize("mat,calls,chi,i1", [
+    # M = diag(0, -1): seed 1 has f = i1 = T, seed 3 has f = T+1, coprime to it
+    ([[0, 0], [0, 2]], 2, "T^2+T", "T^2+T"),
+    # M e1 = e0, M e0 = 0: seed 3 has f = T, gcd(i1, f) = T, and its own is T^2
+    ([[0, 1], [0, 0]], 3, "T^2", "T^2"),
+])
+def test_own_sequence_runs_only_when_f_shares_a_factor_with_i1(monkeypatch, mat, calls,
+                                                              chi, i1):
+    fq = base_field(3)
+    tower, step = on_l(fq, mat)
+    relation, seen = fields._krylov_relation, []
+
+    def counted(*args):
+        seen.append(args)
+        return relation(*args)
+
+    monkeypatch.setattr(fields, "_krylov_relation", counted)
+    got = char_and_min_poly(tower, step)
+    assert len(seen) == calls
+    assert got == matrix_char_and_min_poly(fq, mat)
+    assert (UPoly(fq, got[0]), UPoly(fq, got[1])) == (UPoly.parse(fq, chi), UPoly.parse(fq, i1))
 
 
 def primes_and_orbits(q, d, m):

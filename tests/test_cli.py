@@ -189,6 +189,20 @@ def test_unwritable_out_is_rejected_before_the_census(tmp_path, capsys, target):
     assert not os.path.exists("/nonexistent") and not os.path.exists(path)
 
 
+@pytest.mark.parametrize("s", ["1", "2"])
+def test_even_q_hurwitz_is_rejected_before_the_census(capsys, monkeypatch, s):
+    # |L| = 8192 (q = 2) and 4096 (q = 4) would take seconds to classify
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr("drinfeld2.cli.run_census", refuse)
+    m = "13" if s == "1" else "6"
+    code, out, err = run_cli(capsys, "census", "--p", "2", "--s", s, "--d", "1", "--m", m,
+                             "--hurwitz")
+    assert code == 2 and out == ""
+    assert "class-number checks require odd q" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--p", "3", "--d", "1", "--m", "1000000000"],
     ["charpoly", "--p", "3", "--P", "T^5000000", "--m", "1", "--g", "1", "--delta", "1"],

@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld2 import (DrinfeldModule, OrePoly, UPoly, action_matrix, annihilation_holds,
-                       build_tower, frobenius_charpoly, module_structure)
+                       build_tower, fields, frobenius_charpoly, module_structure)
 from drinfeld2.charpoly import _annihilation_residue
 from drinfeld2.drinfeld import twist_orbits
-from drinfeld2 import fields
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
 from oracles import (_matrix_krylov_relation, annihilation_residue_by_ore, charpoly_by_solve,

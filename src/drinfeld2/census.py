@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import annihilation_holds, frobenius_charpoly, frobenius_unit, is_imaginary
+from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
+                       frobenius_unit, is_imaginary)
 from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
@@ -41,7 +42,7 @@ def default_prime(fq, d):
     return enumerate_monic_irreducibles(fq, d)[0]
 
 
-def _process_orbit(tower, prime, m, group, verify_members):
+def _process_orbit(tower, prime, group, verify_members):
     """Classify the head of one sigma-orbit of isomorphism classes; returns
     one plain-data record per twist orbit of group, a list of
     (rep, orbit_size, aut_count) with the head first.  Each record keeps
@@ -121,15 +122,15 @@ def _fork_available():
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _pool_init(p, s, n, prime_coeffs, m, verify_members):
+def _pool_init(p, s, n, prime_coeffs, verify_members):
     tower = build_tower(p, s, n)
     prime = UPoly(tower.fq, prime_coeffs)
-    _WORKER["args"] = (tower, prime, m, verify_members)
+    _WORKER["args"] = (tower, prime, verify_members)
 
 
 def _pool_work(group):
-    tower, prime, m, verify_members = _WORKER["args"]
-    return _process_orbit(tower, prime, m, group, verify_members)
+    tower, prime, verify_members = _WORKER["args"]
+    return _process_orbit(tower, prime, group, verify_members)
 
 
 def counting_formulas(q, d, m):
@@ -285,11 +286,10 @@ def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_pool_init,
-                      initargs=(tower.p, tower.s, tower.n, prime.coeffs, m,
-                                verify_members)) as pool:
+                      initargs=(tower.p, tower.s, tower.n, prime.coeffs, verify_members)) as pool:
             done = pool.map(_pool_work, work)
     else:
-        done = [_process_orbit(tower, prime, m, group, verify_members) for group in work]
+        done = [_process_orbit(tower, prime, group, verify_members) for group in work]
 
     records = [None] * len(orbits)
     for group, group_records in zip(groups, done):
@@ -374,8 +374,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         chi = UPoly(fq, group[0]["chi"])
         if any(r["chi"] != group[0]["chi"] for r in group):
             raise RuntimeError("isogeny class members disagree on P(1)")
-        cp_norm = prime.pow(m).scale(unit)
-        disc = trace * trace - cp_norm.scale(4 % fq.p)
+        disc = FrobeniusCharPoly(trace, unit, prime, m).disc_poly()
         structures = {}
         for r in group:
             key2 = (r["i1"], r["i2"])

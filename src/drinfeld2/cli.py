@@ -61,13 +61,18 @@ def _check_out(path):
         raise ValueError("cannot write %s: %s is missing or not writable" % (path, parent))
 
 
+def _tower_and_prime(args, n=None):
+    """Parse --P over F_q and build the tower of degree m deg P, which
+    must equal n when n is given."""
+    prime = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
+    degree = args.m * prime.degree()
+    if n is not None and n != degree:
+        raise ValueError("--n %d does not match m*deg(P) = %d" % (n, degree))
+    return build_tower(args.p, args.s, degree), prime
+
+
 def _build_module(args):
-    prime_probe = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
-    n = args.m * prime_probe.degree()
-    if args.n is not None and args.n != n:
-        raise ValueError("--n %d does not match m*deg(P) = %d" % (args.n, n))
-    tower = build_tower(args.p, args.s, n)
-    prime = UPoly.parse(tower.fq, args.P)
+    tower, prime = _tower_and_prime(args, args.n)
     g = FieldElement.parse(tower, args.g)
     delta = FieldElement.parse(tower, args.delta)
     return DrinfeldModule(tower, prime, g, delta)
@@ -177,11 +182,7 @@ def cmd_census(args):
 
 
 def cmd_realize(args):
-    prime_probe = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
-    d = prime_probe.degree()
-    n = args.m * d
-    tower = build_tower(args.p, args.s, n)
-    prime = UPoly.parse(tower.fq, args.P)
+    tower, prime = _tower_and_prime(args)
     i1 = UPoly.parse(tower.fq, args.i1)
     i2 = UPoly.parse(tower.fq, args.i2)
     result = realize_structure(tower, prime, args.m, i1, i2)

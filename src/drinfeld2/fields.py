@@ -4,7 +4,9 @@ Construction is deterministic: every extension is cut out by the
 lexicographically smallest monic irreducible of the right degree, where
 coefficient vectors are compared constant term first.  Two towers built
 from the same (p, s, n) are therefore identical, and the one built by
-:func:`build_tower` is additionally cached and shared.
+:func:`build_tower` is additionally cached and shared.  One construction
+serves every field: F_p takes its tables from the integers mod p, and
+F_q for s >= 2 reads its tables off the tower of degree s over F_p.
 
 Elements are plain ints.  An F_q element is the base-p digit encoding of
 its coefficient vector over F_p; an element of L is the base-q digit
@@ -37,17 +39,6 @@ MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1
 
 class SizeBoundError(ValueError):
     """Requested object exceeds the documented enumeration bounds."""
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def prime_factors(n):
@@ -211,74 +202,42 @@ def _poly_kernel(fq):
 
 
 class Fq:
-    """The field F_q, q = p^s, with full arithmetic tables."""
+    """The field F_q, q = p^s, with full arithmetic tables.
+
+    F_p has its tables straight from the integers mod p.  For s >= 2, F_q
+    is the tower of degree s over F_p, build_tower(p, 1, s): the same
+    base-p digits, cut out by the same least monic irreducible, which is
+    min_poly, so the q x q tables are read off the tower's log and Zech
+    tables and F_q needs no construction of its own.
+    """
 
     def __init__(self, p, s):
         if s < 1:
             raise ValueError("extension degree s must be >= 1")
-        # compare before the power and the primality test, which are slow
+        # compare before the power and the factorization, which are slow
         # for huge inputs
         if p > MAX_BASE_ORDER or s > MAX_DEGREE or p ** s > MAX_BASE_ORDER:
             raise SizeBoundError("base field order %d^%d exceeds %d" % (p, s, MAX_BASE_ORDER))
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise ValueError("characteristic %r is not prime" % (p,))
         q = p ** s
         self.p = p
         self.s = s
         self.q = q
-
-        digits = [self._int_to_vec(v) for v in range(q)]
-        self._digits = digits
-
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                v = 0
-                for i in range(s - 1, -1, -1):
-                    v = v * p + (da[i] + db[i]) % p
-                add[a][b] = v
-                add[b][a] = v
-        self.add_table = add
-        self.neg_table = [self._vec_to_int([(-d) % p for d in digits[a]]) for a in range(q)]
-
         if s == 1:
             self.min_poly = (0, 1)  # the polynomial x
-            mul = [[a * b % p for b in range(p)] for a in range(p)]
+            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.mul_table = [[a * b % p for b in range(p)] for a in range(p)]
+            self.neg_table = [-a % p for a in range(p)]
+            self.inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
         else:
-            base = _build_fq(p, 1).kernel
-            self.min_poly = next(base.irreducibles(s))
-            mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    prod = base.mul(digits[a], digits[b])
-                    v = self._vec_to_int(base.divmod(prod, self.min_poly)[1])
-                    mul[a][b] = v
-                    mul[b][a] = v
-        self.mul_table = mul
-
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = inv
+            tower = build_tower(p, 1, s)
+            self.min_poly = tower.top_min_poly
+            self.add_table = [[tower.add(a, b) for b in range(q)] for a in range(q)]
+            self.mul_table = [[tower.mul(a, b) for b in range(q)] for a in range(q)]
+            self.neg_table = [tower.neg(a) for a in range(q)]
+            self.inv_table = [0] + [tower.inv(a) for a in range(1, q)]
         self.kernel = _poly_kernel(self)
-
-    def _int_to_vec(self, v):
-        out = []
-        for _ in range(self.s):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def _vec_to_int(self, vec):
-        v = 0
-        for d in reversed(vec):
-            v = v * self.p + d
-        return v
 
     def add(self, a, b):
         return self.add_table[a][b]

@@ -187,7 +187,7 @@ class UPoly:
     def __repr__(self):
         return "UPoly(F_%d, %s)" % (self.fq.q, self)
 
-    _TERM_RE = re.compile(r"^(\d+)?\s*\*?\s*(T(\^(\d+))?)?$")
+    _TERM_RE = re.compile(r"^(\d+)?\s*(\*)?\s*(T(\^(\d+))?)?$")
 
     @classmethod
     def parse(cls, fq, text):
@@ -206,13 +206,15 @@ class UPoly:
             if negate:
                 raw = raw[1:]
             mt = cls._TERM_RE.match(raw)
-            if not mt or (mt.group(1) is None and mt.group(2) is None):
+            # a coefficient, a power of T or both, with '*' only between two
+            if not mt or (mt.group(1) is None and mt.group(3) is None) or (
+                    mt.group(2) and None in (mt.group(1), mt.group(3))):
                 raise ValueError("malformed polynomial term: %r" % raw)
             cnum = int(mt.group(1)) if mt.group(1) is not None else 1
-            if mt.group(2) is None:
+            if mt.group(3) is None:
                 k = 0
-            elif mt.group(4) is not None:
-                k = int(mt.group(4))
+            elif mt.group(5) is not None:
+                k = int(mt.group(5))
             else:
                 k = 1
             if k > MAX_DEGREE:

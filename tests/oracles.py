@@ -1,5 +1,6 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
-scans, the routes the library no longer takes (a Smith normal form over A,
+scans, the routes the library no longer takes (F_q's tables from
+polynomial products, a Smith normal form over A,
 Krylov sequences of the n x n action matrix over F_q, linear solves for the
 Frobenius characteristic polynomial and for tau^n in the image of phi, the
 annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
@@ -173,6 +174,58 @@ def cyclic_proportions_are_one(q, d, m):
         return False
     return _outside("cyclic_proportions_are_one", q, d, m,
                     "n <= 2 (q odd at (d, m) = (2, 1)) or n = 3 with q odd")
+
+
+# ---------------------------------------------------------------------------
+# F_q by polynomial products, in plain integer arithmetic mod p.
+
+
+def fq_tables_by_polynomials(p, s):
+    """(min_poly, add, mul, neg, inv) for F_q, q = p^s, built from
+    polynomials over F_p rather than from a tower: an element is the
+    base-p digit vector of its int, min_poly is the least monic
+    irreducible of degree s (coefficient vectors compared constant term
+    first, irreducibility by trial division), sums and negatives go digit
+    by digit, products are polynomial products reduced mod min_poly, and
+    inverses come from a scan of the product table."""
+    q = p ** s
+    digits = [tuple(v // p ** i % p for i in range(s)) for v in range(q)]
+
+    def to_int(vec):
+        return sum(c * p ** i for i, c in enumerate(vec))
+
+    def monics(degree):
+        return (tail + (1,) for tail in itertools.product(range(p), repeat=degree))
+
+    def reduce(a, f):
+        # the remainder of a mod the monic f, as deg f digits
+        r = list(a) + [0] * (len(f) - 1 - len(a))
+        for k in range(len(r) - len(f), -1, -1):
+            c = r[k + len(f) - 1]
+            if c:
+                for i, fi in enumerate(f):
+                    r[k + i] = (r[k + i] - c * fi) % p
+        return r[:len(f) - 1]
+
+    def product(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    min_poly = next(f for f in monics(s)
+                    if all(any(reduce(f, g)) for e in range(1, s // 2 + 1) for g in monics(e)))
+    add = [[to_int([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
+           for a in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):  # products commute
+            mul[a][b] = mul[b][a] = to_int(reduce(product(digits[a], digits[b]), min_poly))
+    neg = [to_int([-x % p for x in digits[a]]) for a in range(q)]
+    inv = [0] + [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
+    return min_poly, add, mul, neg, inv
 
 
 # ---------------------------------------------------------------------------
@@ -906,12 +959,12 @@ def twist_orbits_by_sweep(tower):
     return orbits
 
 
-def census_records_without_descent(tower, prime, m):
+def census_records_without_descent(tower, prime):
     """The census's per-orbit records without Galois descent: every twist
     orbit is classified as a head of its own, so no record is carried
     from another orbit by x -> x^(q^d)."""
     return [record for orbit in twist_orbits(tower)
-            for record in _process_orbit(tower, prime, m, [orbit], False)]
+            for record in _process_orbit(tower, prime, [orbit], False)]
 
 
 def realize_by_scan(tower, prime, m, i1, i2):

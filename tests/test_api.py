@@ -27,7 +27,9 @@ REMOVED = {
     drinfeld: ["SplittingBoundError", "TorsionStructure"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element"],
-    fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul"],
+    fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
+             "is_prime"],
+    fields.Fq: ["_int_to_vec", "_vec_to_int"],
     fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
                           "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
     ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
@@ -51,3 +53,4 @@ def test_removed_names_are_gone_from_the_library():
         for name in names:
             assert name not in vars(owner), (owner, name)
     assert list(inspect.signature(ore.OrePoly.apply).parameters) == ["self", "x"]
+    assert not hasattr(fields.Fq(2, 2), "_digits")

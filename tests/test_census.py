@@ -112,7 +112,7 @@ def test_descent_matches_classifying_every_orbit(monkeypatch, q, d, m):
     # orbit on its own, flags included, and so do the report bytes
     tw = tower_for(q, d * m)
     prime = default_prime(tw.fq, d)
-    want = census_records_without_descent(tw, prime, m)
+    want = census_records_without_descent(tw, prime)
     assert census._classify_orbits(tw, prime, m, twist_orbits(tw), 1, False) == want
     report = run_census(tw, prime, m).to_json_bytes()
     monkeypatch.setattr(census, "_classify_orbits", lambda *args: want)
@@ -129,7 +129,7 @@ def test_descent_guards_raise(monkeypatch):
     tw = tower_for(3, 2)
     prime = default_prime(tw.fq, 1)
     orbits = twist_orbits(tw)
-    records = census_records_without_descent(tw, prime, 2)
+    records = census_records_without_descent(tw, prime)
     rest = [i for i, (rep, _, _) in enumerate(orbits) if rep[0]]
     by_unit = {}
     for i in rest:
@@ -195,7 +195,7 @@ def test_carried_members_are_checked_against_the_head(monkeypatch):
     tw = tower_for(3, 2)
     prime = default_prime(tw.fq, 1)
     orbits = twist_orbits(tw)
-    records = census_records_without_descent(tw, prime, 2)
+    records = census_records_without_descent(tw, prime)
     i, j = next((i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))
                 if orbits[i][1:] == orbits[j][1:]
                 and records[i]["unit"] == records[j]["unit"]

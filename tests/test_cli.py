@@ -135,6 +135,13 @@ def test_realize_command(capsys):
     assert payload["g"] == [1] and payload["delta"] == [1]
 
 
+def test_realize_rejects_a_dangling_star(capsys):
+    code, out, err = run_cli(capsys, "realize", "--p", "5", "--P", "T", "--m", "1",
+                             "--i1", "T+4*", "--i2", "1")
+    assert code == 2 and out == ""
+    assert "malformed polynomial term" in err
+
+
 def test_realize_not_realizable_exit_code(capsys):
     code, out, _ = run_cli(capsys, "realize", "--p", "3", "--s", "1",
                            "--P", "T", "--m", "2", "--i1", "T^2+1",

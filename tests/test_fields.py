@@ -4,7 +4,8 @@ import random
 import pytest
 
 from drinfeld2 import FieldElement, SizeBoundError, build_tower
-from oracles import FieldEmbedding, gauss_solve, nullspace
+from drinfeld2.fields import MAX_BASE_ORDER, Fq
+from oracles import FieldEmbedding, fq_tables_by_polynomials, gauss_solve, nullspace
 
 
 def test_prime_field_tower():
@@ -22,6 +23,18 @@ def test_f9_top_min_poly_is_lex_smallest():
 def test_f4_base_min_poly():
     tw = build_tower(2, 2, 1)
     assert tw.fq.min_poly == (1, 1, 1)  # x^2 + x + 1, the only choice
+
+
+def test_fq_tables_equal_the_polynomial_construction():
+    # F_q, read off the degree-s tower over F_p, against polynomial
+    # products mod the least irreducible, for every q <= 128
+    fields = [(p, s) for p in range(2, MAX_BASE_ORDER + 1) if all(p % k for k in range(2, p))
+              for s in range(1, MAX_BASE_ORDER.bit_length()) if p ** s <= MAX_BASE_ORDER]
+    assert len(fields) == 44
+    for p, s in fields:
+        fq = Fq(p, s)
+        got = (fq.min_poly, fq.add_table, fq.mul_table, fq.neg_table, fq.inv_table)
+        assert got == fq_tables_by_polynomials(p, s), (p, s)
 
 
 def test_build_tower_is_cached_and_identical():

@@ -143,13 +143,20 @@ def test_parse_and_str_roundtrip():
         f = UPoly(fq, [rng.randrange(3) for _ in range(rng.randrange(0, 6))])
         assert UPoly.parse(fq, str(f)) == f
     assert P("T^2-1") == P("T^2+2")
-    assert P("-T") == P("2*T")
+    assert P("-T") == P("2*T") == P("2T") == P("2 * T")
+    assert P("4 * T^2 + T") == P("T^2+1T")
     with pytest.raises(ValueError):
         P("T^")
     with pytest.raises(ValueError):
         P("")
     with pytest.raises(ValueError):
         P("x+1")
+
+
+@pytest.mark.parametrize("text", ["3*", "*T", "2*+T", "T+4*", "*", "T^2+*1", "-*T", "2**T"])
+def test_parse_rejects_a_star_missing_a_factor(text):
+    with pytest.raises(ValueError, match="malformed polynomial term"):
+        P(text)
 
 
 def test_monic_ideals():

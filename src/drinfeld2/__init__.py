@@ -12,9 +12,9 @@ from .drinfeld import DrinfeldModule
 from .charpoly import (FrobeniusCharPoly, annihilation_holds,
                        euler_characteristic, frobenius_charpoly, is_imaginary,
                        is_isogenous, minimal_polynomial)
-from .structure import (InvariantFactors, NotRealizable, action_matrix,
-                        check_criteria, module_structure,
-                        plane_torsion_rational, realize_structure)
+from .structure import (InvariantFactors, NotRealizable, check_criteria,
+                        module_structure, plane_torsion_rational,
+                        realize_structure)
 from .hurwitz import class_number, hurwitz_class_number
 from .census import (CensusReport, attach_class_number_checks,
                      compute_statistics, counting_formulas, cyclicity_trend,
@@ -29,7 +29,7 @@ __all__ = [
     "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
     "frobenius_charpoly", "is_imaginary", "is_isogenous",
     "minimal_polynomial", "InvariantFactors", "NotRealizable",
-    "action_matrix", "check_criteria", "module_structure",
+    "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
-                       frobenius_unit, is_imaginary)
+from .charpoly import annihilation_holds, frobenius_charpoly, frobenius_unit, is_imaginary
 from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
@@ -54,7 +53,6 @@ def _process_orbit(tower, prime, group, verify_members):
     inv = module_structure(mod)
     h = mod.height()
     ss = h == 2
-    chi = cp.chi_poly()
     flags = check_criteria(mod, inv, cp)
 
     prime_divides_trace = (cp.trace % prime).is_zero()
@@ -68,7 +66,7 @@ def _process_orbit(tower, prime, group, verify_members):
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
     torsion_equiv_ok = True
-    for rho in irreducible_divisors(chi):
+    for rho in irreducible_divisors(cp.chi):
         if rho == prime:
             continue
         via_division = plane_torsion_rational(mod, rho)
@@ -79,20 +77,18 @@ def _process_orbit(tower, prime, group, verify_members):
 
     head = {
         "trace": cp.trace.coeffs,
-        "chi": chi.coeffs,
+        "chi": cp.chi.coeffs,
+        "disc": cp.disc.coeffs,
         "i1": inv.i1.coeffs,
         "i2": inv.i2.coeffs,
         "cyclic": inv.is_cyclic(),
         "height": h,
-        "supersingular": ss,
         "ordinary": not ss,
         # frobenius_charpoly raises unless the annihilation identity holds
         "annihilation_ok": True,
         "trace_bound_ok": cp.trace_degree_ok(),
         "criteria": flags,
         "torsion_equiv_ok": torsion_equiv_ok,
-        "frobenius_in_image": (cp.frobenius_in_image.coeffs
-                               if cp.frobenius_in_image is not None else None),
     }
     pair = inv.as_pair()
     records = []
@@ -120,12 +116,6 @@ def _fork_available():
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _pool_init(p, s, n, prime_coeffs, verify_members):
-    tower = build_tower(p, s, n)
-    prime = UPoly(tower.fq, prime_coeffs)
-    _WORKER["args"] = (tower, prime, verify_members)
 
 
 def _pool_work(group):
@@ -284,10 +274,13 @@ def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
     if workers > 1 and _fork_available():
         import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init,
-                      initargs=(tower.p, tower.s, tower.n, prime.coeffs, verify_members)) as pool:
-            done = pool.map(_pool_work, work)
+        # forked workers inherit the tower and prime from _WORKER
+        _WORKER["args"] = (tower, prime, verify_members)
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                done = pool.map(_pool_work, work)
+        finally:
+            _WORKER.clear()
     else:
         done = [_process_orbit(tower, prime, group, verify_members) for group in work]
 
@@ -374,23 +367,16 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         chi = UPoly(fq, group[0]["chi"])
         if any(r["chi"] != group[0]["chi"] for r in group):
             raise RuntimeError("isogeny class members disagree on P(1)")
-        disc = FrobeniusCharPoly(trace, unit, prime, m).disc_poly()
+        disc = UPoly(fq, group[0]["disc"])
         structures = {}
         for r in group:
             key2 = (r["i1"], r["i2"])
             structures[key2] = structures.get(key2, 0) + 1
-        struct_rows = []
-        for (i1c, i2c) in sorted(structures):
-            i2 = UPoly(fq, i2c)
-            cumulative = sum(
-                cnt for (j1c, j2c), cnt in structures.items()
-                if (UPoly(fq, j2c) % i2).is_zero()) if i2c != (1,) else len(group)
-            struct_rows.append({
-                "i1": text(i1c),
-                "i2": str(i2),
-                "count": structures[(i1c, i2c)],
-                "cumulative": cumulative,
-            })
+        counted = [(i1c, UPoly(fq, i2c), cnt) for (i1c, i2c), cnt in sorted(structures.items())]
+        i2_counts = [(i2, cnt) for _, i2, cnt in counted]
+        struct_rows = [{"i1": text(i1c), "i2": str(i2), "count": cnt,
+                        "cumulative": _members_with_plane(i2_counts, i2)}
+                       for i1c, i2, cnt in counted]
         weighted = sum(Fraction(q - 1, r["aut_count"]) for r in group)
         row = {
             "c": str(trace),
@@ -508,6 +494,13 @@ def _admissible_i2(chi, c_minus_2):
     return sorted((f for f in out if not f.is_one()), key=lambda f: (f.degree(), f.coeffs))
 
 
+def _members_with_plane(i2_counts, i2):
+    """The number of members of an isogeny class whose L contains the
+    full i2-plane, from (second invariant factor, member count) pairs:
+    those whose second invariant factor i2 divides."""
+    return sum(cnt for j2, cnt in i2_counts if (j2 % i2).is_zero())
+
+
 def attach_class_number_checks(report, tower):
     """Compare census class sizes with independently computed Hurwitz class
     numbers, per ordinary isogeny class: the class size W against H(disc),
@@ -531,13 +524,11 @@ def attach_class_number_checks(report, tower):
         H, details = hurwitz_class_number(disc, fq)
         w_match = H == cls["W"]
         all_match = all_match and w_match and imaginary
+        i2_counts = [(UPoly.parse(fq, srow["i2"]), srow["count"])
+                     for srow in cls["structures"]]
         sub_rows = []
         for i2 in _admissible_i2(chi, trace - UPoly.constant(fq, 2 % fq.p)):
-            cumulative = 0
-            for srow in cls["structures"]:
-                j2 = UPoly.parse(fq, srow["i2"])
-                if (j2 % i2).is_zero():
-                    cumulative += srow["count"]
+            cumulative = _members_with_plane(i2_counts, i2)
             sub_disc, rem = divmod(disc, i2 * i2)
             if not rem.is_zero():
                 raise RuntimeError(

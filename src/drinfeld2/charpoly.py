@@ -32,7 +32,20 @@ def _prime_power(prime, m):
 
 @dataclass(frozen=True)
 class FrobeniusCharPoly:
-    """X^2 - trace*X + unit*prime^m, the characteristic polynomial of tau^n."""
+    """X^2 - trace*X + unit*prime^m, the characteristic polynomial of tau^n.
+
+    The invariants read off it are derived once from the fields, and
+    replace() derives them anew:
+
+    - norm = unit*prime^m, the constant coefficient P(0);
+    - chi, the monic normalization of P(1) = 1 - trace + norm, which
+      generates the Euler-Poincare characteristic;
+    - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even;
+      callers flag that case.
+
+    Raises RuntimeError when P(1) = 0, which no module gives: there
+    P(1) = unit*chi with deg chi = n >= 1.
+    """
 
     trace: UPoly
     unit: int
@@ -43,32 +56,20 @@ class FrobeniusCharPoly:
     frobenius_in_image: UPoly = None
     norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
     neg_trace: tuple = field(init=False, compare=False, repr=False)  # (-trace).coeffs
+    chi: UPoly = field(init=False, compare=False, repr=False)  # monic P(1)
+    disc: UPoly = field(init=False, compare=False, repr=False)  # trace^2 - 4*norm
 
     def __post_init__(self):
-        # derived once from the fields: each orbit reads the norm four times,
-        # and every member's annihilation residue reads both
-        object.__setattr__(self, "norm", _prime_power(self.prime, self.ext_degree).scale(self.unit))
-        object.__setattr__(self, "neg_trace", (-self.trace).coeffs)
-
-    def norm_term(self):
-        """The constant coefficient unit * prime^m, an element of A."""
-        return self.norm
-
-    def chi_poly(self):
-        """Monic generator of the Euler-Poincare characteristic: the monic
-        normalization of P(1) = 1 - trace + unit*prime^m."""
-        val = UPoly.one(self.trace.fq) - self.trace + self.norm_term()
-        if val.is_zero():
+        fq = self.trace.fq
+        norm = _prime_power(self.prime, self.ext_degree).scale(self.unit)
+        at_one = UPoly.one(fq) - self.trace + norm
+        if at_one.is_zero():
             raise RuntimeError("P(1) = 0; the Frobenius cannot fix a nonzero point")
-        return val.monic()
-
-    def disc_poly(self):
-        """The discriminant trace^2 - 4*unit*prime^m as an element of A.
-
-        For q even this degenerates to trace^2; callers flag that case.
-        """
-        four = UPoly.constant(self.trace.fq, 4 % self.trace.fq.p)
-        return self.trace * self.trace - four * self.norm_term()
+        four = UPoly.constant(fq, 4 % fq.p)
+        for name, value in (("norm", norm), ("neg_trace", (-self.trace).coeffs),
+                            ("chi", at_one.monic()),
+                            ("disc", self.trace * self.trace - four * norm)):
+            object.__setattr__(self, name, value)
 
     def key(self):
         """Hashable identity of the isogeny class."""
@@ -76,7 +77,7 @@ class FrobeniusCharPoly:
 
     def eval_at(self, a):
         """P(a) for a in A."""
-        return a * a - self.trace * a + self.norm_term()
+        return a * a - self.trace * a + self.norm
 
     def trace_degree_ok(self):
         """Hasse-Weil analogue: 2*deg(trace) <= m*deg(prime)."""
@@ -118,7 +119,7 @@ def frobenius_charpoly(mod):
     unit = frobenius_unit(tower, mod.delta)
     trace = UPoly.one(fq) + _prime_power(mod.prime, mod.m).scale(unit) - chi.scale(unit)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
-    if cp.disc_poly().is_zero():
+    if cp.disc.is_zero():
         a = _frobenius_witness(mod, cp)
         if a is not None:
             cp = replace(cp, frobenius_in_image=a)
@@ -148,16 +149,16 @@ def _annihilation_residue(mod, cp):
     """The coefficients, low degree first, of tau^(2n) - phi(trace) tau^n
     + phi(unit prime^m) in L{tau}."""
     n = mod.n
-    out = [0] * max(2 * n + 1, n + 2 * len(cp.trace.coeffs), 2 * len(cp.norm_term().coeffs))
+    out = [0] * max(2 * n + 1, n + 2 * len(cp.trace.coeffs), 2 * len(cp.norm.coeffs))
     out[2 * n] = 1
     mod._phi_into(out, cp.neg_trace, n)
-    mod._phi_into(out, cp.norm_term().coeffs)
+    mod._phi_into(out, cp.norm.coeffs)
     return out
 
 
 def euler_characteristic(mod):
     """The ideal generated by P(1); its degree equals n."""
-    chi = frobenius_charpoly(mod).chi_poly()
+    chi = frobenius_charpoly(mod).chi
     if chi.degree() != mod.n:
         raise RuntimeError("deg P(1) = %d differs from n = %d" % (chi.degree(), mod.n))
     return MonicIdeal(chi)
@@ -193,4 +194,4 @@ def minimal_polynomial(mod):
     if cp.frobenius_in_image is not None:
         a = cp.frobenius_in_image
         return [-a, UPoly.one(fq)]
-    return [cp.norm_term(), -cp.trace, UPoly.one(fq)]
+    return [cp.norm, -cp.trace, UPoly.one(fq)]

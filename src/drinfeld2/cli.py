@@ -101,7 +101,7 @@ def cmd_charpoly(args):
     mod = _build_module(args)
     cp = frobenius_charpoly(mod)
     chi = euler_characteristic(mod)
-    disc = cp.disc_poly()
+    disc = cp.disc
     ss = mod.is_supersingular()
     payload = {
         "schema_version": "1",
@@ -138,7 +138,7 @@ def cmd_structure(args):
         "i1": str(inv.i1),
         "i2": str(inv.i2),
         "cyclic": inv.is_cyclic(),
-        "chi": str(cp.chi_poly()),
+        "chi": str(cp.chi),
         "ordinary": mod.is_ordinary(),
         "criteria": flags,
     }

@@ -132,15 +132,6 @@ class DrinfeldModule:
         return self.height() == 1
 
 
-def action_matrix(mod):
-    """Matrix over F_q of x -> phi_T(x) on L in the canonical power basis;
-    column j holds the coordinates of the image of the j-th basis vector."""
-    tw = mod.tower
-    n = tw.n
-    cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def twist_orbits(tower):
     """Isomorphism classes of rank-2 modules over L: the orbits of L x L^*
     under u: (g, delta) -> (u^(q-1) g, u^(q^2-1) delta), u in L^*.

@@ -347,16 +347,17 @@ class FieldTower:
         if x != 1:
             raise RuntimeError("generator order mismatch")
         # Zech logarithms: 1 + g^k = g^zech[k], or zech[k] = 2(|L| - 1) when
-        # 1 + g^k = 0; adding 1 changes only the constant digit.  add indexes
-        # zech by log b - log a, a negative index reducing it mod |L| - 1.
-        # exp runs over two periods and then |L| - 1 zeros, so a sum of two
-        # logs indexes it without reduction and the sentinel lands on 0.
+        # 1 + g^k = 0; adding 1 changes only the constant digit.  zech runs
+        # over two periods, so every index in (1 - |L|, 2(|L| - 1)), such as
+        # log b - log a or log c + log y - log a, reads it directly.  exp
+        # runs over two periods and then |L| - 1 zeros, so a sum of two logs
+        # indexes it without reduction and the sentinel lands on 0.
         plus_one = [x - x % q + fq.add_table[x % q][1] for x in exp]
         zech = [log[y] if y else 2 * (order - 1) for y in plus_one]
         self.generator = gen
         self._exp = exp + exp + [0] * (order - 1)
         self._log = log
-        self._zech = zech
+        self._zech = zech + zech
 
         m1 = fq.neg_table[1]  # -1 as an element of F_q inside L
         self._negtab = [self.mul(a, m1) if m1 != 1 else a for a in range(order)]
@@ -421,7 +422,6 @@ class FieldTower:
             return
         exp, log, zech = self._exp, self._log, self._zech
         frob = self._frob[k % self.n]
-        units = self.order - 1
         lc = log[c]
         for j, y in enumerate(ys, at):
             if y:
@@ -429,8 +429,7 @@ class FieldTower:
                 o = out[j]
                 if o:
                     lo = log[o]
-                    d = lv - lo  # in (1 - |L|, 2(|L| - 1)); zech takes (1 - |L|, |L| - 1)
-                    out[j] = exp[lo + zech[d - units if d >= units else d]]
+                    out[j] = exp[lo + zech[lv - lo]]
                 else:
                     out[j] = exp[lv]
 
@@ -575,7 +574,6 @@ def _echelon_insert(tower, rows, u, first=None, tag=None):
     With first None no tags are read, and tag None keeps none."""
     exp, log, zech, digits = tower._exp, tower._log, tower._zech, tower._digits
     neg = tower.fq.neg_table
-    units = tower.order - 1
     if first is None:
         first = len(rows)
     acc = 0
@@ -584,14 +582,12 @@ def _echelon_insert(tower, rows, u, first=None, tag=None):
         if c:  # u - c row, as u + (-c) row; c != 0 makes u != 0
             lc = log[neg[c]]
             lu = log[u]
-            d = lc + log[row] - lu  # in (1 - |L|, 2(|L| - 1)), as in add_scaled
-            u = exp[lu + zech[d - units if d >= units else d]]
+            u = exp[lu + zech[lc + log[row] - lu]]
             if i >= first:  # acc + (-c) row_tag, the same step
                 lv = lc + log[row_tag]
                 if acc:
                     la = log[acc]
-                    d = lv - la
-                    acc = exp[la + zech[d - units if d >= units else d]]
+                    acc = exp[la + zech[lv - la]]
                 else:
                     acc = exp[lv]
     if u:

@@ -156,8 +156,7 @@ class OrePoly:
                 lv = log[c] + lx
                 if out:
                     lo = log[out]
-                    d = lv - lo  # reduced as in FieldTower.add_scaled
-                    out = exp[lo + zech[d - units if d >= units else d]]
+                    out = exp[lo + zech[lv - lo]]
                 else:
                     out = exp[lv]
             lx = lx * q % units

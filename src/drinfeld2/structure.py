@@ -8,11 +8,10 @@ import itertools
 from dataclasses import dataclass
 
 from .charpoly import frobenius_charpoly
-from .drinfeld import (DrinfeldModule, action_matrix,  # action_matrix is re-exported
-                       sigma_orbits, twist_orbits)
+from .drinfeld import DrinfeldModule, sigma_orbits, twist_orbits
 from .fields import second_invariant_factor
 from .ore import OrePoly
-from .polys import UPoly, _wrap
+from .polys import UPoly, _wrap, residue_root
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def check_criteria(mod, inv=None, cp=None):
     if cp is None:
         cp = frobenius_charpoly(mod)
     fq = mod.tower.fq
-    chi = cp.chi_poly()
+    chi = cp.chi
     two = UPoly.constant(fq, 2 % fq.p)
     c_minus_2 = cp.trace - two
     flags = {
@@ -133,13 +132,14 @@ def realize_structure(tower, prime, m, i1, i2):
     representative, and x -> x^(q^d) carries class and structure to the
     other orbits of its sigma-orbit, whose least representative is the
     head.  Returns a DrinfeldModule or a NotRealizable naming the failed
-    condition.
+    condition; an invalid prime, one that is not monic irreducible with
+    m * deg(prime) = n, raises ValueError before any condition is read.
     """
-    fq = tower.fq
-    if not (i1.is_monic() and i2.is_monic()):
-        return NotRealizable("invariant factors must be monic")
+    residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
     if tower.n != m * prime.degree():
         raise ValueError("tower degree differs from m * deg(prime)")
+    if not (i1.is_monic() and i2.is_monic()):
+        return NotRealizable("invariant factors must be monic")
     if i1.degree() + i2.degree() != tower.n:
         return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
     if not (i1 % i2).is_zero():

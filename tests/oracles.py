@@ -1,7 +1,7 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (F_q's tables from
-polynomial products, a Smith normal form over A,
-Krylov sequences of the n x n action matrix over F_q, linear solves for the
+polynomial products, the n x n action matrix of phi_T over F_q with
+its Smith normal form over A and its Krylov sequences, linear solves for the
 Frobenius characteristic polynomial and for tau^n in the image of phi, the
 annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
 splitting tower, with its field embeddings, right gcds in L{tau} and
@@ -385,6 +385,15 @@ def invariant_factors_from_snf(diag):
         if e.degree() > 0:
             out.append(e)
     return out
+
+
+def action_matrix(mod):
+    """Matrix over F_q of x -> phi_T(x) on L in the canonical power basis;
+    column j holds the coordinates of the image of the j-th basis vector."""
+    tw = mod.tower
+    n = tw.n
+    cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def snf_invariant_factors(action, fq):
@@ -806,7 +815,7 @@ def suborder_contained(mod, rho):
         raise ValueError("order containment is only meaningful for ordinary modules")
     cp = frobenius_charpoly(mod)
     fq = mod.tower.fq
-    chi = cp.chi_poly()
+    chi = cp.chi
     if not ((chi % (rho * rho)).is_zero()):
         raise ValueError("rho^2 must divide P(1)")
     two = UPoly.constant(fq, 2 % fq.p)

@@ -14,7 +14,7 @@ PUBLIC = [
     "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
     "frobenius_charpoly", "is_imaginary", "is_isogenous",
     "minimal_polynomial", "InvariantFactors", "NotRealizable",
-    "action_matrix", "check_criteria", "module_structure",
+    "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",
@@ -23,8 +23,8 @@ PUBLIC = [
 
 REMOVED = {
     drinfeld2: ["FieldEmbedding", "SplittingBoundError", "TorsionStructure",
-                "discriminant", "suborder_contained"],
-    drinfeld: ["SplittingBoundError", "TorsionStructure"],
+                "discriminant", "suborder_contained", "action_matrix"],
+    drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
@@ -36,9 +36,10 @@ REMOVED = {
                   "__call__", "shift"],
     polys: ["monic_divisors"],
     polys.UPoly: ["is_constant", "eval_fq", "shift"],
-    structure: ["suborder_contained"],
+    structure: ["suborder_contained", "action_matrix"],
     structure.InvariantFactors: ["common_factor"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates"],
+    charpoly.FrobeniusCharPoly: ["norm_term", "chi_poly", "disc_poly"],
 }
 
 

@@ -461,9 +461,8 @@ def test_pool_size_capped(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, size, initializer, initargs):
+        def __init__(self, size):
             sizes.append(size)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -491,6 +490,7 @@ def test_pool_size_capped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_census(tw, prime, 1, jobs=100)  # one worker: no pool
     assert sizes == [4, 6, 3]
+    assert census._WORKER == {}  # the pool's state goes when the pool closes
     for jobs in (0, -3):
         with pytest.raises(ValueError):
             run_census(tw, prime, 1, jobs=jobs)

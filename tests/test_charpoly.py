@@ -1,7 +1,7 @@
 import pytest
 
-from drinfeld2 import (DrinfeldModule, UPoly, annihilation_holds, build_tower,
-                       euler_characteristic, frobenius_charpoly,
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly, annihilation_holds,
+                       build_tower, euler_characteristic, frobenius_charpoly,
                        is_imaginary, is_isogenous, minimal_polynomial)
 from drinfeld2.census import default_prime, twist_orbits
 from oracles import _solve_frobenius_in_image, minimal_polynomial_annihilates
@@ -35,8 +35,8 @@ def test_charpoly_closed_form_n1():
 
 def test_norm_term_is_constant_coefficient():
     cp = frobenius_charpoly(module311(1, 1))
-    assert cp.norm_term() == P3("2*T")
-    assert cp.eval_at(UPoly.zero(cp.trace.fq)) == cp.norm_term()
+    assert cp.norm == P3("2*T")
+    assert cp.eval_at(UPoly.zero(cp.trace.fq)) == cp.norm
 
 
 def test_norm_term_follows_the_fields():
@@ -45,15 +45,28 @@ def test_norm_term_follows_the_fields():
     mod = module311(1, 1)
     cp = frobenius_charpoly(mod)
     with pytest.raises(TypeError):
-        type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, norm=cp.norm_term())
-    with pytest.raises(TypeError):
-        type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, neg_trace=(1,))
+        type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, norm=cp.norm)
+    for name in ("neg_trace", "chi", "disc"):
+        with pytest.raises(TypeError):
+            type(cp)(cp.trace, cp.unit, cp.prime, cp.ext_degree, **{name: getattr(cp, name)})
     assert cp.neg_trace == (-cp.trace).coeffs
-    assert replace(cp, trace=P3("T+1")).neg_trace == P3("2*T+2").coeffs
+    assert (cp.chi, cp.disc) == (P3("T+1"), P3("T+1"))  # monic(2T + 2), 4 - 8T
+    moved = replace(cp, trace=P3("T+1"))
+    assert moved.neg_trace == P3("2*T+2").coeffs
+    assert (moved.chi, moved.disc) == (P3("T"), P3("T^2+1"))  # (T+1)^2 - 8T
     other = replace(cp, unit=1)
-    assert other.norm_term() == P3("T")
+    assert other.norm == P3("T")
+    assert (other.chi, other.disc) == (P3("T+2"), P3("2*T+1"))  # T - 1, 4 - 4T
     assert not annihilation_holds(mod, other)
-    assert replace(cp, ext_degree=2).norm_term() == P3("2*T^2")
+    higher = replace(cp, ext_degree=2)
+    assert higher.norm == P3("2*T^2")
+    assert (higher.chi, higher.disc) == (P3("T^2+1"), P3("T^2+1"))  # 2T^2 - 1, 4 - 8T^2
+
+
+def test_p_at_one_zero_raises():
+    # P(1) = 1 - (T + 1) + T = 0: no module has this polynomial
+    with pytest.raises(RuntimeError, match=r"P\(1\) = 0"):
+        FrobeniusCharPoly(P3("T+1"), 1, P3("T"), 1)
 
 
 def test_annihilation_identity():
@@ -75,18 +88,18 @@ def test_norm_ideals_are_prime_powers():
         prime = UPoly.parse(tw.fq, ptxt)
         mod = DrinfeldModule(tw, prime, 1, 1)
         cp = frobenius_charpoly(mod)
-        assert cp.norm_term().monic() == prime.pow(m)
+        assert cp.norm.monic() == prime.pow(m)
         # (P(1)) is the product of the invariant factors: cross-module check
         from drinfeld2 import module_structure
         inv = module_structure(mod)
-        assert (inv.i1 * inv.i2).monic() == cp.chi_poly()
+        assert (inv.i1 * inv.i2).monic() == cp.chi
 
 
 def test_discriminant_examples():
     cp = frobenius_charpoly(module311(1, 1))
-    assert cp.disc_poly() == P3("T+1")  # 4 - 8T mod 3
+    assert cp.disc == P3("T+1")  # 4 - 8T mod 3
     cp0 = frobenius_charpoly(module311(0, 1))
-    assert cp0.disc_poly() == P3("T")  # -4*2*T mod 3
+    assert cp0.disc == P3("T")  # -4*2*T mod 3
     assert is_imaginary(P3("T+1"), cp.trace.fq)
     assert is_imaginary(P3("2"), cp.trace.fq)
     assert not is_imaginary(P3("T^2+1"), cp.trace.fq)  # lc 1 is a square
@@ -102,7 +115,7 @@ def test_discriminant_is_imaginary_for_ordinary_odd_q():
             for delta in range(1, tw.order):
                 mod = DrinfeldModule(tw, prime, g, delta)
                 if mod.is_ordinary():
-                    disc = frobenius_charpoly(mod).disc_poly()
+                    disc = frobenius_charpoly(mod).disc
                     assert is_imaginary(disc, tw.fq)
 
 
@@ -140,7 +153,7 @@ def test_minimal_polynomial_ordinary_is_charpoly():
     mp = minimal_polynomial(mod)
     cp = frobenius_charpoly(mod)
     assert len(mp) == 3
-    assert mp[0] == cp.norm_term() and mp[1] == -cp.trace
+    assert mp[0] == cp.norm and mp[1] == -cp.trace
     assert minimal_polynomial_annihilates(mod)
 
 
@@ -180,7 +193,7 @@ def test_q_even_charpoly_still_exact():
             mod = DrinfeldModule(tw, prime, g, delta)
             assert annihilation_holds(mod)
             cp = frobenius_charpoly(mod)
-            assert cp.disc_poly() == cp.trace * cp.trace  # char 2 degeneration
+            assert cp.disc == cp.trace * cp.trace  # char 2 degeneration
 
 
 @pytest.mark.parametrize("q,d,m", [(2, 1, 2), (2, 1, 4), (4, 1, 2), (3, 1, 2), (3, 1, 4),
@@ -195,7 +208,7 @@ def test_frobenius_witness_matches_solve(q, d, m):
     for (g, delta), _, _ in twist_orbits(tw):
         mod = DrinfeldModule(tw, prime, g, delta)
         cp = frobenius_charpoly(mod)
-        if cp.disc_poly().is_zero():
+        if cp.disc.is_zero():
             zero_disc += 1
             assert cp.frobenius_in_image == _solve_frobenius_in_image(mod)
             assert (cp.frobenius_in_image is None) == (m % 2 == 1)

@@ -19,15 +19,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld2 import (DrinfeldModule, OrePoly, UPoly, action_matrix, annihilation_holds,
-                       build_tower, fields, frobenius_charpoly, module_structure)
+from drinfeld2 import (DrinfeldModule, OrePoly, UPoly, annihilation_holds, build_tower,
+                       fields, frobenius_charpoly, module_structure)
 from drinfeld2.charpoly import _annihilation_residue
 from drinfeld2.drinfeld import twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
-from oracles import (_matrix_krylov_relation, annihilation_residue_by_ore, charpoly_by_solve,
-                     matrix_char_and_min_poly, matrix_second_invariant_factor,
-                     snf_invariant_factors)
+from oracles import (_matrix_krylov_relation, action_matrix, annihilation_residue_by_ore,
+                     charpoly_by_solve, matrix_char_and_min_poly,
+                     matrix_second_invariant_factor, snf_invariant_factors)
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
@@ -343,4 +343,4 @@ def test_property_structure_agrees_with_smith_oracle(mod):
     inv = module_structure(mod)
     nonunit = [f for f in (inv.i2, inv.i1) if f.degree() > 0]
     assert nonunit == snf_invariant_factors(action_matrix(mod), mod.tower.fq)
-    assert inv.i1 * inv.i2 == frobenius_charpoly(mod).chi_poly()
+    assert inv.i1 * inv.i2 == frobenius_charpoly(mod).chi

@@ -151,6 +151,19 @@ def test_realize_not_realizable_exit_code(capsys):
     assert payload["realizable"] is False
 
 
+@pytest.mark.parametrize("prime,m,i1,reason", [
+    ("T^2", "1", "T", "reducible"),
+    ("2*T", "1", "T^2", "monic"),
+    ("0", "-1", "T^2", "monic"),  # m deg P = 1 builds a tower, then the zero prime
+])
+def test_realize_rejects_an_invalid_prime(capsys, prime, m, i1, reason):
+    # the prime is checked before any condition on i1 and i2 is read
+    code, out, err = run_cli(capsys, "realize", "--p", "3", "--P", prime, "--m", m,
+                             "--i1", i1, "--i2", "1")
+    assert code == 2 and out == ""
+    assert reason in err and "Traceback" not in err
+
+
 def test_trend_command(capsys):
     code, out, _ = run_cli(capsys, "trend", "--q", "3,5", "--d", "1", "--m", "1",
                            "--format", "text")

@@ -8,8 +8,8 @@ from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
                        realize_structure)
 from drinfeld2.census import default_prime, twist_orbits
 from drinfeld2.polys import irreducible_divisors
-from drinfeld2.structure import NotRealizable, action_matrix
-from oracles import (SplittingBoundError, determinantal_divisors,
+from drinfeld2.structure import NotRealizable
+from oracles import (SplittingBoundError, action_matrix, determinantal_divisors,
                      point_scan_structure, poly_mat_det, poly_mat_mul,
                      realize_by_scan, smith_normal_form, suborder_contained,
                      torsion_structure)
@@ -251,6 +251,17 @@ def test_realize_examples():
     res2 = realize_structure(tw2, UPoly.parse(fq2, "T"), 2,
                              UPoly.parse(fq2, "T^2+T"), UPoly.one(fq2))
     assert isinstance(res2, DrinfeldModule) or isinstance(res2, NotRealizable)
+
+
+@pytest.mark.parametrize("n,prime,m,i1", [(2, "T^2", 1, "T"), (1, "2*T", 1, "T^2"),
+                                          (1, "2*T", 1, "T+1"), (1, "0", -1, "T^2")])
+def test_realize_rejects_an_invalid_prime(n, prime, m, i1):
+    # reducible, not monic, zero, each with m deg(prime) = n: a ValueError,
+    # never a NotRealizable
+    tw = build_tower(3, 1, n)
+    fq = tw.fq
+    with pytest.raises(ValueError):
+        realize_structure(tw, UPoly.parse(fq, prime), m, UPoly.parse(fq, i1), UPoly.one(fq))
 
 
 # (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and

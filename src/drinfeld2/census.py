@@ -384,7 +384,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             "ordinary": ordinary,
             "chi": str(chi),
             "disc": str(disc),
-            "disc_imaginary": (None if q_even else is_imaginary(disc, fq)),
+            "disc_imaginary": (None if q_even else is_imaginary(disc)),
             "W": len(group),
             "weighted_W": _fraction_dict(weighted),
             "weighted_equals_count": weighted == len(group),
@@ -507,11 +507,13 @@ def attach_class_number_checks(report, tower):
     and for each admissible i2 the number of members whose structure
     contains the full i2-plane against H(disc / i2^2).
 
-    Mutates report.hurwitz; requires odd q.
+    Mutates report.hurwitz; requires odd q and the report's field.
     """
     from .hurwitz import hurwitz_class_number
 
     fq = tower.fq
+    if (tower.p, tower.s) != (report.p, report.s):
+        raise ValueError("the tower is over F_%d, the report over F_%d" % (tower.q, report.q))
     if report.q % 2 == 0:
         raise ValueError("class-number checks require odd q")
     rows = []
@@ -520,8 +522,8 @@ def attach_class_number_checks(report, tower):
         disc = UPoly.parse(fq, cls["disc"])
         chi = UPoly.parse(fq, cls["chi"])
         trace = UPoly.parse(fq, cls["c"])
-        imaginary = is_imaginary(disc, fq)
-        H, details = hurwitz_class_number(disc, fq)
+        imaginary = cls["disc_imaginary"]
+        H, details = hurwitz_class_number(disc)
         w_match = H == cls["W"]
         all_match = all_match and w_match and imaginary
         i2_counts = [(UPoly.parse(fq, srow["i2"]), srow["count"])
@@ -534,7 +536,7 @@ def attach_class_number_checks(report, tower):
                 raise RuntimeError(
                     "i2^2 divides P(1) and i2 divides c - 2, so it must "
                     "divide the discriminant; got remainder %s" % rem)
-            H_sub, sub_details = hurwitz_class_number(sub_disc, fq)
+            H_sub, sub_details = hurwitz_class_number(sub_disc)
             sub_match = H_sub == cumulative
             all_match = all_match and sub_match
             sub_rows.append({

@@ -30,6 +30,12 @@ def _prime_power(prime, m):
     return prime.pow(m)
 
 
+def _weil_trace(prime, m, unit, chi):
+    """The trace of the Weil pair (trace, unit) with P(1) = unit*chi:
+    P(1) = 1 - trace + unit*prime^m gives trace = 1 + unit*(prime^m - chi)."""
+    return UPoly.one(chi.fq) + (_prime_power(prime, m) - chi).scale(unit)
+
+
 @dataclass(frozen=True)
 class FrobeniusCharPoly:
     """X^2 - trace*X + unit*prime^m, the characteristic polynomial of tau^n.
@@ -113,11 +119,9 @@ def frobenius_charpoly(mod):
     """
     if mod._charpoly is not None:
         return mod._charpoly
-    tower = mod.tower
-    fq = tower.fq
     chi, _ = mod.action_invariants()
-    unit = frobenius_unit(tower, mod.delta)
-    trace = UPoly.one(fq) + _prime_power(mod.prime, mod.m).scale(unit) - chi.scale(unit)
+    unit = frobenius_unit(mod.tower, mod.delta)
+    trace = _weil_trace(mod.prime, mod.m, unit, chi)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
     if cp.disc.is_zero():
         a = _frobenius_witness(mod, cp)
@@ -164,14 +168,14 @@ def euler_characteristic(mod):
     return MonicIdeal(chi)
 
 
-def is_imaginary(disc, fq):
+def is_imaginary(disc):
     """True if the place at infinity does not split in K(sqrt(disc)):
     deg odd, or deg even with a non-square leading coefficient."""
     if disc.is_zero():
         return False
     if disc.degree() % 2 == 1:
         return True
-    return not fq.is_square(disc.lc())
+    return not disc.fq.is_square(disc.lc())
 
 
 def is_isogenous(mod_a, mod_b):

@@ -58,7 +58,8 @@ def prime_factors(n):
 
 PolyKernel = namedtuple(
     "PolyKernel",
-    "add sub neg mul divmod scale monic monics irreducibles is_irreducible irreducible_divisors")
+    "add sub neg mul divmod gcd scale monic monics irreducibles is_irreducible"
+    " irreducible_divisors")
 PolyKernel.__doc__ = """Arithmetic on polynomials over one F_q, as coefficient tuples.
 
 Tuples hold field elements low degree first, with no trailing zeros, so
@@ -141,6 +142,12 @@ def _poly_kernel(fq):
             quot.pop()
         return tuple(quot), tuple(r)
 
+    def gcd(a, b):
+        """The monic gcd of a and b, () when both are 0."""
+        while b:
+            a, b = b, divmod_(a, b)[1]
+        return monic(a) if a else a
+
     def scale(a, c):
         if not c:
             return ()
@@ -197,7 +204,7 @@ def _poly_kernel(fq):
         hit = divisors[f] = tuple(out)
         return hit
 
-    return PolyKernel(add, sub, neg, mul, divmod_, scale, monic, monics, irreducibles,
+    return PolyKernel(add, sub, neg, mul, divmod_, gcd, scale, monic, monics, irreducibles,
                       is_irreducible, irreducible_divisors)
 
 
@@ -624,13 +631,6 @@ def _krylov_relation(tower, step, seed, rows):
         k += 1
 
 
-def _gcd(kernel, a, b):
-    """A greatest common divisor of kernel tuples a and b, up to a unit."""
-    while b:
-        a, b = b, kernel.divmod(a, b)[1]
-    return a
-
-
 def char_and_min_poly(tower, step):
     """(chi, i1) for the F_q-linear map M = step on L: chi = det(T*I - M)
     and i1 the minimal polynomial of M, as kernel tuples, from one pass of
@@ -660,11 +660,11 @@ def char_and_min_poly(tower, step):
         if len(f) == 1:
             continue  # the seed already lies in W
         chi = kernel.mul(chi, f)
-        if len(_gcd(kernel, i1, f)) == 1:
+        if len(kernel.gcd(i1, f)) == 1:
             i1 = kernel.mul(i1, f)
             continue
         own = _krylov_relation(tower, step, tower.q ** j, [])
-        i1 = kernel.monic(kernel.divmod(kernel.mul(i1, own), _gcd(kernel, i1, own))[0])
+        i1 = kernel.divmod(kernel.mul(i1, own), kernel.gcd(i1, own))[0]
     return chi, i1
 
 

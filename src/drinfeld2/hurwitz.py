@@ -35,10 +35,10 @@ from .fields import MAX_FIELD_ORDER, SizeBoundError, build_tower
 from .polys import UPoly, irreducible_divisors
 
 
-def _check(disc, fq):
-    if fq.p == 2:
+def _check(disc):
+    if disc.fq.p == 2:
         raise ValueError("class numbers require odd q")
-    if not is_imaginary(disc, fq):
+    if not is_imaginary(disc):
         raise ValueError("%s is not an imaginary discriminant" % disc)
 
 
@@ -60,8 +60,9 @@ def _conductor(disc):
 _MAXIMAL_ORDER_CACHE = {}
 
 
-def _maximal_order(dk, fq):
+def _maximal_order(dk):
     """(h(O_K), g, [a_0, ..., a_2g]) for squarefree imaginary dk; memoized."""
+    fq = dk.fq
     key = (fq.p, fq.s, dk.coeffs)
     hit = _MAXIMAL_ORDER_CACHE.get(key)
     if hit is not None:
@@ -112,9 +113,10 @@ def _legendre(dk, l):
     return 1 if acc.is_one() else -1
 
 
-def _order_class_number(dk, primes, fq):
+def _order_class_number(dk, primes):
     """h of the order of conductor prod l^e in O_K, by the conductor formula."""
-    h = _maximal_order(dk, fq)[0]
+    fq = dk.fq
+    h = _maximal_order(dk)[0]
     for l, e in primes:
         norm = fq.q ** l.degree()
         h *= norm ** (e - 1) * (norm - _legendre(dk, l))
@@ -125,28 +127,28 @@ def _order_class_number(dk, primes, fq):
     return h
 
 
-def class_number(disc, fq):
+def class_number(disc):
     """Number of classes of proper ideals of the order of discriminant disc."""
-    _check(disc, fq)
-    return _order_class_number(*_conductor(disc), fq)
+    _check(disc)
+    return _order_class_number(*_conductor(disc))
 
 
-def hurwitz_class_number(disc, fq):
+def hurwitz_class_number(disc):
     """H(disc) = sum of h(disc / l^2) over monic l with l^2 | disc.
 
     Returns (H, details): one term per l, in increasing order of l, with
     h and the genus and L-polynomial coefficients of the maximal order.
     """
-    _check(disc, fq)
+    _check(disc)
     dk, primes = _conductor(disc)
-    _, genus, lpoly = _maximal_order(dk, fq)
+    _, genus, lpoly = _maximal_order(dk)
     terms = []
     for exps in itertools.product(*(range(e + 1) for _, e in primes)):
-        l = UPoly.one(fq)
+        l = UPoly.one(disc.fq)
         for (p, _), x in zip(primes, exps):
             l = l * p.pow(x)
         rest = [(p, e - x) for (p, e), x in zip(primes, exps) if e > x]
-        terms.append((l, _order_class_number(dk, rest, fq)))
+        terms.append((l, _order_class_number(dk, rest)))
     terms.sort(key=lambda t: (t[0].degree(), t[0].coeffs))
     details = [{"l": str(l), "disc": str(disc // (l * l)), "h": h,
                 "genus": genus, "L": list(lpoly)} for l, h in terms]

@@ -126,13 +126,10 @@ class UPoly:
 
     def gcd(self, other):
         """Monic greatest common divisor."""
-        other = self._check(other)
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        if not a:
+        g = self.fq.kernel.gcd(self.coeffs, self._check(other).coeffs)
+        if not g:
             raise ValueError("gcd(0, 0) is undefined")
-        return a.monic()
+        return _wrap(self.fq, g)
 
     def monic(self):
         """The monic normalization u*f with u in F_q^*."""
@@ -157,7 +154,10 @@ class UPoly:
     # -- evaluation -----------------------------------------------------------
 
     def eval_in_tower(self, tower, x):
-        """Evaluate at x in L (coefficients embed as the ints below q)."""
+        """Evaluate at x in L (coefficients embed as the ints below q); L
+        must be a tower over the field of the coefficients."""
+        if not (tower.fq is self.fq or tower.fq == self.fq):
+            raise ValueError("the tower is not over the field of the polynomial")
         acc = 0
         for c in reversed(self.coeffs):
             acc = tower.add(tower.mul(acc, x), c)

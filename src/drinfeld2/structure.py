@@ -4,10 +4,9 @@ right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .charpoly import frobenius_charpoly
+from .charpoly import _weil_trace, frobenius_charpoly
 from .drinfeld import DrinfeldModule, sigma_orbits, twist_orbits
 from .fields import second_invariant_factor
 from .ore import OrePoly
@@ -95,27 +94,17 @@ class NotRealizable:
 
 
 def _candidate_isogeny_keys(tower, prime, m, i1, i2):
-    """All (trace, unit) with deg trace <= m*d/2, unit != 0, prime not
-    dividing trace, monic(1 - trace + unit*prime^m) = monic(i1*i2) and
-    i2 | trace - 2, in lexicographic order of (trace coefficients, unit)."""
-    fq = tower.fq
-    target = (i1 * i2).monic()
-    pm = prime.pow(m)
-    bound = (m * prime.degree()) // 2
-    two = UPoly.constant(fq, 2 % fq.p)
+    """The ordinary (trace, unit) with P(1) = unit*i1*i2 and i2 | trace - 2,
+    sorted by (trace coefficients, unit).  deg trace <= m*d/2 < n makes
+    unit the leading coefficient of P(1), so each unit fixes the trace."""
+    chi, two = i1 * i2, UPoly.constant(tower.fq, 2 % tower.fq.p)
     out = []
-    for coeffs in itertools.product(range(fq.q), repeat=bound + 1):
-        trace = UPoly(fq, coeffs)
-        for unit in fq.units():
-            val = UPoly.one(fq) - trace + pm.scale(unit)
-            if val.is_zero() or val.monic() != target:
-                continue
-            if (trace % prime).is_zero():
-                continue  # supersingular class
-            if not ((trace - two) % i2).is_zero():
-                continue
+    for unit in tower.fq.units():
+        trace = _weil_trace(prime, m, unit, chi)
+        if (2 * trace.degree() <= tower.n and not (trace % prime).is_zero()
+                and ((trace - two) % i2).is_zero()):
             out.append((trace, unit))
-    return out
+    return sorted(out, key=lambda key: (key[0].coeffs, key[1]))
 
 
 def realize_structure(tower, prime, m, i1, i2):
@@ -123,21 +112,24 @@ def realize_structure(tower, prime, m, i1, i2):
     A/(i1) + A/(i2).  The search visits every twist orbit; it runs on
     every tower build_tower accepts, so |L| up to MAX_FIELD_ORDER.
 
-    Candidate isogeny classes are scanned in lexicographic (trace, unit)
-    order and for each one the pairs (g, delta) in lexicographic order;
-    the first witness wins, so the result is deterministic.  Only the
-    heads of sigma-orbits of twist orbits are classified
-    (drinfeld.sigma_orbits): the members of an orbit share the class and
-    the structure, so the least witness of a class is an orbit
-    representative, and x -> x^(q^d) carries class and structure to the
-    other orbits of its sigma-orbit, whose least representative is the
-    head.  Returns a DrinfeldModule or a NotRealizable naming the failed
+    Candidate isogeny classes, at most one per unit, are visited in
+    lexicographic (trace, unit) order and for each one the pairs
+    (g, delta) in lexicographic order; the first witness wins, so the
+    result is deterministic.  Only the heads of sigma-orbits of twist
+    orbits are classified (drinfeld.sigma_orbits): the members of an
+    orbit share the class and the structure, so the least witness of a
+    class is an orbit representative, and x -> x^(q^d) carries class and
+    structure to the other orbits of its sigma-orbit, whose least
+    representative is the head.  Returns a DrinfeldModule or a NotRealizable naming the failed
     condition; an invalid prime, one that is not monic irreducible with
-    m * deg(prime) = n, raises ValueError before any condition is read.
+    m * deg(prime) = n, raises ValueError before any condition is read,
+    and so does a zero invariant factor after it.
     """
     residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
     if tower.n != m * prime.degree():
         raise ValueError("tower degree differs from m * deg(prime)")
+    if i1.is_zero() or i2.is_zero():
+        raise ValueError("invariant factors must be nonzero")
     if not (i1.is_monic() and i2.is_monic()):
         return NotRealizable("invariant factors must be monic")
     if i1.degree() + i2.degree() != tower.n:

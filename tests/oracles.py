@@ -8,8 +8,9 @@ splitting tower, with its field embeddings, right gcds in L{tau} and
 two-generator ideal images, the order-containment and minimal-polynomial
 checks, the marking sweep over L x L^* for twist orbits, the census
 records of every twist orbit classified on its own, the realization
-scan over every module, and the lattice enumeration of ideal classes), and
-closed-form census counts with their derivations.
+scans over the Hasse box and over every module, and the lattice
+enumeration of ideal classes), and closed-form census counts with their
+derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -31,7 +32,7 @@ from drinfeld2.census import _process_orbit
 from drinfeld2.drinfeld import twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER
 from drinfeld2.polys import _wrap, monic_polys
-from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
+from drinfeld2.structure import NotRealizable
 
 
 class OutsideDomainError(ValueError):
@@ -976,6 +977,31 @@ def census_records_without_descent(tower, prime):
             for record in _process_orbit(tower, prime, [orbit], False)]
 
 
+def candidate_isogeny_keys_by_scan(tower, prime, m, i1, i2):
+    """All (trace, unit) with deg trace <= m*d/2, unit != 0, prime not
+    dividing trace, monic(1 - trace + unit*prime^m) = monic(i1*i2) and
+    i2 | trace - 2, in lexicographic order of (trace coefficients, unit):
+    a scan of the whole Hasse box, q^(m*d/2 + 1) (q - 1) pairs."""
+    fq = tower.fq
+    target = (i1 * i2).monic()
+    pm = prime.pow(m)
+    bound = (m * prime.degree()) // 2
+    two = UPoly.constant(fq, 2 % fq.p)
+    out = []
+    for coeffs in itertools.product(range(fq.q), repeat=bound + 1):
+        trace = UPoly(fq, coeffs)
+        for unit in fq.units():
+            val = UPoly.one(fq) - trace + pm.scale(unit)
+            if val.is_zero() or val.monic() != target:
+                continue
+            if (trace % prime).is_zero():
+                continue  # supersingular class
+            if not ((trace - two) % i2).is_zero():
+                continue
+            out.append((trace, unit))
+    return out
+
+
 def realize_by_scan(tower, prime, m, i1, i2):
     """realize_structure by classifying every (g, delta) in L x L^*: the
     first module, in lexicographic (trace, unit) order of the candidate
@@ -988,7 +1014,7 @@ def realize_by_scan(tower, prime, m, i1, i2):
         return NotRealizable("degree: deg(i1) + deg(i2) must equal n")
     if not (i1 % i2).is_zero():
         return NotRealizable("divisibility: i2 must divide i1")
-    candidates = _candidate_isogeny_keys(tower, prime, m, i1, i2)
+    candidates = candidate_isogeny_keys_by_scan(tower, prime, m, i1, i2)
     if not candidates:
         return NotRealizable(
             "no ordinary isogeny class matches (needs P(1) = i1*i2 up to a "
@@ -1010,11 +1036,12 @@ class StabilizationError(RuntimeError):
     """The class partition did not stabilize within the multiplier cap."""
 
 
-def proper_ideal_representatives(disc, fq):
+def proper_ideal_representatives(disc):
     """Primitive (proper) ideals (a, b + w) of the order A + A*w, w^2 = disc,
     with a monic of degree at most deg(disc)/2 + 1 and deg b < deg a; every
     ideal class of the order contains one of these."""
-    if not is_imaginary(disc, fq):
+    fq = disc.fq
+    if not is_imaginary(disc):
         raise ValueError("%s is not an imaginary discriminant" % disc)
     bound = disc.degree() // 2 + 1
     out = [(UPoly.one(fq), UPoly.zero(fq))]
@@ -1127,7 +1154,7 @@ def _partition(ideal_tuples, disc_t, fq, norm_degree_bound):
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def class_number_by_enumeration(disc, fq, max_norm_degree=24):
+def class_number_by_enumeration(disc, max_norm_degree=24):
     """Class number of the order of discriminant disc (q odd) by brute force:
     the proper ideals are listed as lattices, two are merged when bounded
     multiples of them coincide, and the multiplier bound starts at
@@ -1135,9 +1162,10 @@ def class_number_by_enumeration(disc, fq, max_norm_degree=24):
     larger bound only merges classes, so a single class is final at once.
     Raises StabilizationError when the bound would pass max_norm_degree.
     """
+    fq = disc.fq
     if fq.p == 2:
         raise ValueError("class numbers require odd q")
-    ideal_tuples = [(a.coeffs, b.coeffs) for a, b in proper_ideal_representatives(disc, fq)]
+    ideal_tuples = [(a.coeffs, b.coeffs) for a, b in proper_ideal_representatives(disc)]
     bound = disc.degree() + 2
     part = _partition(ideal_tuples, disc.coeffs, fq, bound)
     while len(part) > 1:

@@ -28,7 +28,7 @@ REMOVED = {
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
-             "is_prime"],
+             "is_prime", "_gcd"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
     fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
                           "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
@@ -54,4 +54,7 @@ def test_removed_names_are_gone_from_the_library():
         for name in names:
             assert name not in vars(owner), (owner, name)
     assert list(inspect.signature(ore.OrePoly.apply).parameters) == ["self", "x"]
+    for function in (drinfeld2.is_imaginary, drinfeld2.class_number,
+                     drinfeld2.hurwitz_class_number):
+        assert list(inspect.signature(function).parameters) == ["disc"]  # disc.fq is the field
     assert not hasattr(fields.Fq(2, 2), "_digits")

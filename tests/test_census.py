@@ -367,6 +367,16 @@ def test_hurwitz_crosscheck_census_311(census_cache):
     assert discs["T+1"]["H"] == 1 and discs["T+1"]["W"] == 1
 
 
+def test_class_number_checks_refuse_a_tower_over_another_field(census_cache):
+    import copy
+
+    r = copy.deepcopy(census_cache(3, 1, 1))
+    for tower in (build_tower(5, 1, 1), build_tower(3, 2, 1)):
+        with pytest.raises(ValueError):
+            attach_class_number_checks(r, tower)
+    assert r.hurwitz is None
+
+
 def test_hurwitz_crosscheck_census_q5(census_cache):
     # a second field size for the class-number machinery
     import copy

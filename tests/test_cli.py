@@ -164,6 +164,14 @@ def test_realize_rejects_an_invalid_prime(capsys, prime, m, i1, reason):
     assert reason in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("i1,i2", [("T+1", "0"), ("0", "0")])
+def test_realize_rejects_a_zero_invariant_factor(capsys, i1, i2):
+    code, out, err = run_cli(capsys, "realize", "--p", "3", "--P", "T", "--m", "1",
+                             "--i1", i1, "--i2", i2)
+    assert code == 2 and out == ""
+    assert "nonzero" in err and "Traceback" not in err
+
+
 def test_trend_command(capsys):
     code, out, _ = run_cli(capsys, "trend", "--q", "3,5", "--d", "1", "--m", "1",
                            "--format", "text")

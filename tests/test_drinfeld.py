@@ -4,6 +4,7 @@ import random
 import pytest
 
 from drinfeld2 import DrinfeldModule, MonicIdeal, OrePoly, UPoly, build_tower
+from drinfeld2.fields import Fq
 from oracles import (FieldEmbedding, SplittingBoundError, phi_by_ore, phi_ideal,
                      phi_ideal_two_generators, torsion_structure)
 
@@ -55,6 +56,16 @@ def test_constructor_rejects_a_prime_over_another_field_with_cached_coefficients
     DrinfeldModule(tw9, UPoly.parse(tw9.fq, "T"), 1, 1)
     with pytest.raises(ValueError):
         DrinfeldModule(tw9, UPoly.parse(build_tower(3, 1, 1).fq, "T"), 1, 1)
+
+
+def test_gamma_rejects_a_polynomial_over_another_field():
+    # T + 4 over F_5 is no element of A = F_9[T]; the digits 1, 4 would
+    # read as elements of F_9 and give gamma(T + 4) = 4
+    tw9 = build_tower(3, 2, 1)
+    mod = DrinfeldModule(tw9, UPoly.parse(tw9.fq, "T"), 1, 1)
+    with pytest.raises(ValueError):
+        mod.gamma(UPoly.parse(build_tower(5, 1, 1).fq, "T+4"))
+    assert mod.gamma(UPoly.parse(Fq(3, 2), "T+4")) == 4  # an equal field, not the same object
 
 
 @pytest.mark.parametrize("p,s,n,prime,g,delta", [

@@ -7,14 +7,14 @@ from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
                        module_structure, plane_torsion_rational,
                        realize_structure)
 from drinfeld2.census import default_prime, twist_orbits
-from drinfeld2.polys import irreducible_divisors
-from drinfeld2.structure import NotRealizable
-from oracles import (SplittingBoundError, action_matrix, determinantal_divisors,
-                     point_scan_structure, poly_mat_det, poly_mat_mul,
-                     realize_by_scan, smith_normal_form, suborder_contained,
-                     torsion_structure)
+from drinfeld2.polys import irreducible_divisors, monic_polys
+from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
+from oracles import (SplittingBoundError, action_matrix, candidate_isogeny_keys_by_scan,
+                     determinantal_divisors, point_scan_structure, poly_mat_det,
+                     poly_mat_mul, realize_by_scan, smith_normal_form,
+                     suborder_contained, torsion_structure)
 
-from conftest import tower_for
+from conftest import GRID, STRETCH, tower_for
 
 
 def fq3():
@@ -262,6 +262,32 @@ def test_realize_rejects_an_invalid_prime(n, prime, m, i1):
     fq = tw.fq
     with pytest.raises(ValueError):
         realize_structure(tw, UPoly.parse(fq, prime), m, UPoly.parse(fq, i1), UPoly.one(fq))
+
+
+def test_realize_rejects_a_zero_invariant_factor():
+    # 0 generates no ideal of finite index: bad input, while a nonzero
+    # factor that is not monic stays a NotRealizable
+    tw = build_tower(3, 1, 1)
+    prime = UPoly.parse(tw.fq, "T")
+    for i1, i2 in (("T+1", "0"), ("0", "0"), ("0", "1")):
+        with pytest.raises(ValueError):
+            realize_structure(tw, prime, 1, UPoly.parse(tw.fq, i1), UPoly.parse(tw.fq, i2))
+    res = realize_structure(tw, prime, 1, UPoly.parse(tw.fq, "2*T+2"), UPoly.one(tw.fq))
+    assert res == NotRealizable("invariant factors must be monic")
+
+
+@pytest.mark.parametrize("case", GRID + STRETCH, ids=lambda c: "q%d-d%d-m%d" % c)
+def test_candidate_classes_match_the_box_scan(case):
+    # every monic (i1, i2) with i2 | i1 and deg i1 + deg i2 = n
+    q, d, m = case
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    for k in range(tw.n // 2 + 1):
+        for i2 in monic_polys(tw.fq, k):
+            for cofactor in monic_polys(tw.fq, tw.n - 2 * k):
+                i1 = i2 * cofactor
+                assert (_candidate_isogeny_keys(tw, prime, m, i1, i2)
+                        == candidate_isogeny_keys_by_scan(tw, prime, m, i1, i2)), (i1, i2)
 
 
 # (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and

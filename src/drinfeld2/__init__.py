@@ -10,8 +10,7 @@ from .polys import (MonicIdeal, UPoly, embed_residue_field,
 from .ore import OrePoly
 from .drinfeld import DrinfeldModule
 from .charpoly import (FrobeniusCharPoly, annihilation_holds,
-                       euler_characteristic, frobenius_charpoly, is_imaginary,
-                       is_isogenous, minimal_polynomial)
+                       euler_characteristic, frobenius_charpoly, is_imaginary)
 from .structure import (InvariantFactors, NotRealizable, check_criteria,
                         module_structure, plane_torsion_rational,
                         realize_structure)
@@ -27,8 +26,7 @@ __all__ = [
     "MonicIdeal", "UPoly", "embed_residue_field",
     "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
-    "frobenius_charpoly", "is_imaginary", "is_isogenous",
-    "minimal_polynomial", "InvariantFactors", "NotRealizable",
+    "frobenius_charpoly", "is_imaginary", "InvariantFactors", "NotRealizable",
     "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import annihilation_holds, frobenius_charpoly, frobenius_unit, is_imaginary
+from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
+                       frobenius_unit, is_imaginary)
 from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
-from .structure import check_criteria, module_structure, plane_torsion_rational
+from .structure import (InvariantFactors, check_criteria, module_structure,
+                        plane_torsion_rational)
 
 SCHEMA_VERSION = "2"
 
@@ -44,16 +46,18 @@ def default_prime(fq, d):
 def _process_orbit(tower, prime, group, verify_members):
     """Classify the head of one sigma-orbit of isomorphism classes; returns
     one plain-data record per twist orbit of group, a list of
-    (rep, orbit_size, aut_count) with the head first.  Each record keeps
-    its own rep, size, automorphism count and unit, the last recomputed
-    from its delta; the rest is the head's, which sigma carries over."""
+    (rep, orbit_size, aut_count) with the head first.  A record carries
+    only what a module decides: its isogeny class (trace, unit), its
+    invariant factors, its height and its own checks; run_census derives
+    the invariants of the class from (trace, unit).  Each record keeps its
+    own rep, size, automorphism count and unit, the last recomputed from
+    its delta; the rest is the head's, which sigma carries over."""
     rep = group[0][0]
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
     cp = frobenius_charpoly(mod)
     inv = module_structure(mod)
     h = mod.height()
     ss = h == 2
-    flags = check_criteria(mod, inv, cp)
 
     prime_divides_trace = (cp.trace % prime).is_zero()
     if prime_divides_trace != ss:
@@ -77,17 +81,9 @@ def _process_orbit(tower, prime, group, verify_members):
 
     head = {
         "trace": cp.trace.coeffs,
-        "chi": cp.chi.coeffs,
-        "disc": cp.disc.coeffs,
         "i1": inv.i1.coeffs,
         "i2": inv.i2.coeffs,
-        "cyclic": inv.is_cyclic(),
         "height": h,
-        "ordinary": not ss,
-        # frobenius_charpoly raises unless the annihilation identity holds
-        "annihilation_ok": True,
-        "trace_bound_ok": cp.trace_degree_ok(),
-        "criteria": flags,
         "torsion_equiv_ok": torsion_equiv_ok,
     }
     pair = inv.as_pair()
@@ -325,6 +321,15 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         raise RuntimeError("orbits do not partition the module space")
     records = _classify_orbits(tower, prime, m, orbits, jobs, verify_members)
 
+    # ---- isogeny classes: (c, mu) fixes chi, disc and ordinarity ----
+    by_key = {}
+    for r in records:
+        by_key.setdefault((r["trace"], r["unit"]), []).append(r)
+    charpolys = {key: FrobeniusCharPoly(UPoly(fq, key[0]), key[1], prime, m)
+                 for key in by_key}
+    ordinary = {key: not (cp.trace % prime).is_zero() for key, cp in charpolys.items()}
+    one = UPoly.one(fq).coeffs  # i2 = 1: L is cyclic
+
     # ---- per isomorphism class rows (serialized form) ----
     texts = {}  # carried orbits repeat their head's polynomials
 
@@ -336,66 +341,59 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     iso_rows = []
     for r in records:
+        key = (r["trace"], r["unit"])
         iso_rows.append({
             "g": list(tower.vector(r["g"])),
             "delta": list(tower.vector(r["delta"])),
             "orbit_size": r["orbit_size"],
             "aut_count": r["aut_count"],
-            "ordinary": r["ordinary"],
+            "ordinary": ordinary[key],
             "c": text(r["trace"]),
             "mu": r["unit"],
-            "chi": text(r["chi"]),
+            "chi": text(charpolys[key].chi.coeffs),
             "i1": text(r["i1"]),
             "i2": text(r["i2"]),
-            "cyclic": r["cyclic"],
+            "cyclic": r["i2"] == one,
             "height": r["height"],
         })
 
-    # ---- isogeny classes ----
-    by_key = {}
-    for r in records:
-        by_key.setdefault((r["trace"], r["unit"]), []).append(r)
     isogeny_rows = []
+    criteria = []  # (ordinary, check_criteria flags) per (class, structure)
     q_even = q % 2 == 0
     for key in sorted(by_key):
         group = by_key[key]
-        trace = UPoly(fq, key[0])
-        unit = key[1]
-        ordinary = group[0]["ordinary"]
-        if any(r["ordinary"] != ordinary for r in group):
-            raise RuntimeError("isogeny class mixes ordinary and supersingular")
-        chi = UPoly(fq, group[0]["chi"])
-        if any(r["chi"] != group[0]["chi"] for r in group):
-            raise RuntimeError("isogeny class members disagree on P(1)")
-        disc = UPoly(fq, group[0]["disc"])
+        cp = charpolys[key]
         structures = {}
         for r in group:
             key2 = (r["i1"], r["i2"])
             structures[key2] = structures.get(key2, 0) + 1
         counted = [(i1c, UPoly(fq, i2c), cnt) for (i1c, i2c), cnt in sorted(structures.items())]
+        for i1c, i2, _ in counted:
+            flags = check_criteria(cp, InvariantFactors(UPoly(fq, i1c), i2))
+            criteria.append((ordinary[key], flags))
         i2_counts = [(i2, cnt) for _, i2, cnt in counted]
         struct_rows = [{"i1": text(i1c), "i2": str(i2), "count": cnt,
                         "cumulative": _members_with_plane(i2_counts, i2)}
                        for i1c, i2, cnt in counted]
         weighted = sum(Fraction(q - 1, r["aut_count"]) for r in group)
         row = {
-            "c": str(trace),
-            "mu": unit,
-            "ordinary": ordinary,
-            "chi": str(chi),
-            "disc": str(disc),
-            "disc_imaginary": (None if q_even else is_imaginary(disc)),
+            "c": str(cp.trace),
+            "mu": cp.unit,
+            "ordinary": ordinary[key],
+            "chi": str(cp.chi),
+            "disc": str(cp.disc),
+            "disc_imaginary": (None if q_even else is_imaginary(cp.disc)),
             "W": len(group),
             "weighted_W": _fraction_dict(weighted),
             "weighted_equals_count": weighted == len(group),
-            "cyclic": all(r["cyclic"] for r in group),
+            "cyclic": all(i2.is_one() for _, i2, _ in counted),
             "structures": struct_rows,
         }
         isogeny_rows.append(row)
 
     # ---- totals and statistics ----
-    ord_iso = [r for r in records if r["ordinary"]]
-    ss_iso = [r for r in records if not r["ordinary"]]
+    ord_iso = [r for r in iso_rows if r["ordinary"]]
+    ss_iso = [r for r in iso_rows if not r["ordinary"]]
     ord_isg = [r for r in isogeny_rows if r["ordinary"]]
     ss_isg = [r for r in isogeny_rows if not r["ordinary"]]
     totals = {
@@ -414,15 +412,15 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     # ---- checks ----
     checks = {
-        "annihilation_all": all(r["annihilation_ok"] for r in records),
-        "structure_product_all": all(r["criteria"]["product_is_chi"]
-                                     and r["criteria"]["i2_divides_i1"]
-                                     for r in records),
+        # frobenius_charpoly raises unless the annihilation identity holds
+        "annihilation_all": True,
+        "structure_product_all": all(flags["product_is_chi"] and flags["i2_divides_i1"]
+                                     for _, flags in criteria),
         "ordinary_trace_divisibility_all": all(
-            r["criteria"]["i2_divides_c_minus_2"] for r in ord_iso),
-        "i_sq_divides_chi_all": all(r["criteria"]["i_sq_divides_chi"]
-                                    for r in records),
-        "trace_bound_all": all(r["trace_bound_ok"] for r in records),
+            flags["i2_divides_c_minus_2"] for ordinary_class, flags in criteria
+            if ordinary_class),
+        "i_sq_divides_chi_all": all(flags["i_sq_divides_chi"] for _, flags in criteria),
+        "trace_bound_all": all(cp.trace_degree_ok() for cp in charpolys.values()),
         "torsion_equiv_all": all(r["torsion_equiv_ok"] for r in records),
         "members_verified": verify_members,
         "members_all_ok": all(r["members_ok"] for r in records),
@@ -432,8 +430,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     # ---- formula comparisons ----
     formulas = counting_formulas(q, d, m)
-    aut_mismatches = [iso_rows[i] for i, r in enumerate(records)
-                      if r["ordinary"] and r["aut_count"] != q - 1]
+    aut_mismatches = [r for r in ord_iso if r["aut_count"] != q - 1]
     fc = {
         "iso_class_total": {
             "formula": formulas["iso_class_total"],

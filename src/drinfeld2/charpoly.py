@@ -81,10 +81,6 @@ class FrobeniusCharPoly:
         """Hashable identity of the isogeny class."""
         return (self.trace.coeffs, self.unit)
 
-    def eval_at(self, a):
-        """P(a) for a in A."""
-        return a * a - self.trace * a + self.norm
-
     def trace_degree_ok(self):
         """Hasse-Weil analogue: 2*deg(trace) <= m*deg(prime)."""
         return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()
@@ -177,25 +173,3 @@ def is_imaginary(disc):
         return True
     return not disc.fq.is_square(disc.lc())
 
-
-def is_isogenous(mod_a, mod_b):
-    """True iff the two modules have equal characteristic polynomials."""
-    if not mod_a.same_category(mod_b):
-        raise ValueError("modules are not comparable (different tower, prime or m)")
-    return frobenius_charpoly(mod_a).key() == frobenius_charpoly(mod_b).key()
-
-
-def minimal_polynomial(mod):
-    """The monic minimal polynomial of F = tau^n over the fraction field,
-    as a list of A-coefficients, constant term first.
-
-    Degree 1 exactly when tau^n lies in the image of phi; otherwise it is
-    the characteristic polynomial.  In both cases it divides the
-    characteristic polynomial.
-    """
-    cp = frobenius_charpoly(mod)
-    fq = cp.trace.fq
-    if cp.frobenius_in_image is not None:
-        a = cp.frobenius_in_image
-        return [-a, UPoly.one(fq)]
-    return [cp.norm, -cp.trace, UPoly.one(fq)]

@@ -102,7 +102,8 @@ def cmd_charpoly(args):
     cp = frobenius_charpoly(mod)
     chi = euler_characteristic(mod)
     disc = cp.disc
-    ss = mod.is_supersingular()
+    height = mod.height()
+    ss = height == 2
     payload = {
         "schema_version": "1",
         "c": str(cp.trace),
@@ -114,7 +115,7 @@ def cmd_charpoly(args):
         "chi": str(chi.gen),
         "ordinary": not ss,
         "supersingular": ss,
-        "height": mod.height(),
+        "height": height,
         "hasse_weil_ok": cp.trace_degree_ok(),
         "annihilation_ok": annihilation_holds(mod, cp),
         "q_even_caveat": mod.tower.q % 2 == 0,
@@ -131,7 +132,7 @@ def cmd_structure(args):
     mod = _build_module(args)
     inv = module_structure(mod)
     cp = frobenius_charpoly(mod)
-    flags = check_criteria(mod, inv, cp)
+    flags = check_criteria(cp, inv)
     payload = {
         "schema_version": "1",
         "i1": str(inv.i1),

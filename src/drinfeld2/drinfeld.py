@@ -52,12 +52,6 @@ class DrinfeldModule:
                 % (self.tower.q, self.n, self.prime,
                    FieldElement(self.tower, self.g), FieldElement(self.tower, self.delta)))
 
-    def same_category(self, other):
-        """True if other is defined over the same tower with the same prime
-        and extension degree, so the two can be compared up to isogeny."""
-        return (self.tower == other.tower and self.prime == other.prime
-                and self.m == other.m)
-
     # -- the homomorphism ------------------------------------------------------
 
     def _t_powers_to(self, k):

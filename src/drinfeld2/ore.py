@@ -52,9 +52,6 @@ class OrePoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def constant_coeff(self):
-        return self.coeffs[0] if self.coeffs else 0
-
     def __eq__(self, other):
         return (isinstance(other, OrePoly) and self.tower == other.tower
                 and self.coeffs == other.coeffs)

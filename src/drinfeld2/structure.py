@@ -40,25 +40,20 @@ def module_structure(mod):
     return InvariantFactors(i1, _wrap(mod.tower.fq, i2))
 
 
-def check_criteria(mod, inv=None, cp=None):
-    """Divisibility facts the structure must satisfy; returns flags, does not
-    raise.  The trace clause is only a theorem for ordinary modules, the
+def check_criteria(cp, inv):
+    """Divisibility facts the structure inv must satisfy in the isogeny
+    class of the characteristic polynomial cp; returns flags, does not
+    raise.  The trace clause is only a theorem for ordinary classes, the
     caller decides what to assert."""
-    if inv is None:
-        inv = module_structure(mod)
-    if cp is None:
-        cp = frobenius_charpoly(mod)
-    fq = mod.tower.fq
+    fq = cp.trace.fq
     chi = cp.chi
-    two = UPoly.constant(fq, 2 % fq.p)
-    c_minus_2 = cp.trace - two
-    flags = {
+    c_minus_2 = cp.trace - UPoly.constant(fq, 2 % fq.p)
+    return {
         "i2_divides_i1": (inv.i1 % inv.i2).is_zero(),
         "product_is_chi": (inv.i1 * inv.i2).monic() == chi,
         "i2_divides_c_minus_2": (c_minus_2 % inv.i2).is_zero(),
         "i_sq_divides_chi": (chi % (inv.i2 * inv.i2)).is_zero(),
     }
-    return flags
 
 
 def plane_torsion_rational(mod, rho):

@@ -5,8 +5,9 @@ its Smith normal form over A and its Krylov sequences, linear solves for the
 Frobenius characteristic polynomial and for tau^n in the image of phi, the
 annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
 splitting tower, with its field embeddings, right gcds in L{tau} and
-two-generator ideal images, the order-containment and minimal-polynomial
-checks, the marking sweep over L x L^* for twist orbits, the census
+two-generator ideal images, the order-containment check, the minimal
+polynomial of the Frobenius with its annihilation check, P(a) for a in
+A, the marking sweep over L x L^* for twist orbits, the census
 records of every twist orbit classified on its own, the realization
 scans over the Hasse box and over every module, and the lattice
 enumeration of ideal classes), and closed-form census counts with their
@@ -26,8 +27,7 @@ from math import comb, gcd
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, MonicIdeal, OrePoly,
                        SizeBoundError, UPoly, build_tower, frobenius_charpoly,
-                       is_imaginary, minimal_polynomial, module_structure,
-                       plane_torsion_rational)
+                       is_imaginary, module_structure, plane_torsion_rational)
 from drinfeld2.census import _process_orbit
 from drinfeld2.drinfeld import twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER
@@ -794,6 +794,27 @@ def phi_ideal_two_generators(mod, a, b):
     """Same result computed from two generators of the ideal (a, b) by a
     right gcd; a cross-check of the principal-generator path."""
     return right_gcd(mod.phi(a), mod.phi(b))
+
+
+def charpoly_at(cp, a):
+    """P(a) = a^2 - trace*a + unit*prime^m for a in A."""
+    return a * a - cp.trace * a + cp.norm
+
+
+def minimal_polynomial(mod):
+    """The monic minimal polynomial of F = tau^n over the fraction field,
+    as a list of A-coefficients, constant term first.
+
+    Degree 1 exactly when tau^n lies in the image of phi; otherwise it is
+    the characteristic polynomial.  In both cases it divides the
+    characteristic polynomial.
+    """
+    cp = frobenius_charpoly(mod)
+    fq = cp.trace.fq
+    if cp.frobenius_in_image is not None:
+        a = cp.frobenius_in_image
+        return [-a, UPoly.one(fq)]
+    return [cp.norm, -cp.trace, UPoly.one(fq)]
 
 
 def minimal_polynomial_annihilates(mod):

@@ -12,8 +12,7 @@ PUBLIC = [
     "MonicIdeal", "UPoly", "embed_residue_field",
     "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
-    "frobenius_charpoly", "is_imaginary", "is_isogenous",
-    "minimal_polynomial", "InvariantFactors", "NotRealizable",
+    "frobenius_charpoly", "is_imaginary", "InvariantFactors", "NotRealizable",
     "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
@@ -23,23 +22,26 @@ PUBLIC = [
 
 REMOVED = {
     drinfeld2: ["FieldEmbedding", "SplittingBoundError", "TorsionStructure",
-                "discriminant", "suborder_contained", "action_matrix"],
+                "discriminant", "suborder_contained", "action_matrix",
+                "is_isogenous", "minimal_polynomial"],
     drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
-                              "phi_ideal_two_generators", "g_element", "delta_element"],
+                              "phi_ideal_two_generators", "g_element", "delta_element",
+                              "same_category"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
              "is_prime", "_gcd"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
     fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
                           "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
     ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
-                  "__call__", "shift"],
+                  "__call__", "shift", "constant_coeff"],
     polys: ["monic_divisors"],
     polys.UPoly: ["is_constant", "eval_fq", "shift"],
     structure: ["suborder_contained", "action_matrix"],
     structure.InvariantFactors: ["common_factor"],
-    charpoly: ["discriminant", "minimal_polynomial_annihilates"],
-    charpoly.FrobeniusCharPoly: ["norm_term", "chi_poly", "disc_poly"],
+    charpoly: ["discriminant", "minimal_polynomial_annihilates", "is_isogenous",
+               "minimal_polynomial"],
+    charpoly.FrobeniusCharPoly: ["norm_term", "chi_poly", "disc_poly", "eval_at"],
 }
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld2 import DrinfeldModule, UPoly, build_tower, census
+from drinfeld2 import (DrinfeldModule, InvariantFactors, UPoly, build_tower, census,
+                       frobenius_charpoly)
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
@@ -203,6 +204,35 @@ def test_carried_members_are_checked_against_the_head(monkeypatch):
     _regroup(monkeypatch, [[i, j]] + [[k] for k in range(len(orbits)) if k not in (i, j)])
     assert run_census(tw, prime, 2).checks["members_all_ok"]
     assert not run_census(tw, prime, 2, verify_members=True).checks["members_all_ok"]
+
+
+@pytest.mark.parametrize("c_is_two", [True, False], ids=["c=2", "c!=2"])
+def test_class_checks_catch_a_wrong_structure(monkeypatch, c_is_two):
+    # one sigma-orbit head of an ordinary class reports (1, chi) as its
+    # invariant factors: i2 does not divide i1 and i2^2 does not divide
+    # chi, and i2 = chi divides c - 2 exactly when c = 2
+    tw = tower_for(3, 2)
+    prime = default_prime(tw.fq, 1)
+    flags = ("structure_product_all", "i_sq_divides_chi_all",
+             "ordinary_trace_divisibility_all")
+    checks = run_census(tw, prime, 2).checks
+    assert all(checks[k] for k in flags)
+    orbits = twist_orbits(tw)
+    two = UPoly.constant(tw.fq, 2)
+    bad = next(mod for mod in (DrinfeldModule(tw, prime, *orbits[group[0]][0])
+                               for group in sigma_orbits(tw, 1, orbits))
+               if mod.is_ordinary() and (frobenius_charpoly(mod).trace == two) == c_is_two)
+    real = census.module_structure
+
+    def wrong(mod):
+        inv = real(mod)
+        if mod == bad:
+            return InvariantFactors(UPoly.one(tw.fq), inv.i1 * inv.i2)
+        return inv
+
+    monkeypatch.setattr(census, "module_structure", wrong)
+    checks = run_census(tw, prime, 2, jobs=1).checks
+    assert [checks[k] for k in flags] == [False, False, c_is_two]
 
 
 def direct_isomorphism_classes(tower, prime):

@@ -1,11 +1,12 @@
+import inspect
 import random
 
 import pytest
 
-from drinfeld2 import (DrinfeldModule, UPoly, build_tower, check_criteria,
-                       euler_characteristic, frobenius_charpoly,
-                       module_structure, plane_torsion_rational,
-                       realize_structure)
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, InvariantFactors, UPoly,
+                       build_tower, check_criteria, euler_characteristic,
+                       frobenius_charpoly, module_structure,
+                       plane_torsion_rational, realize_structure)
 from drinfeld2.census import default_prime, twist_orbits
 from drinfeld2.polys import irreducible_divisors, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
@@ -138,8 +139,28 @@ def test_structure_matches_point_scan_oracle_all_modules(n, ptxt):
 def test_check_criteria_flags():
     tw = build_tower(3, 1, 1)
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 1, 1)
-    flags = check_criteria(mod)
+    cp = frobenius_charpoly(mod)
+    flags = check_criteria(cp, module_structure(mod))
     assert all(flags.values())
+    assert list(inspect.signature(check_criteria).parameters) == ["cp", "inv"]
+
+    def P(text):
+        return UPoly.parse(tw.fq, text)
+
+    # cp has c = 2 and chi = T + 1; the class (c, mu) = (1, 1) at P = T,
+    # m = 2 has chi = T^2 and c - 2 = 2, a unit
+    square = FrobeniusCharPoly(P("1"), 1, P("T"), 2)
+    assert (cp.trace, cp.chi, square.chi) == (P("2"), P("T+1"), P("T^2"))
+    cases = [
+        (square, "T^2", "1", set()),
+        (square, "T^3", "1", {"product_is_chi"}),
+        (square, "T", "T", {"i2_divides_c_minus_2"}),
+        # given i1*i2 = chi, i2^2 | chi exactly when i2 | i1: the two fail together
+        (cp, "1", "T+1", {"i2_divides_i1", "i_sq_divides_chi"}),
+    ]
+    for charpoly, i1, i2, failing in cases:
+        flags = check_criteria(charpoly, InvariantFactors(P(i1), P(i2)))
+        assert {k for k, v in flags.items() if not v} == failing, (i1, i2)
 
 
 def test_plane_torsion_rational_noncyclic_instance():

@@ -5,12 +5,11 @@ with class-number cross-checks.
 """
 
 from .fields import FieldElement, FieldTower, SizeBoundError, build_tower
-from .polys import (MonicIdeal, UPoly, embed_residue_field,
-                    enumerate_monic_irreducibles)
+from .polys import UPoly, enumerate_monic_irreducibles
 from .ore import OrePoly
 from .drinfeld import DrinfeldModule
-from .charpoly import (FrobeniusCharPoly, annihilation_holds,
-                       euler_characteristic, frobenius_charpoly, is_imaginary)
+from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
+                       is_imaginary)
 from .structure import (InvariantFactors, NotRealizable, check_criteria,
                         module_structure, plane_torsion_rational,
                         realize_structure)
@@ -23,10 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldElement", "FieldTower", "SizeBoundError", "build_tower",
-    "MonicIdeal", "UPoly", "embed_residue_field",
-    "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
-    "FrobeniusCharPoly", "annihilation_holds", "euler_characteristic",
-    "frobenius_charpoly", "is_imaginary", "InvariantFactors", "NotRealizable",
+    "UPoly", "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
+    "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
+    "is_imaginary", "InvariantFactors", "NotRealizable",
     "check_criteria", "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",

@@ -8,7 +8,7 @@ polynomial.  One representative is classified per orbit of
 sigma: x -> x^(q^d) on the twist orbits (`drinfeld.sigma_orbits`):
 sigma fixes gamma(T), so it is an isomorphism of A-modules from L^phi
 to L^(phi^sigma), and the two share (c, mu), chi, the invariant factors,
-the height, the witness and the rational planes.  Each twist orbit keeps
+the height and the rational planes.  Each twist orbit keeps
 its own row, with its own size, automorphism count and unit, the last
 recomputed from its own delta and checked against its head's.  All
 statistics are exact rationals; closed-form counting formulas are

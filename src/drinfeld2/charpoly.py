@@ -12,16 +12,12 @@ and unit in F_q^*.  Both come from the action of T on L:
 The result is accepted only when it satisfies the annihilation identity
 
     tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
-
-When the discriminant vanishes, F may lie in the image of phi; the only
-possible witness a with phi(a) = tau^n is read off from P = (X - a)^2
-in closed form and checked.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .polys import MonicIdeal, UPoly
+from .polys import UPoly
 
 
 @lru_cache(maxsize=None)
@@ -44,8 +40,7 @@ class FrobeniusCharPoly:
     replace() derives them anew:
 
     - norm = unit*prime^m, the constant coefficient P(0);
-    - chi, the monic normalization of P(1) = 1 - trace + norm, which
-      generates the Euler-Poincare characteristic;
+    - chi, the monic normalization of P(1) = 1 - trace + norm;
     - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even;
       callers flag that case.
 
@@ -57,9 +52,6 @@ class FrobeniusCharPoly:
     unit: int
     prime: UPoly
     ext_degree: int
-    # when tau^n = phi(a) for some a in A (so the minimal polynomial is
-    # X - a and this polynomial is its square), that witness; else None
-    frobenius_in_image: UPoly = None
     norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
     neg_trace: tuple = field(init=False, compare=False, repr=False)  # (-trace).coeffs
     chi: UPoly = field(init=False, compare=False, repr=False)  # monic P(1)
@@ -86,49 +78,21 @@ class FrobeniusCharPoly:
         return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()
 
 
-def _frobenius_witness(mod, cp):
-    """The a in A with phi(a) = tau^n, or None; called when the
-    discriminant of cp is 0.
-
-    Such an a makes P = (X - a)^2, so 2a = trace and a^2 = unit*prime^m,
-    which leave one candidate: a = trace/2 for q odd.  For q even,
-    unit = (unit^(q/2))^2 and the separable prime is not a square, so
-    unit*prime^m has the square root unit^(q/2) prime^(m/2) when m is
-    even and none when m is odd.  The candidate is accepted only if
-    phi(a) = tau^n.
-    """
-    fq = mod.tower.fq
-    if fq.p != 2:
-        a = cp.trace.scale(fq.inv(2))
-    elif mod.m % 2 == 0:
-        a = mod.prime.pow(mod.m // 2).scale(fq.pow(cp.unit, fq.q // 2))
-    else:
-        return None
-    return a if mod.phi(a) == mod.frobenius() else None
-
-
 def frobenius_charpoly(mod):
     """The characteristic polynomial of tau^n acting on the module.
 
-    Raises RuntimeError unless the annihilation identity holds for it.
-    Results are cached on the module instance.
+    Raises RuntimeError unless the trace bound and the annihilation
+    identity hold for it.
     """
-    if mod._charpoly is not None:
-        return mod._charpoly
     chi, _ = mod.action_invariants()
     unit = frobenius_unit(mod.tower, mod.delta)
     trace = _weil_trace(mod.prime, mod.m, unit, chi)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
-    if cp.disc.is_zero():
-        a = _frobenius_witness(mod, cp)
-        if a is not None:
-            cp = replace(cp, frobenius_in_image=a)
     if not cp.trace_degree_ok():
         raise RuntimeError("trace degree violates the half-degree bound")
     if not annihilation_holds(mod, cp):
         raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
                            % (trace, unit))
-    mod._charpoly = cp
     return cp
 
 
@@ -140,9 +104,9 @@ def frobenius_unit(tower, delta):
     return fq.neg(unit) if tower.n % 2 else unit
 
 
-def annihilation_holds(mod, cp=None):
+def annihilation_holds(mod, cp):
     """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0."""
-    return not any(_annihilation_residue(mod, cp or frobenius_charpoly(mod)))
+    return not any(_annihilation_residue(mod, cp))
 
 
 def _annihilation_residue(mod, cp):
@@ -154,14 +118,6 @@ def _annihilation_residue(mod, cp):
     mod._phi_into(out, cp.neg_trace, n)
     mod._phi_into(out, cp.norm.coeffs)
     return out
-
-
-def euler_characteristic(mod):
-    """The ideal generated by P(1); its degree equals n."""
-    chi = frobenius_charpoly(mod).chi
-    if chi.degree() != mod.n:
-        raise RuntimeError("deg P(1) = %d differs from n = %d" % (chi.degree(), mod.n))
-    return MonicIdeal(chi)
 
 
 def is_imaginary(disc):

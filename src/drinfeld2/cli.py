@@ -11,8 +11,7 @@ import sys
 
 from .census import (attach_class_number_checks, cyclicity_trend,
                      default_prime, run_census)
-from .charpoly import (annihilation_holds, euler_characteristic,
-                       frobenius_charpoly, is_imaginary)
+from .charpoly import annihilation_holds, frobenius_charpoly, is_imaginary
 from .drinfeld import DrinfeldModule
 from .fields import FieldElement, SizeBoundError, build_tower
 from .polys import UPoly
@@ -100,7 +99,6 @@ def _emit(args, payload, text_lines):
 def cmd_charpoly(args):
     mod = _build_module(args)
     cp = frobenius_charpoly(mod)
-    chi = euler_characteristic(mod)
     disc = cp.disc
     height = mod.height()
     ss = height == 2
@@ -112,7 +110,7 @@ def cmd_charpoly(args):
         "m": cp.ext_degree,
         "disc": str(disc),
         "disc_imaginary": None if mod.tower.q % 2 == 0 else is_imaginary(disc),
-        "chi": str(chi.gen),
+        "chi": str(cp.chi),
         "ordinary": not ss,
         "supersingular": ss,
         "height": height,

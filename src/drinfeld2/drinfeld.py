@@ -35,7 +35,6 @@ class DrinfeldModule:
         self.delta = delta
         self.phi_t = OrePoly(tower, (self.gamma_t, g, delta))
         self._t_powers = [[1], [self.gamma_t, g, delta]]
-        self._charpoly = None
         self._action = None
 
     def __eq__(self, other):
@@ -104,7 +103,7 @@ class DrinfeldModule:
             self._action = (_wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
         return self._action
 
-    # -- height and supersingularity -------------------------------------------
+    # -- height ----------------------------------------------------------------
 
     def height(self):
         """The height h in {1, 2}: the least tau-power in phi(prime),
@@ -118,9 +117,6 @@ class DrinfeldModule:
         if h not in (1, 2):
             raise RuntimeError("height %d outside the rank-2 range" % h)
         return h
-
-    def is_supersingular(self):
-        return self.height() == 2
 
     def is_ordinary(self):
         return self.height() == 1
@@ -175,7 +171,7 @@ def sigma_orbits(tower, d, orbits):
     sigma fixes F_{q^d}, which holds gamma(T), so it is an isomorphism of
     A-modules from L^phi to L^(phi^sigma), with phi^sigma_T = gamma +
     sigma(g) tau + sigma(delta) tau^2: the two share (c, mu), chi, the
-    invariant factors, the height, the witness and the rational planes.
+    invariant factors, the height and the rational planes.
     sigma(u . (g, delta)) = sigma(u) . sigma(g, delta), so sigma permutes
     the twist orbits, and sigma^m is the identity on L.
 

@@ -1,14 +1,13 @@
-"""Univariate polynomials over F_q: the ring A = F_q[T] and its monic ideals.
+"""Univariate polynomials over F_q: the ring A = F_q[T].
 
 Coefficients are stored low degree first with no trailing zeros, so the
 zero polynomial has an empty coefficient tuple and degree() returns -1.
-The arithmetic is that of the field's PolyKernel.  Ideals of A are
-represented by their monic generator.
+The arithmetic is that of the field's PolyKernel.
 """
 
 import re
 
-from .fields import MAX_DEGREE, FieldElement, SizeBoundError
+from .fields import MAX_DEGREE, SizeBoundError
 
 
 class UPoly:
@@ -265,63 +264,15 @@ def irreducible_divisors(f):
     return [_wrap(f.fq, g) for g in f.fq.kernel.irreducible_divisors(f.coeffs)]
 
 
-class MonicIdeal:
-    """A nonzero ideal of A, represented by its monic generator."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen):
-        if gen.is_zero():
-            raise ValueError("the zero ideal is not representable")
-        self.gen = gen.monic()
-
-    @classmethod
-    def unit(cls, fq):
-        return cls(UPoly.one(fq))
-
-    def is_unit(self):
-        return self.gen.is_one()
-
-    def degree(self):
-        return self.gen.degree()
-
-    def __mul__(self, other):
-        return MonicIdeal(self.gen * other.gen)
-
-    def divides(self, other):
-        return (other.gen % self.gen).is_zero()
-
-    def gcd(self, other):
-        return MonicIdeal(self.gen.gcd(other.gen))
-
-    def __eq__(self, other):
-        return isinstance(other, MonicIdeal) and self.gen == other.gen
-
-    def __hash__(self):
-        return hash((MonicIdeal, self.gen))
-
-    def __str__(self):
-        return "(%s)" % self.gen
-
-    __repr__ = __str__
-
-
 _EMBED_CACHE = {}
 
 
-def embed_residue_field(tower, prime):
-    """The root of the monic irreducible `prime` in L with lexicographically
-    smallest coefficient vector; this is the canonical value of T under the
-    structure map A -> L with kernel (prime).
-
-    Requires deg(prime) to divide n.  Returns a FieldElement.
-    """
-    return FieldElement(tower, residue_root(tower, prime))
-
-
 def residue_root(tower, prime):
-    """embed_residue_field's root as an element of L (an int); memoized,
-    so each prime is checked once and a hit builds no FieldElement."""
+    """The root of the monic irreducible `prime` in L with lexicographically
+    smallest coefficient vector, as an element of L (an int); this is the
+    canonical value of T under the structure map A -> L with kernel
+    (prime).  Requires deg(prime) to divide n.  Memoized, so each prime is
+    checked once."""
     if not isinstance(prime, UPoly) or (prime.fq is not tower.fq and prime.fq != tower.fq):
         raise ValueError("prime must be a polynomial over the tower's base field")
     key = (tower.p, tower.s, tower.n, prime.coeffs)

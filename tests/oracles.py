@@ -3,6 +3,7 @@ scans, the routes the library no longer takes (F_q's tables from
 polynomial products, the n x n action matrix of phi_T over F_q with
 its Smith normal form over A and its Krylov sequences, linear solves for the
 Frobenius characteristic polynomial and for tau^n in the image of phi, the
+closed-form candidate for that image when the discriminant is 0, the
 annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
 splitting tower, with its field embeddings, right gcds in L{tau} and
 two-generator ideal images, the order-containment check, the minimal
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, MonicIdeal, OrePoly,
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly,
                        SizeBoundError, UPoly, build_tower, frobenius_charpoly,
                        is_imaginary, module_structure, plane_torsion_rational)
 from drinfeld2.census import _process_orbit
@@ -666,8 +667,7 @@ def charpoly_by_solve(mod):
 
     which is F_q-linear in (trace, unit), by one exact linear solve over
     F_q.  When tau^n = phi(a) the identity does not pin the pair down; that
-    case is detected first and the polynomial is (X - a)^2.  Leaves the
-    module's cache alone.
+    case is detected first and the polynomial is (X - a)^2.
     """
     tower = mod.tower
     fq = tower.fq
@@ -675,8 +675,7 @@ def charpoly_by_solve(mod):
     a = _solve_frobenius_in_image(mod)
     if a is not None:
         square = a * a
-        return FrobeniusCharPoly(a + a, square.lc(), mod.prime, mod.m,
-                                 frobenius_in_image=a)
+        return FrobeniusCharPoly(a + a, square.lc(), mod.prime, mod.m)
     tau_n = OrePoly.tau_power(tower, n)
     columns = [power * tau_n for power in _t_powers_by_ore(mod, mod.m * mod.d // 2 + 1)]
     columns.append(-phi_by_ore(mod, mod.prime.pow(mod.m)))
@@ -781,19 +780,39 @@ def right_gcd(f, g):
 
 def phi_ideal(mod, ideal):
     """Monic generator of the left ideal generated by the image of the
-    ideal; A is a principal ideal domain so this is the monic
-    normalization of phi of the generator."""
-    if isinstance(ideal, UPoly):
-        ideal = MonicIdeal(ideal)
-    if ideal.is_unit():
+    ideal of A with monic generator `ideal`; A is a principal ideal domain
+    so this is the monic normalization of phi of the generator."""
+    ideal = ideal.monic()  # ValueError for the zero ideal
+    if ideal.is_one():
         return OrePoly.one(mod.tower)
-    return mod.phi(ideal.gen).monic()
+    return mod.phi(ideal).monic()
 
 
 def phi_ideal_two_generators(mod, a, b):
     """Same result computed from two generators of the ideal (a, b) by a
     right gcd; a cross-check of the principal-generator path."""
     return right_gcd(mod.phi(a), mod.phi(b))
+
+
+def frobenius_witness(mod, cp):
+    """The a in A with phi(a) = tau^n, or None; called when the
+    discriminant of cp is 0.
+
+    Such an a makes P = (X - a)^2, so 2a = trace and a^2 = unit*prime^m,
+    which leave one candidate: a = trace/2 for q odd.  For q even,
+    unit = (unit^(q/2))^2 and the separable prime is not a square, so
+    unit*prime^m has the square root unit^(q/2) prime^(m/2) when m is
+    even and none when m is odd.  The candidate is accepted only if
+    phi(a) = tau^n.
+    """
+    fq = mod.tower.fq
+    if fq.p != 2:
+        a = cp.trace.scale(fq.inv(2))
+    elif mod.m % 2 == 0:
+        a = mod.prime.pow(mod.m // 2).scale(fq.pow(cp.unit, fq.q // 2))
+    else:
+        return None
+    return a if mod.phi(a) == mod.frobenius() else None
 
 
 def charpoly_at(cp, a):
@@ -811,8 +830,8 @@ def minimal_polynomial(mod):
     """
     cp = frobenius_charpoly(mod)
     fq = cp.trace.fq
-    if cp.frobenius_in_image is not None:
-        a = cp.frobenius_in_image
+    a = frobenius_witness(mod, cp) if cp.disc.is_zero() else None
+    if a is not None:
         return [-a, UPoly.one(fq)]
     return [cp.norm, -cp.trace, UPoly.one(fq)]
 
@@ -898,7 +917,7 @@ class SplittingBoundError(SizeBoundError):
 class TorsionStructure:
     """Invariant factors of the kernel of phi_I in a splitting extension."""
 
-    ideal: MonicIdeal
+    ideal: UPoly  # monic generator
     invariant_factors: tuple
     root_count: int
     splitting_degree: int
@@ -917,8 +936,7 @@ def torsion_structure(mod, ideal, max_splitting_degree=10):
     max_splitting_degree and |L_e| <= MAX_FIELD_ORDER holds the kernel; at
     max_splitting_degree = 1 it returns exactly when the kernel lies in L.
     """
-    if isinstance(ideal, UPoly):
-        ideal = MonicIdeal(ideal)
+    ideal = ideal.monic()
     tw = mod.tower
     f = phi_ideal(mod, ideal)
     if f.degree() == 0:
@@ -962,7 +980,7 @@ def torsion_structure(mod, ideal, max_splitting_degree=10):
         factors = tuple(_wrap(fq, g) for g in (i2, i1) if len(g) > 1)
         return TorsionStructure(ideal, factors, tw.q ** len(null), e)
     raise SplittingBoundError(
-        "splitting field of %s-torsion not found within degree %d"
+        "splitting field of (%s)-torsion not found within degree %d"
         % (ideal, max_splitting_degree))
 
 

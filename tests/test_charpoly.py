@@ -1,11 +1,10 @@
 import pytest
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly, annihilation_holds,
-                       build_tower, euler_characteristic, frobenius_charpoly,
-                       is_imaginary)
+                       build_tower, frobenius_charpoly, is_imaginary)
 from drinfeld2.census import default_prime, twist_orbits
-from oracles import (_solve_frobenius_in_image, charpoly_at, minimal_polynomial,
-                     minimal_polynomial_annihilates)
+from oracles import (_solve_frobenius_in_image, charpoly_at, frobenius_witness,
+                     minimal_polynomial, minimal_polynomial_annihilates)
 
 from conftest import tower_for
 
@@ -73,12 +72,13 @@ def test_p_at_one_zero_raises():
 def test_annihilation_identity():
     for g in range(3):
         for delta in (1, 2):
-            assert annihilation_holds(module311(g, delta))
+            mod = module311(g, delta)
+            assert annihilation_holds(mod, frobenius_charpoly(mod))
 
 
 def test_euler_characteristic_example():
-    chi = euler_characteristic(module311(1, 1))
-    assert chi.gen == P3("T+1")
+    chi = frobenius_charpoly(module311(1, 1)).chi
+    assert chi == P3("T+1")
     assert chi.degree() == 1
 
 
@@ -145,26 +145,22 @@ def test_minimal_polynomial_degree_one_case():
     prime = UPoly.parse(tw.fq, "T")
     mod = DrinfeldModule(tw, prime, 0, 1)
     cp = frobenius_charpoly(mod)
-    assert cp.frobenius_in_image == UPoly.parse(tw.fq, "T")
+    a = frobenius_witness(mod, cp)
+    assert a == UPoly.parse(tw.fq, "T")
     assert cp.trace == UPoly.parse(tw.fq, "2*T") and cp.unit == 1
     mp = minimal_polynomial(mod)
     assert len(mp) == 2  # X - T
     assert minimal_polynomial_annihilates(mod)
     # the minimal polynomial divides the characteristic polynomial:
     # P(a) = 0 exactly
-    assert charpoly_at(cp, cp.frobenius_in_image).is_zero()
-    assert annihilation_holds(mod)
+    assert charpoly_at(cp, a).is_zero()
+    assert annihilation_holds(mod, cp)
     # a supersingular neighbor whose Frobenius is not in the image
     mod2 = DrinfeldModule(tw, prime, 0, 3)
     cp2 = frobenius_charpoly(mod2)
-    assert cp2.frobenius_in_image is None
+    assert frobenius_witness(mod2, cp2) is None
     assert (cp2.trace % prime).is_zero()
-    assert annihilation_holds(mod2)
-
-
-def test_charpoly_cached_per_module():
-    mod = module311(1, 1)
-    assert frobenius_charpoly(mod) is frobenius_charpoly(mod)
+    assert annihilation_holds(mod2, cp2)
 
 
 def test_q_even_charpoly_still_exact():
@@ -173,8 +169,8 @@ def test_q_even_charpoly_still_exact():
     for g in range(4):
         for delta in range(1, 4):
             mod = DrinfeldModule(tw, prime, g, delta)
-            assert annihilation_holds(mod)
             cp = frobenius_charpoly(mod)
+            assert annihilation_holds(mod, cp)
             assert cp.disc == cp.trace * cp.trace  # char 2 degeneration
 
 
@@ -192,6 +188,7 @@ def test_frobenius_witness_matches_solve(q, d, m):
         cp = frobenius_charpoly(mod)
         if cp.disc.is_zero():
             zero_disc += 1
-            assert cp.frobenius_in_image == _solve_frobenius_in_image(mod)
-            assert (cp.frobenius_in_image is None) == (m % 2 == 1)
+            a = frobenius_witness(mod, cp)
+            assert a == _solve_frobenius_in_image(mod)
+            assert (a is None) == (m % 2 == 1)
     assert zero_disc > 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,29 @@ def test_structure_noncyclic_instance(capsys):
     payload = json.loads(out)
     assert payload["cyclic"] is False
     assert payload["criteria"]["i2_divides_c_minus_2"] is True
+
+
+# SHA-256 of the full stdout of charpoly and structure; the first input
+# has disc 0 and its Frobenius is phi(T)
+CLI_STDOUT_SHA256 = [
+    ("charpoly --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
+     "88c04bd36224d6f6b53f2b94f4a215fb88ab9f7b295199b17bf618af187ba6db"),
+    ("charpoly --p 2 --s 2 --P T --m 2 --g 1 --delta 3",
+     "76086fb3d7028ca1b787e2efd1f44b4c65938379e70a835581f1fd5a096e4f07"),
+    ("charpoly --p 5 --P T^2+2 --m 1 --g 7 --delta 3",
+     "40eb422d1cd302033387cdaddbee1d09f9b97c87d78d44fc811f45b3185a3227"),
+    ("structure --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
+     "a7adfe9289c29a217cb018ac75b3156ed2c38165b87e09da691e16353a1b1885"),
+    ("structure --p 2 --P T+1 --m 3 --g 5 --delta 2",
+     "782b8f509f1008d4e10349f5a64bde12ca226d520b11905e3feb34102c130165"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_STDOUT_SHA256)
+def test_module_commands_print_pinned_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_census_command(capsys):

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from drinfeld2 import FieldElement, MonicIdeal, UPoly, build_tower, embed_residue_field
-from drinfeld2 import enumerate_monic_irreducibles
+from drinfeld2 import UPoly, build_tower, enumerate_monic_irreducibles
 from drinfeld2.polys import monic_polys, residue_root
 from oracles import monic_divisors
 
@@ -115,25 +114,23 @@ def test_irreducibles_in_lex_order():
 
 def test_embed_residue_field_examples():
     tw1 = build_tower(3, 1, 1)
-    assert embed_residue_field(tw1, P("T")).value == 0
-    assert embed_residue_field(tw1, P("T+2")).value == 1
+    assert residue_root(tw1, P("T")) == 0
+    assert residue_root(tw1, P("T+2")) == 1
     tw2 = build_tower(3, 1, 2)
-    gamma = embed_residue_field(tw2, UPoly.parse(tw2.fq, "T^2+1"))
-    assert gamma.vector() == (0, 1)  # the root y, not 2y
-    assert UPoly.parse(tw2.fq, "T^2+1").eval_in_tower(tw2, gamma.value) == 0
-    # the memoized root is a plain element of L; only the public wrapper
-    # builds a FieldElement
-    assert residue_root(tw2, UPoly.parse(tw2.fq, "T^2+1")) == gamma.value
-    assert type(embed_residue_field(tw2, UPoly.parse(tw2.fq, "T^2+1"))) is FieldElement
+    gamma = residue_root(tw2, UPoly.parse(tw2.fq, "T^2+1"))
+    assert tw2.vector(gamma) == (0, 1)  # the root y, not 2y
+    assert UPoly.parse(tw2.fq, "T^2+1").eval_in_tower(tw2, gamma) == 0
+    # the memoized root is a plain element of L
+    assert type(residue_root(tw2, UPoly.parse(tw2.fq, "T^2+1"))) is int
 
 
 def test_embed_residue_field_errors():
     tw = build_tower(3, 1, 2)
     with pytest.raises(ValueError):
-        embed_residue_field(tw, UPoly.parse(tw.fq, "T^2+2"))  # reducible
+        residue_root(tw, UPoly.parse(tw.fq, "T^2+2"))  # reducible
     tw3 = build_tower(3, 1, 3)
     with pytest.raises(ValueError):
-        embed_residue_field(tw3, UPoly.parse(tw3.fq, "T^2+1"))  # 2 does not divide 3
+        residue_root(tw3, UPoly.parse(tw3.fq, "T^2+1"))  # 2 does not divide 3
 
 
 def test_parse_and_str_roundtrip():
@@ -157,18 +154,6 @@ def test_parse_and_str_roundtrip():
 def test_parse_rejects_a_star_missing_a_factor(text):
     with pytest.raises(ValueError, match="malformed polynomial term"):
         P(text)
-
-
-def test_monic_ideals():
-    fq = fq3()
-    a = MonicIdeal(P("2*T+2"))
-    assert a.gen == P("T+1")
-    b = MonicIdeal(P("T"))
-    assert (a * b).gen == P("T^2+T")
-    assert a.divides(MonicIdeal(P("T^2+2")))
-    assert a.gcd(b).is_unit()
-    with pytest.raises(ValueError):
-        MonicIdeal(UPoly.zero(fq))
 
 
 def test_monic_divisors():

@@ -69,10 +69,6 @@ class FrobeniusCharPoly:
                             ("disc", self.trace * self.trace - four * norm)):
             object.__setattr__(self, name, value)
 
-    def key(self):
-        """Hashable identity of the isogeny class."""
-        return (self.trace.coeffs, self.unit)
-
     def trace_degree_ok(self):
         """Hasse-Weil analogue: 2*deg(trace) <= m*deg(prime)."""
         return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()

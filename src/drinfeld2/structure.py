@@ -6,7 +6,7 @@ search that produces a module with a prescribed structure.
 
 from dataclasses import dataclass
 
-from .charpoly import _weil_trace, frobenius_charpoly
+from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
 from .drinfeld import DrinfeldModule, sigma_orbits, twist_orbits
 from .fields import second_invariant_factor
 from .ore import OrePoly
@@ -104,25 +104,26 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
 
 def realize_structure(tower, prime, m, i1, i2):
     """Search for an ordinary module whose A-module structure is exactly
-    A/(i1) + A/(i2).  The search visits every twist orbit; it runs on
-    every tower build_tower accepts, so |L| up to MAX_FIELD_ORDER.
+    A/(i1) + A/(i2), on any tower build_tower accepts.
 
     Candidate isogeny classes, at most one per unit, are visited in
     lexicographic (trace, unit) order and for each one the pairs
-    (g, delta) in lexicographic order; the first witness wins, so the
-    result is deterministic.  Only the heads of sigma-orbits of twist
-    orbits are classified (drinfeld.sigma_orbits): the members of an
-    orbit share the class and the structure, so the least witness of a
-    class is an orbit representative, and x -> x^(q^d) carries class and
-    structure to the other orbits of its sigma-orbit, whose least
-    representative is the head.  Returns a DrinfeldModule or a NotRealizable naming the failed
-    condition; an invalid prime, one that is not monic irreducible with
-    m * deg(prime) = n, raises ValueError before any condition is read,
-    and so does a zero invariant factor after it.
+    (g, delta) in lexicographic order; the first witness wins.  Only
+    sigma-heads (drinfeld.sigma_orbits) are tried: twists and x -> x^(q^d)
+    keep class and structure, so the least witness of a class is a head.
+    A head of structure (i1, i2) has chi = i1*i2, so its unit names its
+    class: heads of another unit are skipped, and only the witness runs
+    frobenius_charpoly, whose annihilation check guards the answer.
+    Returns a DrinfeldModule or a NotRealizable naming the failed
+    condition.  A prime that is not monic irreducible with
+    m * deg(prime) = n, invariant factors over another field and a zero
+    invariant factor raise ValueError before any condition is read.
     """
     residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
     if tower.n != m * prime.degree():
         raise ValueError("tower degree differs from m * deg(prime)")
+    if i1.fq != tower.fq or i2.fq != tower.fq:
+        raise ValueError("invariant factors must be polynomials over the tower's base field")
     if i1.is_zero() or i2.is_zero():
         raise ValueError("invariant factors must be nonzero")
     if not (i1.is_monic() and i2.is_monic()):
@@ -136,15 +137,17 @@ def realize_structure(tower, prime, m, i1, i2):
         return NotRealizable(
             "no ordinary isogeny class matches (needs P(1) = i1*i2 up to a "
             "unit and i2 | trace - 2)")
-    want = (i1, i2)
-    by_class = {}
+    want = InvariantFactors(i1, i2)
     orbits = twist_orbits(tower)
-    for group in sigma_orbits(tower, prime.degree(), orbits):
-        mod = DrinfeldModule(tower, prime, *orbits[group[0]][0])
-        by_class.setdefault(frobenius_charpoly(mod).key(), []).append(mod)
+    heads = [orbits[group[0]][0] for group in sigma_orbits(tower, prime.degree(), orbits)]
     for trace, unit in candidates:
-        for mod in by_class.get((trace.coeffs, unit), ()):
-            inv = module_structure(mod)
-            if (inv.i1, inv.i2) == want:
+        for g, delta in heads:
+            if frobenius_unit(tower, delta) != unit:
+                continue
+            mod = DrinfeldModule(tower, prime, g, delta)
+            if module_structure(mod) == want:
+                cp = frobenius_charpoly(mod)
+                if (cp.trace, cp.unit) != (trace, unit):
+                    raise RuntimeError("the witness lies outside its candidate class")
                 return mod
     return NotRealizable("no witness found in any matching isogeny class")

@@ -1062,7 +1062,8 @@ def realize_by_scan(tower, prime, m, i1, i2):
     for g in tower.elements():
         for delta in tower.units():
             mod = DrinfeldModule(tower, prime, g, delta)
-            by_class.setdefault(frobenius_charpoly(mod).key(), []).append(mod)
+            cp = frobenius_charpoly(mod)
+            by_class.setdefault((cp.trace.coeffs, cp.unit), []).append(mod)
     for trace, unit in candidates:
         for mod in by_class.get((trace.coeffs, unit), ()):
             inv = module_structure(mod)

@@ -46,7 +46,7 @@ REMOVED = {
                "minimal_polynomial", "_frobenius_witness", "euler_characteristic",
                "MonicIdeal"],
     charpoly.FrobeniusCharPoly: ["norm_term", "chi_poly", "disc_poly", "eval_at",
-                                 "frobenius_in_image"],
+                                 "frobenius_in_image", "key"],
 }
 
 

@@ -297,7 +297,7 @@ def test_charpoly_and_structure_match_the_old_routes_on_every_module(q, d, m):
             for delta in tower.units():
                 mod = DrinfeldModule(tower, prime, g, delta)
                 cp, old = frobenius_charpoly(mod), charpoly_by_solve(mod)
-                assert cp.key() == old.key()
+                assert (cp.trace.coeffs, cp.unit) == (old.trace.coeffs, old.unit)
                 a = frobenius_witness(mod, cp) if cp.disc.is_zero() else None
                 assert a == _solve_frobenius_in_image(mod)
                 in_image += a is not None
@@ -336,7 +336,7 @@ def test_property_annihilation_identity(mod):
 @given(modules())
 def test_property_charpoly_agrees_with_solve(mod):
     cp, old = frobenius_charpoly(mod), charpoly_by_solve(mod)
-    assert cp.key() == old.key()
+    assert (cp.trace.coeffs, cp.unit) == (old.trace.coeffs, old.unit)
     a = frobenius_witness(mod, cp) if cp.disc.is_zero() else None
     assert a == _solve_frobenius_in_image(mod)
 

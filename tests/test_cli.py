@@ -67,7 +67,7 @@ def test_structure_noncyclic_instance(capsys):
     assert payload["criteria"]["i2_divides_c_minus_2"] is True
 
 
-# SHA-256 of the full stdout of charpoly and structure; the first input
+# SHA-256 of the full stdout of charpoly, structure and realize; the first input
 # has disc 0 and its Frobenius is phi(T)
 CLI_STDOUT_SHA256 = [
     ("charpoly --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
@@ -80,6 +80,14 @@ CLI_STDOUT_SHA256 = [
      "a7adfe9289c29a217cb018ac75b3156ed2c38165b87e09da691e16353a1b1885"),
     ("structure --p 2 --P T+1 --m 3 --g 5 --delta 2",
      "782b8f509f1008d4e10349f5a64bde12ca226d520b11905e3feb34102c130165"),
+    ("realize --p 3 --P T --m 1 --i1 T+1 --i2 1",
+     "d43442cb0f7f6c1af17883af6c056787d03aae3f6be8a54b805ca38efb754e9e"),
+    ("realize --p 2 --P T --m 13 --i1 T^13 --i2 1",
+     "aad8203843e867c8f7a9056937ea3db075bb0ccfe24ce379e1e0be583cf47ee7"),
+    ("realize --p 7 --P T^2+1 --m 2 --i1 T^4+T+3 --i2 1",
+     "6c90fa755111ecd3466543036c89a282041960a5190d62bdc81b60b505c1a595"),
+    ("realize --p 5 --P T --m 3 --i1 T^2+3*T+2 --i2 T+2",
+     "fb2a144bd02d30575e57f4ca2d41058cd1f8e9b1090d921fa12e467fd4b0bd0f"),
 ]
 
 

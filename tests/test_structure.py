@@ -1,12 +1,17 @@
+import hashlib
 import inspect
 import random
+from functools import lru_cache
 
 import pytest
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, InvariantFactors, UPoly,
-                       build_tower, check_criteria, frobenius_charpoly, module_structure,
-                       plane_torsion_rational, realize_structure)
+                       build_tower, check_criteria, frobenius_charpoly, is_imaginary,
+                       module_structure, plane_torsion_rational, realize_structure)
+from drinfeld2 import structure
 from drinfeld2.census import default_prime, twist_orbits
+from drinfeld2.charpoly import frobenius_unit
+from drinfeld2.drinfeld import sigma_orbits
 from drinfeld2.polys import irreducible_divisors, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
 from oracles import (SplittingBoundError, action_matrix, candidate_isogeny_keys_by_scan,
@@ -241,7 +246,8 @@ def test_suborder_contained():
     for g in range(tw.order):
         for delta in range(1, tw.order):
             other = DrinfeldModule(tw, prime, g, delta)
-            if frobenius_charpoly(other).key() != cp.key():
+            ocp = frobenius_charpoly(other)
+            if (ocp.trace.coeffs, ocp.unit) != (cp.trace.coeffs, cp.unit):
                 continue
             oinv = module_structure(other)
             if oinv.is_cyclic():
@@ -284,6 +290,15 @@ def test_realize_rejects_an_invalid_prime(n, prime, m, i1):
         realize_structure(tw, UPoly.parse(fq, prime), m, UPoly.parse(fq, i1), UPoly.one(fq))
 
 
+def test_realize_rejects_invariant_factors_over_another_field():
+    # F_5 factors on a tower over F_3: bad input, read before any condition
+    tw = build_tower(3, 1, 2)
+    prime, f5 = UPoly.parse(tw.fq, "T"), build_tower(5, 1, 1).fq
+    for i1, i2 in (("2*T^2", "1"), ("T^3", "1"), ("T^2", "T"), ("T^2+1", "1")):
+        with pytest.raises(ValueError, match="base field"):
+            realize_structure(tw, prime, 2, UPoly.parse(f5, i1), UPoly.parse(f5, i2))
+
+
 def test_realize_rejects_a_zero_invariant_factor():
     # 0 generates no ideal of finite index: bad input, while a nonzero
     # factor that is not monic stays a NotRealizable
@@ -296,18 +311,113 @@ def test_realize_rejects_a_zero_invariant_factor():
     assert res == NotRealizable("invariant factors must be monic")
 
 
+def _monic_structures(fq, n):
+    """Every monic (i1, i2) with i2 | i1 and deg i1 + deg i2 = n."""
+    for k in range(n // 2 + 1):
+        for i2 in monic_polys(fq, k):
+            for cofactor in monic_polys(fq, n - 2 * k):
+                yield i2 * cofactor, i2
+
+
 @pytest.mark.parametrize("case", GRID + STRETCH, ids=lambda c: "q%d-d%d-m%d" % c)
 def test_candidate_classes_match_the_box_scan(case):
     # every monic (i1, i2) with i2 | i1 and deg i1 + deg i2 = n
     q, d, m = case
     tw = tower_for(q, d * m)
     prime = default_prime(tw.fq, d)
-    for k in range(tw.n // 2 + 1):
-        for i2 in monic_polys(tw.fq, k):
-            for cofactor in monic_polys(tw.fq, tw.n - 2 * k):
-                i1 = i2 * cofactor
-                assert (_candidate_isogeny_keys(tw, prime, m, i1, i2)
-                        == candidate_isogeny_keys_by_scan(tw, prime, m, i1, i2)), (i1, i2)
+    for i1, i2 in _monic_structures(tw.fq, tw.n):
+        assert (_candidate_isogeny_keys(tw, prime, m, i1, i2)
+                == candidate_isogeny_keys_by_scan(tw, prime, m, i1, i2)), (i1, i2)
+
+
+@lru_cache(maxsize=None)
+def _realize_answers(case):
+    """(i1, i2, candidates, answer) for every monic structure of case, the
+    answer a NotRealizable or the witness's (g, delta, charpoly)."""
+    q, d, m = case
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    out = []
+    for i1, i2 in _monic_structures(tw.fq, tw.n):
+        got = realize_structure(tw, prime, m, i1, i2)
+        if isinstance(got, DrinfeldModule):
+            got = (got.g, got.delta, frobenius_charpoly(got))
+        out.append((i1, i2, _candidate_isogeny_keys(tw, prime, m, i1, i2), got))
+    return prime, out
+
+
+def test_realize_follows_the_paper_theorem():
+    # an ordinary imaginary Weil pair is an isogeny class, and with
+    # P(1) = mu i1 i2 and i2 | c - 2 it holds a module with L = A/(i1) + A/(i2):
+    # realize answers in the first imaginary candidate, or not at all
+    inputs = 0
+    for case in GRID + STRETCH:
+        q, d, m = case
+        if q % 2 == 0:
+            continue  # no imaginary test in characteristic 2
+        prime, answers = _realize_answers(case)
+        for i1, i2, candidates, got in answers:
+            if not candidates:
+                continue
+            inputs += 1
+            imaginary = [(trace, unit) for trace, unit in candidates
+                         if is_imaginary(FrobeniusCharPoly(trace, unit, prime, m).disc)]
+            if isinstance(got, NotRealizable):
+                assert not imaginary, (case, i1, i2)
+            else:
+                cp = got[2]
+                assert imaginary and (cp.trace, cp.unit) == imaginary[0], (case, i1, i2)
+    assert inputs == 269
+
+
+def test_realize_answers_are_pinned():
+    lines, realizable = [], 0
+    for case in GRID + STRETCH:
+        for i1, i2, _, got in _realize_answers(case)[1]:
+            if isinstance(got, NotRealizable):
+                answer = got.reason
+            else:
+                answer, realizable = "%d %d" % got[:2], realizable + 1
+            lines.append("%d %d %d %s %s %s" % (case + (i1, i2, answer)))
+    assert (len(lines), realizable) == (1057, 352)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "04504b2037c9480176ebf0d714b135f268f0bff5f6272a99d45d0e0c89f15a13")
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(structure, name)
+
+    def counted(mod):
+        calls.append((mod.g, mod.delta))
+        return real(mod)
+
+    monkeypatch.setattr(structure, name, counted)
+    return calls
+
+
+def test_realize_classifies_only_heads_of_a_candidate_unit(monkeypatch):
+    # a head's unit names its class, so heads of another unit are never
+    # classified and only the witness runs frobenius_charpoly
+    tw = build_tower(5, 1, 3)
+    fq = tw.fq
+    prime, i1, i2 = UPoly.parse(fq, "T"), UPoly.parse(fq, "T^2+3*T+2"), UPoly.parse(fq, "T+2")
+    units = {unit for _, unit in _candidate_isogeny_keys(tw, prime, 3, i1, i2)}
+    orbits = twist_orbits(tw)
+    heads = [orbits[group[0]][0] for group in sigma_orbits(tw, 1, orbits)]
+    in_units = [h for h in heads if frobenius_unit(tw, h[1]) in units]
+    assert (len(heads), len(in_units)) == (180, 45)
+    charpolys = _count_calls(monkeypatch, "frobenius_charpoly")
+    structures = _count_calls(monkeypatch, "module_structure")
+    mod = realize_structure(tw, prime, 3, i1, i2)
+    assert charpolys == [(mod.g, mod.delta)]
+    assert len(structures) == 13 and set(structures) <= set(in_units)
+    # candidates exist but no head has the structure: no charpoly at all
+    tw2 = build_tower(3, 1, 2)
+    res = realize_structure(tw2, UPoly.parse(tw2.fq, "T"), 2,
+                            UPoly.parse(tw2.fq, "T^2+1"), UPoly.one(tw2.fq))
+    assert res == NotRealizable("no witness found in any matching isogeny class")
+    assert len(charpolys) == 1
 
 
 # (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and

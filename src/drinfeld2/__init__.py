@@ -4,7 +4,7 @@ ordinary/supersingular classification, and exhaustive cyclicity censuses
 with class-number cross-checks.
 """
 
-from .fields import FieldElement, FieldTower, SizeBoundError, build_tower
+from .fields import FieldTower, SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles
 from .ore import OrePoly
 from .drinfeld import DrinfeldModule
@@ -21,7 +21,7 @@ from .census import (CensusReport, attach_class_number_checks,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement", "FieldTower", "SizeBoundError", "build_tower",
+    "FieldTower", "SizeBoundError", "build_tower",
     "UPoly", "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",

@@ -13,7 +13,7 @@ from .census import (attach_class_number_checks, cyclicity_trend,
                      default_prime, run_census)
 from .charpoly import frobenius_charpoly, is_imaginary
 from .drinfeld import DrinfeldModule
-from .fields import FieldElement, SizeBoundError, build_tower
+from .fields import SizeBoundError, build_tower
 from .polys import UPoly
 from .structure import NotRealizable, check_criteria, module_structure, realize_structure
 
@@ -72,9 +72,7 @@ def _tower_and_prime(args, n=None):
 
 def _build_module(args):
     tower, prime = _tower_and_prime(args, args.n)
-    g = FieldElement.parse(tower, args.g)
-    delta = FieldElement.parse(tower, args.delta)
-    return DrinfeldModule(tower, prime, g, delta)
+    return DrinfeldModule(tower, prime, tower.parse(args.g), tower.parse(args.delta))
 
 
 def _emit(args, payload, text_lines):
@@ -114,8 +112,8 @@ def cmd_charpoly(args):
         "ordinary": not ss,
         "supersingular": ss,
         "height": height,
-        "hasse_weil_ok": cp.trace_degree_ok(),
-        # frobenius_charpoly raises unless the annihilation identity holds
+        # frobenius_charpoly raises unless both of these hold
+        "hasse_weil_ok": True,
         "annihilation_ok": True,
         "q_even_caveat": mod.tower.q % 2 == 0,
     }
@@ -198,8 +196,7 @@ def cmd_realize(args):
         "i1": str(i1), "i2": str(i2),
     }
     text = ["realizable: g = %s, delta = %s"
-            % (FieldElement(result.tower, result.g),
-               FieldElement(result.tower, result.delta))]
+            % (result.tower.format(result.g), result.tower.format(result.delta))]
     _emit(args, payload, text)
     return EXIT_OK
 

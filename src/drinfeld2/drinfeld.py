@@ -10,7 +10,7 @@ structure.
 
 from math import gcd
 
-from .fields import FieldElement, char_and_min_poly
+from .fields import char_and_min_poly
 from .ore import OrePoly
 from .polys import UPoly, _wrap, residue_root
 
@@ -22,7 +22,7 @@ class DrinfeldModule:
         # raises ValueError unless prime is monic irreducible over tower.fq
         # with deg(prime) | n; memoized, so each prime is checked once
         self.gamma_t = residue_root(tower, prime)
-        g, delta = [v if type(v) is int and 0 <= v < tower.order else tower.element(v).value
+        g, delta = [v if type(v) is int and 0 <= v < tower.order else tower.element(v)
                     for v in (g, delta)]
         if delta == 0:
             raise ValueError("the tau^2 coefficient delta must be nonzero")
@@ -49,7 +49,7 @@ class DrinfeldModule:
     def __repr__(self):
         return ("DrinfeldModule(q=%d, n=%d, prime=%s, g=%s, delta=%s)"
                 % (self.tower.q, self.n, self.prime,
-                   FieldElement(self.tower, self.g), FieldElement(self.tower, self.delta)))
+                   self.tower.format(self.g), self.tower.format(self.delta)))
 
     # -- the homomorphism ------------------------------------------------------
 

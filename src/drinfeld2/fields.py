@@ -484,23 +484,34 @@ class FieldTower:
             raise ValueError("expected a length-%d vector" % self.n)
         v = 0
         for d in reversed(vec):
-            if not 0 <= d < self.q:
+            if not isinstance(d, int) or not 0 <= d < self.q:
                 raise ValueError("coefficient %r out of range for F_%d" % (d, self.q))
             v = v * self.q + d
         return v
 
     def element(self, value):
-        if isinstance(value, FieldElement):
-            if value.tower is not self:
-                raise ValueError("element belongs to a different tower")
-            return value
+        """An element of L given as an int below |L| or as its coefficient
+        vector over F_q; raises ValueError for anything else."""
         if isinstance(value, (list, tuple)):
-            return FieldElement(self, self.from_vector(value))
-        value = int(value)
-        if not 0 <= value < self.order:
-            raise ValueError("value %d out of range for a field of order %d"
+            return self.from_vector(value)
+        if not isinstance(value, int) or not 0 <= value < self.order:
+            raise ValueError("value %r out of range for a field of order %d"
                              % (value, self.order))
-        return FieldElement(self, value)
+        return value
+
+    def parse(self, text):
+        """Parse '[c0,c1,...]' or a bare integer below the field order."""
+        text = text.strip()
+        if text.startswith("["):
+            if not text.endswith("]"):
+                raise ValueError("unterminated vector literal: %r" % text)
+            body = text[1:-1].strip()
+            return self.from_vector([int(c) for c in body.split(",")] if body else [])
+        return self.element(int(text))
+
+    def format(self, a):
+        """The text '[c0,c1,...]' of a, low degree first."""
+        return "[%s]" % ",".join(str(d) for d in self._digits[a])
 
     def __eq__(self, other):
         return (isinstance(other, FieldTower)
@@ -520,48 +531,6 @@ def build_tower(p, s, n):
     Repeated calls return the identical cached object.
     """
     return FieldTower(_build_fq(p, s), n)
-
-
-class FieldElement:
-    """An element of L carried with its tower; thin wrapper over the int."""
-
-    __slots__ = ("tower", "value")
-
-    def __init__(self, tower, value):
-        self.tower = tower
-        self.value = value
-
-    def vector(self):
-        return self.tower.vector(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.tower == other.tower and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tower, self.value))
-
-    def __str__(self):
-        return "[%s]" % ",".join(str(d) for d in self.vector())
-
-    def __repr__(self):
-        return "FieldElement(%r, %d)" % (self.tower, self.value)
-
-    @classmethod
-    def parse(cls, tower, text):
-        """Parse '[c0,c1,...]' or a bare integer below the field order."""
-        text = text.strip()
-        if text.startswith("["):
-            if not text.endswith("]"):
-                raise ValueError("unterminated vector literal: %r" % text)
-            body = text[1:-1].strip()
-            parts = [p.strip() for p in body.split(",")] if body else []
-            vec = [int(p) for p in parts]
-            return tower.element(vec)
-        return tower.element(int(text))
 
 
 # ---------------------------------------------------------------------------

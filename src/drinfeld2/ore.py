@@ -162,13 +162,12 @@ class OrePoly:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        tw = self.tower
         terms = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
             if c == 0:
                 continue
-            cs = "[%s]" % ",".join(str(d) for d in tw.vector(c))
+            cs = self.tower.format(c)
             if k == 0:
                 terms.append(cs)
             elif k == 1:

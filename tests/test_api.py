@@ -11,7 +11,7 @@ import drinfeld2
 from drinfeld2 import charpoly, drinfeld, fields, ore, polys, structure
 
 PUBLIC = [
-    "FieldElement", "FieldTower", "SizeBoundError", "build_tower",
+    "FieldTower", "SizeBoundError", "build_tower",
     "UPoly", "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",
@@ -26,16 +26,14 @@ REMOVED = {
     drinfeld2: ["FieldEmbedding", "SplittingBoundError", "TorsionStructure",
                 "discriminant", "suborder_contained", "action_matrix",
                 "is_isogenous", "minimal_polynomial", "MonicIdeal",
-                "euler_characteristic", "embed_residue_field"],
+                "euler_characteristic", "embed_residue_field", "FieldElement"],
     drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element",
                               "same_category", "is_supersingular"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
-             "is_prime", "_gcd"],
+             "is_prime", "_gcd", "FieldElement"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
-    fields.FieldElement: ["_coerce", "__add__", "__radd__", "__sub__", "__neg__",
-                          "__mul__", "__rmul__", "__pow__", "inverse", "frobenius"],
     ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
                   "__call__", "shift", "constant_coeff"],
     polys: ["monic_divisors", "MonicIdeal", "embed_residue_field"],

@@ -204,6 +204,39 @@ def test_realize_rejects_a_zero_invariant_factor(capsys, i1, i2):
     assert "nonzero" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("g,message", [
+    ("[1,2", "unterminated vector literal"),
+    ("[1,2,3]", "expected a length-2 vector"),
+    ("[]", "expected a length-2 vector"),
+    ("[-1,0]", "coefficient -1 out of range for F_3"),
+    ("9", "value 9 out of range for a field of order 9"),
+    ("[0,x]", "invalid literal for int()"),
+])
+def test_element_reader_rejects_malformed_text(capsys, g, message):
+    code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",
+                             "--g", g, "--delta", "1")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_element_reader_accepts_vectors_and_digit_encodings(capsys):
+    # 4 is the base-3 digit encoding of [1,1] in F_9
+    outs = []
+    for g in ("[1,1]", "[ 1 , 1 ]", "4"):
+        code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",
+                                 "--g", g, "--delta", "1")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_realize_text_writes_vectors(capsys):
+    code, out, err = run_cli(capsys, "realize", "--p", "5", "--P", "T", "--m", "3",
+                             "--i1", "T^2+3*T+2", "--i2", "T+2", "--format", "text")
+    assert code == 0 and err == ""
+    assert out == "realizable: g = [2,0,0], delta = [2,0,0]\n"
+
+
 def test_trend_command(capsys):
     code, out, _ = run_cli(capsys, "trend", "--q", "3,5", "--d", "1", "--m", "1",
                            "--format", "text")

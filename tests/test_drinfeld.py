@@ -39,15 +39,19 @@ def test_constructor_rejects_bad_primes_and_coefficients():
     for g, delta in ((-1, 1), (tw.order, 1), (1, -1), (1, tw.order)):
         with pytest.raises(ValueError):
             DrinfeldModule(tw, T, g, delta)
-    other = build_tower(3, 1, 1)
     with pytest.raises(ValueError):
-        DrinfeldModule(tw, T, other.element(1), 1)
+        DrinfeldModule(tw, T, 1, 0)
     with pytest.raises(ValueError):
-        DrinfeldModule(tw, T, 1, other.element(1))
-    with pytest.raises(ValueError):
-        DrinfeldModule(tw, T, 1, tw.element(0))
-    mod = DrinfeldModule(tw, T, tw.element(2), tw.element([1, 1]))
+        DrinfeldModule(tw, T, 1, [0, 0])
+    mod = DrinfeldModule(tw, T, 2, [1, 1])
     assert (mod.g, mod.delta) == (2, 4)
+
+
+def test_module_and_phi_t_write_vectors():
+    tw = build_tower(3, 1, 2)
+    mod = DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 2, [1, 1])
+    assert repr(mod) == "DrinfeldModule(q=3, n=2, prime=T, g=[2,0], delta=[1,1])"
+    assert str(mod.phi_t) == "[1,1]*t^2 + [2,0]*t"
 
 
 def test_constructor_rejects_a_prime_over_another_field_with_cached_coefficients():

@@ -19,7 +19,6 @@ byte-identical JSON.
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +26,7 @@ from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly
                        frobenius_unit, is_imaginary)
 from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
-from .polys import UPoly, enumerate_monic_irreducibles, irreducible_divisors
+from .polys import UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors
 from .structure import (InvariantFactors, check_criteria, module_structure,
                         plane_torsion_rational)
 
@@ -193,25 +192,26 @@ def compute_statistics(totals):
     return {"defined": True, "C": C, "C0": C0, "N": N, "N0": N0}
 
 
-@dataclass
-class CensusReport:
-    """Everything the census learned, in plain data."""
+class CensusReport(_Value):
+    """Everything the census learned, in plain data.  Unlike the other
+    values it is mutable, since attach_class_number_checks sets hurwitz,
+    and so it is not hashable."""
 
-    p: int
-    s: int
-    q: int
-    d: int
-    m: int
-    n: int
-    prime: str
-    totals: dict
-    statistics: dict
-    iso_classes: list
-    isogeny_classes: list
-    checks: dict
-    formula_comparison: dict
-    q_even_caveat: bool
-    hurwitz: dict = field(default=None)
+    _fields = ("p", "s", "q", "d", "m", "n", "prime", "totals", "statistics",
+               "iso_classes", "isogeny_classes", "checks", "formula_comparison",
+               "q_even_caveat", "hurwitz")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, p, s, q, d, m, n, prime, totals, statistics, iso_classes,
+                 isogeny_classes, checks, formula_comparison, q_even_caveat,
+                 hurwitz=None):
+        self.p, self.s, self.q, self.d, self.m, self.n = p, s, q, d, m, n
+        self.prime, self.totals, self.statistics = prime, totals, statistics
+        self.iso_classes, self.isogeny_classes = iso_classes, isogeny_classes
+        self.checks, self.formula_comparison = checks, formula_comparison
+        self.q_even_caveat, self.hurwitz = q_even_caveat, hurwitz
 
     def to_dict(self):
         stats = dict(self.statistics)

@@ -14,10 +14,9 @@ The result is accepted only when it satisfies the annihilation identity
     tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .polys import UPoly
+from .polys import UPoly, _Value
 
 
 @lru_cache(maxsize=None)
@@ -32,14 +31,15 @@ def _weil_trace(prime, m, unit, chi):
     return UPoly.one(chi.fq) + (_prime_power(prime, m) - chi).scale(unit)
 
 
-@dataclass(frozen=True)
-class FrobeniusCharPoly:
+class FrobeniusCharPoly(_Value):
     """X^2 - trace*X + unit*prime^m, the characteristic polynomial of tau^n.
 
-    The invariants read off it are derived once from the fields, and
-    replace() derives them anew:
+    Equal and hashed on (trace, unit, prime, ext_degree).  The invariants
+    read off it are derived from these once, by the constructor, which
+    does not accept them:
 
     - norm = unit*prime^m, the constant coefficient P(0);
+    - neg_trace = (-trace).coeffs;
     - chi, the monic normalization of P(1) = 1 - trace + norm;
     - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even;
       callers flag that case.
@@ -48,25 +48,20 @@ class FrobeniusCharPoly:
     P(1) = unit*chi with deg chi = n >= 1.
     """
 
-    trace: UPoly
-    unit: int
-    prime: UPoly
-    ext_degree: int
-    norm: UPoly = field(init=False, compare=False, repr=False)  # unit * prime^m
-    neg_trace: tuple = field(init=False, compare=False, repr=False)  # (-trace).coeffs
-    chi: UPoly = field(init=False, compare=False, repr=False)  # monic P(1)
-    disc: UPoly = field(init=False, compare=False, repr=False)  # trace^2 - 4*norm
+    _fields = ("trace", "unit", "prime", "ext_degree")
+    __slots__ = _fields + ("norm", "neg_trace", "chi", "disc")
 
-    def __post_init__(self):
-        fq = self.trace.fq
-        norm = _prime_power(self.prime, self.ext_degree).scale(self.unit)
-        at_one = UPoly.one(fq) - self.trace + norm
+    def __init__(self, trace, unit, prime, ext_degree):
+        fq = trace.fq
+        norm = _prime_power(prime, ext_degree).scale(unit)
+        at_one = UPoly.one(fq) - trace + norm
         if at_one.is_zero():
             raise RuntimeError("P(1) = 0; the Frobenius cannot fix a nonzero point")
         four = UPoly.constant(fq, 4 % fq.p)
-        for name, value in (("norm", norm), ("neg_trace", (-self.trace).coeffs),
-                            ("chi", at_one.monic()),
-                            ("disc", self.trace * self.trace - four * norm)):
+        for name, value in (("trace", trace), ("unit", unit), ("prime", prime),
+                            ("ext_degree", ext_degree), ("norm", norm),
+                            ("neg_trace", (-trace).coeffs), ("chi", at_one.monic()),
+                            ("disc", trace * trace - four * norm)):
             object.__setattr__(self, name, value)
 
     def trace_degree_ok(self):

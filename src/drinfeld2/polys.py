@@ -208,7 +208,8 @@ class UPoly:
             # a coefficient, a power of T or both, with '*' only between two
             if not mt or (mt.group(1) is None and mt.group(3) is None) or (
                     mt.group(2) and None in (mt.group(1), mt.group(3))):
-                raise ValueError("malformed polynomial term: %r" % raw)
+                # quote the text as written: the '-' rewrite may have split a term
+                raise ValueError("malformed polynomial term in %r" % text)
             cnum = int(mt.group(1)) if mt.group(1) is not None else 1
             if mt.group(3) is None:
                 k = 0
@@ -236,6 +237,42 @@ def _wrap(fq, coeffs):
     f.fq = fq
     f.coeffs = coeffs
     return f
+
+
+class _Value:
+    """A value named by the attributes in _fields: equality and hashing
+    compare them, repr prints them as keywords, and pickling and copying
+    call the constructor on them.  It is immutable, so subclasses set
+    their slots with object.__setattr__ in __init__.  The dataclasses
+    module is not used: importing it would cost nearly as much as the rest
+    of `import drinfeld2`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def monic_polys(fq, degree):

@@ -4,21 +4,21 @@ right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
 
-from dataclasses import dataclass
-
 from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
 from .drinfeld import DrinfeldModule, sigma_orbits, twist_orbits
 from .fields import second_invariant_factor
 from .ore import OrePoly
-from .polys import UPoly, _wrap, residue_root
+from .polys import UPoly, _Value, _wrap, residue_root
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(_Value):
     """L as an A-module is A/(i1) + A/(i2) with i2 | i1 (i2 = 1 when cyclic)."""
 
-    i1: UPoly
-    i2: UPoly
+    __slots__ = _fields = ("i1", "i2")
+
+    def __init__(self, i1, i2):
+        object.__setattr__(self, "i1", i1)
+        object.__setattr__(self, "i2", i2)
 
     def is_cyclic(self):
         return self.i2.is_one()
@@ -78,11 +78,13 @@ def plane_torsion_rational(mod, rho):
 # Realization: produce a module with prescribed invariant factors.
 
 
-@dataclass(frozen=True)
-class NotRealizable:
+class NotRealizable(_Value):
     """Negative result of realize_structure, naming the violated condition."""
 
-    reason: str
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason):
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self):
         return False

@@ -3,12 +3,18 @@ second structure route and other test-only code live in tests/oracles.py,
 dead methods are gone."""
 
 import ast
-import dataclasses
+import copy
 import inspect
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import drinfeld2
-from drinfeld2 import charpoly, drinfeld, fields, ore, polys, structure
+from drinfeld2 import (CensusReport, FrobeniusCharPoly, InvariantFactors, NotRealizable,
+                       UPoly, build_tower, charpoly, drinfeld, fields, ore, polys, structure)
 
 PUBLIC = [
     "FieldTower", "SizeBoundError", "build_tower",
@@ -60,8 +66,10 @@ def test_removed_names_are_gone_from_the_library():
             assert name not in vars(owner), (owner, name)
     assert list(inspect.signature(ore.OrePoly.apply).parameters) == ["self", "x"]
     # plain data of the Weil pair, and a check with no default charpoly
-    assert [f.name for f in dataclasses.fields(charpoly.FrobeniusCharPoly)] == [
-        "trace", "unit", "prime", "ext_degree", "norm", "neg_trace", "chi", "disc"]
+    assert list(inspect.signature(charpoly.FrobeniusCharPoly).parameters) == [
+        "trace", "unit", "prime", "ext_degree"]
+    assert charpoly.FrobeniusCharPoly.__slots__ == (
+        "trace", "unit", "prime", "ext_degree", "norm", "neg_trace", "chi", "disc")
     assert all(p.default is p.empty for p in
                inspect.signature(charpoly.annihilation_holds).parameters.values())
     for function in (drinfeld2.is_imaginary, drinfeld2.class_number,
@@ -69,6 +77,64 @@ def test_removed_names_are_gone_from_the_library():
         assert list(inspect.signature(function).parameters) == ["disc"]  # disc.fq is the field
     assert not hasattr(fields.Fq(2, 2), "_digits")
 
+
+
+def test_import_leaves_out_the_dataclasses_machinery():
+    src = str(Path(drinfeld2.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import drinfeld2, drinfeld2.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+            "& set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def _report(hurwitz=None):
+    return CensusReport(3, 1, 3, 1, 1, 1, "T", {}, {}, [], [], {}, {}, False, hurwitz)
+
+
+def test_result_classes_are_values():
+    fq = build_tower(3, 1, 1).fq
+    t, two = UPoly.parse(fq, "T"), UPoly.constant(fq, 2)
+    cp = FrobeniusCharPoly(two, 2, t, 1)
+    inv = InvariantFactors(UPoly.parse(fq, "T+1"), UPoly.one(fq))
+    no = NotRealizable("x")
+    assert repr(cp) == ("FrobeniusCharPoly(trace=UPoly(F_3, 2), unit=2, "
+                        "prime=UPoly(F_3, T), ext_degree=1)")
+    assert repr(inv) == "InvariantFactors(i1=UPoly(F_3, T+1), i2=UPoly(F_3, 1))"
+    assert repr(no) == "NotRealizable(reason='x')"
+    assert not no and not NotRealizable("y")
+    twins = [(cp, FrobeniusCharPoly(UPoly.constant(fq, 2), 2, UPoly.gen(fq), 1), "trace"),
+             (inv, InvariantFactors(UPoly.parse(fq, "T+1"), UPoly.parse(fq, "1")), "i1"),
+             (no, NotRealizable("x"), "reason")]
+    for value, twin, name in twins:
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        for target in (name, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, target, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert not hasattr(value, "__dict__")
+    assert cp != FrobeniusCharPoly(two, 1, t, 1) and inv != NotRealizable("x") and no != "x"
+    # the derived fields take no part in equality
+    other = FrobeniusCharPoly(two, 2, t, 1)
+    object.__setattr__(other, "chi", UPoly.zero(fq))
+    assert other == cp and hash(other) == hash(cp)
+
+
+def test_census_report_is_a_mutable_unhashable_record():
+    report = _report()
+    assert report.hurwitz is None and report == _report(None) != _report({})
+    report.hurwitz = {"all_match": True}
+    assert report == _report({"all_match": True})
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+    with pytest.raises(TypeError):
+        hash(report)
+    assert repr(_report()) == (
+        "CensusReport(p=3, s=1, q=3, d=1, m=1, n=1, prime='T', totals={}, statistics={}, "
+        "iso_classes=[], isogeny_classes=[], checks={}, formula_comparison={}, "
+        "q_even_caveat=False, hurwitz=None)")
 
 def _imported_but_unused(source):
     """The names an import binds in source that no expression reads and

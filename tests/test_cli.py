@@ -48,6 +48,13 @@ def test_charpoly_rejects_malformed_poly(capsys):
     assert code == 2
 
 
+
+def test_malformed_poly_error_quotes_the_argument(capsys):
+    code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T^-1", "--m", "1",
+                             "--g", "1", "--delta", "1")
+    assert (code, out) == (2, "")
+    assert "malformed polynomial term in 'T^-1'" in err
+
 def test_structure_command(capsys):
     code, out, _ = run_cli(capsys, "structure", "--p", "3", "--s", "1",
                            "--P", "T", "--m", "1", "--g", "1", "--delta", "1")

@@ -156,6 +156,14 @@ def test_parse_rejects_a_star_missing_a_factor(text):
         P(text)
 
 
+
+def test_parse_error_quotes_the_text_as_written():
+    # the '-' is read as a sign, which splits 'T^-1' into 'T^' and '-1'
+    with pytest.raises(ValueError, match=r"^malformed polynomial term in 'T\^-1'$"):
+        P("T^-1")
+    with pytest.raises(ValueError, match=r"^malformed polynomial term in '2 \* \+ T'$"):
+        P("2 * + T")
+
 def test_monic_divisors():
     f = P("T^2+T")  # T(T+1)
     divs = monic_divisors(f)

@@ -17,6 +17,14 @@ operation, sums included, is a table lookup on every tower; values are
 immutable and safe to share across worker processes.  A vector of F_q^n
 is an element of L, so the Krylov and echelon steps that classify a
 module run on the same tables.
+
+The tables are built without a polynomial product per element.
+Multiplying by the generator g is F_q-linear: with x = lo + H*hi and
+H = q^ceil(n/2), x*g = lo*g + (H*hi)*g, so two tables of about sqrt|L|
+products each give every x*g as one sum.  That sum is taken block by
+block, ceil(n/2) digits at a time, in a table of digit-wise sums grown
+from F_q's addition table.  Each Frobenius table is the q-power map
+applied to the one before.
 """
 
 import itertools
@@ -175,7 +183,13 @@ def _poly_kernel(fq):
         return hit
 
     def irreducibles(degree):
-        return (f for f in monics(degree) if is_irreducible(f))
+        """The monic irreducibles of the given degree, in monics' order.
+        Past degree 1, T divides every monic with constant term 0, so the
+        constant runs from 1."""
+        if degree < 2:
+            return (f for f in monics(degree) if is_irreducible(f))
+        tails = itertools.product(range(1, q), *[range(q)] * (degree - 1))
+        return (f for f in (tail + (1,) for tail in tails) if is_irreducible(f))
 
     divisors = {}
 
@@ -332,25 +346,43 @@ class FieldTower:
 
         self.top_min_poly = next(fq.kernel.irreducibles(n))
 
+        # digits[v] = the base-q digits of v, low first; product varies its
+        # last entry fastest, so each tuple is read backwards
         q = fq.q
-        digits = []
-        for v in range(order):
-            vec = []
-            x = v
-            for _ in range(n):
-                vec.append(x % q)
-                x //= q
-            digits.append(tuple(vec))
-        self._digits = digits
+        self._digits = [v[::-1] for v in itertools.product(range(q), repeat=n)]
 
+        # exp[k] = gen^k by the F_q-linear map x -> x*gen, without a kernel
+        # product per element.  Split x = lo + H*hi with H = q^h, h =
+        # ceil(n/2), so that x*gen = lo*gen + (H*hi)*gen: two product
+        # tables of H and |L|/H entries.  Their sum is taken block by block,
+        # the low h digits and the high n - h digits, in the table `block`
+        # of digit-wise sums of two h-digit vectors, grown one digit at a
+        # time from F_q's add_table, which is the table itself when h = 1.
         gen = self._find_generator()
+        h = (n + 1) // 2
+        H = q ** h
+        low = [0] + [self._raw_mul(lo, gen) for lo in range(1, H)]
+        high = [0] + [self._raw_mul(H * hi, gen) for hi in range(1, order // H)]
+        add_q = fq.add_table
+        block, width = add_q, q
+        for _ in range(h - 1):
+            # block'[a + width a'][b + width b'] = block[a][b] + width (a' + b')
+            block = [[u + width * t for t in row_q for u in row]
+                     for row_q in add_q for row in block]
+            width *= q
+        # lo*gen picks the rows of block, (H*hi)*gen the columns
+        rows_lo = [block[v % H] for v in low]
+        rows_hi = [block[v // H] for v in low]
+        cols_lo = [v % H for v in high]
+        cols_hi = [v // H for v in high]
         exp = [0] * (order - 1)
         log = [0] * order  # log[0] unused
         x = 1
         for k in range(order - 1):
             exp[k] = x
             log[x] = k
-            x = self._raw_mul(x, gen)
+            lo, hi = x % H, x // H
+            x = rows_lo[lo][cols_lo[hi]] + H * rows_hi[lo][cols_hi[hi]]
         if x != 1:
             raise RuntimeError("generator order mismatch")
         # Zech logarithms: 1 + g^k = g^zech[k], or zech[k] = 2(|L| - 1) when
@@ -359,24 +391,26 @@ class FieldTower:
         # log b - log a or log c + log y - log a, reads it directly.  exp
         # runs over two periods and then |L| - 1 zeros, so a sum of two logs
         # indexes it without reduction and the sentinel lands on 0.
-        plus_one = [x - x % q + fq.add_table[x % q][1] for x in exp]
+        plus_one = [x - x % q + add_q[x % q][1] for x in exp]
         zech = [log[y] if y else 2 * (order - 1) for y in plus_one]
         self.generator = gen
-        self._exp = exp + exp + [0] * (order - 1)
+        self._exp = exp = exp + exp + [0] * (order - 1)
         self._log = log
         self._zech = zech + zech
 
-        m1 = fq.neg_table[1]  # -1 as an element of F_q inside L
-        self._negtab = [self.mul(a, m1) if m1 != 1 else a for a in range(order)]
+        # -a = a * (-1), and log of -1 is 0 when -1 = 1
+        log_m1 = log[fq.neg_table[1]]
+        self._negtab = [0] + [exp[la + log_m1] for la in log[1:]]
 
-        # Frobenius tables: _frob[k][x] = x^(q^k) for 0 <= k < n.
+        # Frobenius tables: _frob[k][x] = x^(q^k) for 0 <= k < n, each the
+        # q-power map f1 applied to the one before
         frob = [list(range(order))]
-        for k in range(1, n):
-            prev = frob[-1]
-            cur = [0] * order
-            for x in range(1, order):
-                cur[x] = exp[(log[prev[x]] * q) % (order - 1)]
-            frob.append(cur)
+        if n > 1:
+            f1 = [exp[la * q % (order - 1)] for la in log]
+            f1[0] = 0
+            frob.append(f1)
+            for _ in range(2, n):
+                frob.append([f1[y] for y in frob[-1]])
         self._frob = frob
 
     # -- construction helpers ------------------------------------------------
@@ -484,17 +518,17 @@ class FieldTower:
             raise ValueError("expected a length-%d vector" % self.n)
         v = 0
         for d in reversed(vec):
-            if not isinstance(d, int) or not 0 <= d < self.q:
+            if type(d) is bool or not isinstance(d, int) or not 0 <= d < self.q:
                 raise ValueError("coefficient %r out of range for F_%d" % (d, self.q))
             v = v * self.q + d
         return v
 
     def element(self, value):
         """An element of L given as an int below |L| or as its coefficient
-        vector over F_q; raises ValueError for anything else."""
+        vector over F_q; raises ValueError for anything else, bool included."""
         if isinstance(value, (list, tuple)):
             return self.from_vector(value)
-        if not isinstance(value, int) or not 0 <= value < self.order:
+        if type(value) is bool or not isinstance(value, int) or not 0 <= value < self.order:
             raise ValueError("value %r out of range for a field of order %d"
                              % (value, self.order))
         return value

@@ -325,7 +325,10 @@ def residue_root(tower, prime):
         raise ValueError(
             "residue field of degree %d does not embed in an extension of degree %d"
             % (d, tower.n))
-    roots = [x for x in tower.elements() if prime.eval_in_tower(tower, x) == 0]
+    # the roots lie in F_{q^d}: 0 and the powers of g^((q^n - 1)/(q^d - 1))
+    units = tower.q ** d - 1
+    subfield = [0] + tower._exp[:tower.order - 1:(tower.order - 1) // units]
+    roots = [x for x in subfield if prime.eval_in_tower(tower, x) == 0]
     if len(roots) != d:
         raise RuntimeError("expected %d roots of %s, found %d" % (d, prime, len(roots)))
     value = min(roots, key=tower.vector)

@@ -1,14 +1,15 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (F_q's tables from
-polynomial products, the n x n action matrix of phi_T over F_q with
-its Smith normal form over A and its Krylov sequences, linear solves for the
-Frobenius characteristic polynomial and for tau^n in the image of phi, the
-closed-form candidate for that image when the discriminant is 0, the
-annihilation residue built from OrePoly objects, the torsion structure of ker phi_I from a nullspace in a
-splitting tower, with its field embeddings, right gcds in L{tau} and
-two-generator ideal images, the order-containment check, the minimal
-polynomial of the Frobenius with its annihilation check, P(a) for a in
-A, the marking sweep over L x L^* for twist orbits, the census
+polynomial products, L's tables from one product per element, the n x n
+action matrix of phi_T over F_q with its Smith normal form over A and
+its Krylov sequences, linear solves for the Frobenius characteristic
+polynomial and for tau^n in the image of phi, the closed-form candidate
+for that image when the discriminant is 0, the annihilation residue
+built from OrePoly objects, the torsion structure of ker phi_I from a
+nullspace in a splitting tower, with its field embeddings, right gcds in
+L{tau} and two-generator ideal images, the order-containment check, the
+minimal polynomial of the Frobenius with its annihilation check, P(a)
+for a in A, the marking sweep over L x L^* for twist orbits, the census
 records of every twist orbit classified on its own, the realization
 scans over the Hasse box and over every module, and the lattice
 enumeration of ideal classes), and closed-form census counts with their
@@ -31,7 +32,7 @@ from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly,
                        is_imaginary, module_structure, plane_torsion_rational)
 from drinfeld2.census import _process_orbit
 from drinfeld2.drinfeld import twist_orbits
-from drinfeld2.fields import MAX_FIELD_ORDER
+from drinfeld2.fields import MAX_FIELD_ORDER, prime_factors
 from drinfeld2.polys import _wrap, monic_polys
 from drinfeld2.structure import NotRealizable
 
@@ -228,6 +229,90 @@ def fq_tables_by_polynomials(p, s):
     neg = [to_int([-x % p for x in digits[a]]) for a in range(q)]
     inv = [0] + [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
     return min_poly, add, mul, neg, inv
+
+
+# ---------------------------------------------------------------------------
+# L = F_{q^n} by one kernel product per element, and roots by a scan of L.
+
+
+def exp_table_by_products(tower):
+    """The tables of tower, rebuilt from tower.fq and tower.n alone, one
+    kernel product per element: digits by repeated division by q,
+    top_min_poly the least monic irreducible of degree n (coefficient
+    vectors compared constant term first, irreducibility by trial division
+    by every monic of degree <= n/2), the generator the least element
+    whose order is |L| - 1, exp by |L| - 1 products with it, each reduced
+    mod top_min_poly, and each Frobenius table by a log and an exp per
+    entry.  Returns a dict from FieldTower's attribute names to values."""
+    fq, n = tower.fq, tower.n
+    kernel, q = fq.kernel, fq.q
+    order = q ** n
+
+    top_min_poly = next(
+        f for f in kernel.monics(n)
+        if all(kernel.divmod(f, g)[1] for e in range(1, n // 2 + 1) for g in kernel.monics(e)))
+
+    digits = []
+    for v in range(order):
+        vec = []
+        x = v
+        for _ in range(n):
+            vec.append(x % q)
+            x //= q
+        digits.append(tuple(vec))
+
+    def raw_mul(a, b):
+        prod = kernel.mul(digits[a], digits[b])
+        v = 0
+        for c in reversed(kernel.divmod(prod, top_min_poly)[1]):
+            v = v * q + c
+        return v
+
+    def raw_pow(a, e):
+        r = 1
+        base = a
+        while e:
+            if e & 1:
+                r = raw_mul(r, base)
+            base = raw_mul(base, base)
+            e >>= 1
+        return r
+
+    m = order - 1
+    checks = [m // ell for ell in prime_factors(m)] if m > 1 else []
+    gen = 1 if m == 1 else next(
+        x for x in range(2, order) if all(raw_pow(x, e) != 1 for e in checks))
+
+    exp = [0] * (order - 1)
+    log = [0] * order  # log[0] unused
+    x = 1
+    for k in range(order - 1):
+        exp[k] = x
+        log[x] = k
+        x = raw_mul(x, gen)
+    if x != 1:
+        raise RuntimeError("generator order mismatch")
+    plus_one = [x - x % q + fq.add_table[x % q][1] for x in exp]
+    zech = [log[y] if y else 2 * (order - 1) for y in plus_one]
+
+    frob = [list(range(order))]
+    for k in range(1, n):
+        prev = frob[-1]
+        cur = [0] * order
+        for x in range(1, order):
+            cur[x] = exp[(log[prev[x]] * q) % (order - 1)]
+        frob.append(cur)
+
+    return {"top_min_poly": top_min_poly, "_digits": digits, "generator": gen,
+            "_exp": exp + exp + [0] * (order - 1), "_log": log, "_zech": zech + zech,
+            "_frob": frob}
+
+
+def residue_root_by_scan(tower, prime):
+    """The root of prime in L with the least coefficient vector, from its
+    value at every element of L."""
+    return min((x for x in tower.elements() if prime.eval_in_tower(tower, x) == 0),
+               key=tower.vector)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def test_constructor_rejects_bad_primes_and_coefficients():
         DrinfeldModule(tw, T, 1, [0, 0])
     mod = DrinfeldModule(tw, T, 2, [1, 1])
     assert (mod.g, mod.delta) == (2, 4)
+    # elements are ints, and a bool is not one
+    for g, delta in ((0, True), (True, 1), (False, 1), (1, [True, 0])):
+        with pytest.raises(ValueError):
+            DrinfeldModule(tw, T, g, delta)
 
 
 def test_module_and_phi_t_write_vectors():

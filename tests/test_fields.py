@@ -4,8 +4,9 @@ import random
 import pytest
 
 from drinfeld2 import SizeBoundError, build_tower
-from drinfeld2.fields import MAX_BASE_ORDER, Fq
-from oracles import FieldEmbedding, fq_tables_by_polynomials, gauss_solve, nullspace
+from drinfeld2.fields import MAX_BASE_ORDER, MAX_FIELD_ORDER, FieldTower, Fq
+from oracles import (FieldEmbedding, exp_table_by_products, fq_tables_by_polynomials,
+                     gauss_solve, nullspace)
 
 
 def test_prime_field_tower():
@@ -35,6 +36,41 @@ def test_fq_tables_equal_the_polynomial_construction():
         fq = Fq(p, s)
         got = (fq.min_poly, fq.add_table, fq.mul_table, fq.neg_table, fq.inv_table)
         assert got == fq_tables_by_polynomials(p, s), (p, s)
+
+
+def test_tower_tables_equal_the_product_construction():
+    # every tower with q <= 16 and |L| <= 8192, built uncached
+    bases = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+    towers = [(p, s, n) for p, s in bases for n in range(1, 14)
+              if p ** (s * n) <= MAX_FIELD_ORDER]
+    assert len(towers) == 53
+    for p, s, n in towers:
+        tw = FieldTower(Fq(p, s), n)
+        want = exp_table_by_products(tw)
+        assert {name: getattr(tw, name) for name in want} == want, (p, s, n)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 13), (3, 1, 8)])
+def test_tables_take_about_two_sqrt_order_kernel_products(monkeypatch, p, s, n):
+    # x -> x*gen from two product tables of q^ceil(n/2) and q^floor(n/2)
+    # entries; only the generator search multiplies beyond them
+    calls = {"all": 0, "generator": 0}
+    raw_mul, find_generator = FieldTower._raw_mul, FieldTower._find_generator
+
+    def counted_mul(self, a, b):
+        calls["all"] += 1
+        return raw_mul(self, a, b)
+
+    def counted_find_generator(self):
+        before = calls["all"]
+        gen = find_generator(self)
+        calls["generator"] += calls["all"] - before
+        return gen
+
+    monkeypatch.setattr(FieldTower, "_raw_mul", counted_mul)
+    monkeypatch.setattr(FieldTower, "_find_generator", counted_find_generator)
+    tw = FieldTower(Fq(p, s), n)
+    assert calls["all"] - calls["generator"] <= 2 * tw.q ** ((n + 1) // 2)
 
 
 def test_build_tower_is_cached_and_identical():
@@ -148,9 +184,12 @@ def test_element_vectors_and_parse():
     assert tw.format(3) == "[0,1]"
     assert tw.parse("[0,1]") == 3
     assert tw.parse("5") == 5
-    for bad in ([1, 2, 3], 9, [1.0, 0], 1.0, "5"):
+    for bad in ([1, 2, 3], 9, [1.0, 0], 1.0, "5", True, False, [True, 0], (0, False)):
         with pytest.raises(ValueError):
             tw.element(bad)
+    for bad in ([True, 0], [0, False]):
+        with pytest.raises(ValueError):
+            tw.from_vector(bad)
 
 
 def test_gauss_solve_and_nullspace():

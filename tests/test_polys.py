@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from conftest import GRID, STRETCH, tower_for
 from drinfeld2 import UPoly, build_tower, enumerate_monic_irreducibles
+from drinfeld2.census import default_prime
 from drinfeld2.polys import monic_polys, residue_root
-from oracles import monic_divisors
+from oracles import monic_divisors, residue_root_by_scan
 
 
 def fq3():
@@ -91,9 +93,15 @@ def necklace_count(q, d):
 @pytest.mark.parametrize("q,p,s", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1),
                                    (7, 7, 1), (8, 2, 3), (9, 3, 2)])
 def test_irreducible_counts_match_necklace_formula(q, p, s):
+    # past degree 1 the enumeration skips constant term 0; it still lists
+    # every monic that no monic of degree 1 .. d/2 divides
     fq = build_tower(p, s, 1).fq
+    kernel = fq.kernel
     for d in range(1, 5):
         assert len(enumerate_monic_irreducibles(fq, d)) == necklace_count(q, d)
+        assert list(kernel.irreducibles(d)) == [
+            f for f in kernel.monics(d)
+            if all(kernel.divmod(f, g)[1] for e in range(1, d // 2 + 1) for g in kernel.monics(e))]
 
 
 def test_irreducible_enumeration_examples():
@@ -122,6 +130,15 @@ def test_embed_residue_field_examples():
     assert UPoly.parse(tw2.fq, "T^2+1").eval_in_tower(tw2, gamma) == 0
     # the memoized root is a plain element of L
     assert type(residue_root(tw2, UPoly.parse(tw2.fq, "T^2+1"))) is int
+
+
+@pytest.mark.parametrize("q,d,m", GRID + STRETCH, ids=lambda v: str(v))
+def test_residue_root_equals_the_root_found_by_scanning_l(monkeypatch, q, d, m):
+    # the roots lie in F_{q^d}, so scanning it finds the same least root
+    monkeypatch.setattr("drinfeld2.polys._EMBED_CACHE", {})  # found here, not recalled
+    tower = tower_for(q, d * m)
+    prime = default_prime(tower.fq, d)
+    assert residue_root(tower, prime) == residue_root_by_scan(tower, prime)
 
 
 def test_embed_residue_field_errors():

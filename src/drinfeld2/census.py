@@ -22,13 +22,13 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
+from .charpoly import (FrobeniusCharPoly, _annihilation_residue, frobenius_charpoly,
                        frobenius_unit, is_imaginary)
 from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors
-from .structure import (InvariantFactors, check_criteria, module_structure,
-                        plane_torsion_rational)
+from .structure import (InvariantFactors, _invariant_pair, check_criteria,
+                        module_structure, plane_torsion_rational)
 
 SCHEMA_VERSION = "2"
 
@@ -50,7 +50,12 @@ def _process_orbit(tower, prime, group, verify_members):
     invariant factors, its height and its own checks; run_census derives
     the invariants of the class from (trace, unit).  Each record keeps its
     own rep, size, automorphism count and unit, the last recomputed from
-    its delta; the rest is the head's, which sigma carries over."""
+    its delta; the rest is the head's, which sigma carries over.
+
+    With verify_members, every other member of each twist orbit gets its
+    own annihilation residue against the head's charpoly and its own
+    Krylov pass against the head's invariant factors, from the plain-int
+    kernels with the head's gamma; no module is built for a member."""
     rep = group[0][0]
     mod = DrinfeldModule(tower, prime, rep[0], rep[1])
     cp = frobenius_charpoly(mod)
@@ -85,7 +90,7 @@ def _process_orbit(tower, prime, group, verify_members):
         "height": h,
         "torsion_equiv_ok": torsion_equiv_ok,
     }
-    pair = inv.as_pair()
+    pair, gamma = inv.as_pair(), mod.gamma_t
     records = []
     for (g, delta), size, aut in group:
         members_ok = True
@@ -95,10 +100,9 @@ def _process_orbit(tower, prime, group, verify_members):
             for member in members:
                 if not members_ok:
                     break
-                if member != rep:  # each module gets its own Krylov pass and residue
-                    other = DrinfeldModule(tower, prime, *member)
-                    members_ok = (annihilation_holds(other, cp)
-                                  and module_structure(other).as_pair() == pair)
+                if member != rep:  # each module gets its own residue and Krylov pass
+                    members_ok = (not any(_annihilation_residue(tower, gamma, *member, cp))
+                                  and _invariant_pair(tower, gamma, *member) == pair)
         records.append(dict(head, g=g, delta=delta, orbit_size=size, aut_count=aut,
                             unit=frobenius_unit(tower, delta), members_ok=members_ok))
     return records

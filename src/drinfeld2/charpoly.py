@@ -16,6 +16,7 @@ The result is accepted only when it satisfies the annihilation identity
 
 from functools import lru_cache
 
+from .drinfeld import phi_into
 from .polys import UPoly, _Value
 
 
@@ -97,17 +98,16 @@ def frobenius_unit(tower, delta):
 
 def annihilation_holds(mod, cp):
     """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0."""
-    return not any(_annihilation_residue(mod, cp))
+    return not any(_annihilation_residue(mod.tower, mod.gamma_t, mod.g, mod.delta, cp))
 
 
-def _annihilation_residue(mod, cp):
+def _annihilation_residue(tower, gamma, g, delta, cp):
     """The coefficients, low degree first, of tau^(2n) - phi(trace) tau^n
-    + phi(unit prime^m) in L{tau}."""
-    n = mod.n
-    out = [0] * max(2 * n + 1, n + 2 * len(cp.trace.coeffs), 2 * len(cp.norm.coeffs))
+    + phi(unit prime^m) in L{tau}, phi_T = gamma + g tau + delta tau^2."""
+    n = tower.n
+    out = [0] * max(2 * n + 1, n + 2 * len(cp.neg_trace), 2 * len(cp.norm.coeffs))
     out[2 * n] = 1
-    mod._phi_into(out, cp.neg_trace, n)
-    mod._phi_into(out, cp.norm.coeffs)
+    phi_into(tower, gamma, g, delta, out, (cp.neg_trace, n), (cp.norm.coeffs, 0))
     return out
 
 

@@ -6,6 +6,13 @@ irreducible `prime` (the kernel of the structure map A -> L) and
 n = m * deg(prime).  Phi extends to a ring homomorphism A -> L{tau};
 its image endows L, and every extension of L, with an A-module
 structure.
+
+The per-module work runs on plain ints, from (tower, gamma, g, delta)
+alone: phi_step is the map x -> phi_T(x) on L, and phi_into adds
+phi(a) tau^at into a coefficient list by Horner's rule.  DrinfeldModule
+calls them for its phi, height and action invariants, and a census
+checks the members of a twist orbit with them directly, without building
+a module per member.
 """
 
 from math import gcd
@@ -34,7 +41,6 @@ class DrinfeldModule:
         self.g = g
         self.delta = delta
         self.phi_t = OrePoly(tower, (self.gamma_t, g, delta))
-        self._t_powers = [[1], [self.gamma_t, g, delta]]
         self._action = None
 
     def __eq__(self, other):
@@ -53,19 +59,6 @@ class DrinfeldModule:
 
     # -- the homomorphism ------------------------------------------------------
 
-    def _t_powers_to(self, k):
-        """[phi_T^0, phi_T^1, ...] as coefficient lists, through at least
-        phi_T^k; cached.  phi_T^(k+1) is (gamma + g tau + delta tau^2)
-        phi_T^k, three multiply-accumulates."""
-        powers, tw = self._t_powers, self.tower
-        while len(powers) <= k:
-            last = powers[-1]
-            nxt = [0] * (len(last) + 2)
-            for j, c in enumerate(powers[1]):
-                tw.add_scaled(nxt, j, c, last, j)
-            powers.append(nxt)
-        return powers
-
     def phi(self, a):
         """The image of a in L{tau}; additive and multiplicative in a."""
         if isinstance(a, int):
@@ -73,17 +66,8 @@ class DrinfeldModule:
         if a.fq != self.tower.fq:
             raise ValueError("argument lives over a different base field")
         out = [0] * (2 * len(a.coeffs))
-        self._phi_into(out, a.coeffs)
+        phi_into(self.tower, self.gamma_t, self.g, self.delta, out, (a.coeffs, 0))
         return OrePoly(self.tower, out)
-
-    def _phi_into(self, out, a, at=0):
-        """Add phi(a) tau^at into the coefficient list out, for a the
-        coefficient tuple of an element of A; out must reach degree
-        at + 2 deg a."""
-        add_scaled = self.tower.add_scaled
-        for c, power in zip(a, self._t_powers_to(len(a) - 1)):
-            if c:
-                add_scaled(out, at, c, power)
 
     def gamma(self, a):
         """The structure map A -> L (constant term of phi(a))."""
@@ -99,7 +83,8 @@ class DrinfeldModule:
         cached.  The characteristic polynomial and the invariant factors
         both start from it."""
         if self._action is None:
-            chi, i1 = char_and_min_poly(self.tower, self.phi_t.apply)
+            step = phi_step(self.tower, self.gamma_t, self.g, self.delta)
+            chi, i1 = char_and_min_poly(self.tower, step)
             self._action = (_wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
         return self._action
 
@@ -120,6 +105,66 @@ class DrinfeldModule:
 
     def is_ordinary(self):
         return self.height() == 1
+
+
+def phi_step(tower, gamma, g, delta):
+    """The F_q-linear map x -> phi_T(x) = delta x^(q^2) + g x^q + gamma x
+    on L, in log space with the logs of the coefficients bound once; each
+    sum is a Zech lookup.  The Krylov step of the action invariants."""
+    exp, log, zech, frob = tower._exp, tower._log, tower._zech, tower._frob
+    l0, l1, l2 = log[gamma], log[g], log[delta]
+    f1, f2 = frob[1 % tower.n], frob[2 % tower.n]
+
+    def step(x):
+        if not x:
+            return 0
+        out = exp[l2 + log[f2[x]]]  # nonzero: delta != 0
+        if g:
+            lv = l1 + log[f1[x]]
+            out = exp[log[out] + zech[lv - log[out]]]
+        if gamma:
+            lv = l0 + log[x]
+            out = exp[log[out] + zech[lv - log[out]]] if out else exp[lv]
+        return out
+
+    return step
+
+
+def phi_into(tower, gamma, g, delta, out, *parts):
+    """Add phi(a) tau^at into the coefficient list out for each (a, at)
+    in parts, a the coefficient tuple of an element of A; out must reach
+    degree at + 2 deg a.
+
+    Horner's rule, phi(a) = a_0 + phi_T (a_1 + phi_T (a_2 + ...)): each
+    step left-multiplies by phi_T, which sends y tau^j to gamma y tau^j +
+    g y^q tau^(j+1) + delta y^(q^2) tau^(j+2), and the last step adds
+    into out at tau^at.  Sums are Zech lookups, as in phi_step; the three
+    terms are written out, which takes a quarter off a loop over them."""
+    exp, log, zech, frob = tower._exp, tower._log, tower._zech, tower._frob
+    l0, l1, l2 = log[gamma], log[g], log[delta]
+    f1, f2 = frob[1 % tower.n], frob[2 % tower.n]
+    for a, at in parts:
+        acc = ()
+        for i in range(len(a) - 1, -1, -1):  # acc <- phi_T acc + a_i
+            if i:
+                base, dst = 0, [0] * (len(acc) + 2)
+            else:
+                base, dst = at, out
+            for j, y in enumerate(acc, base):
+                if not y:
+                    continue
+                if gamma:
+                    lv, o = l0 + log[y], dst[j]
+                    dst[j] = exp[log[o] + zech[lv - log[o]]] if o else exp[lv]
+                if g:
+                    lv, o = l1 + log[f1[y]], dst[j + 1]
+                    dst[j + 1] = exp[log[o] + zech[lv - log[o]]] if o else exp[lv]
+                lv, o = l2 + log[f2[y]], dst[j + 2]
+                dst[j + 2] = exp[log[o] + zech[lv - log[o]]] if o else exp[lv]
+            c, o = a[i], dst[base]
+            if c:  # c in F_q is the same int in L
+                dst[base] = exp[log[o] + zech[log[c] - log[o]]] if o else c
+            acc = dst
 
 
 def twist_orbits(tower):
@@ -219,13 +264,21 @@ def sigma_orbits(tower, d, orbits):
 
 
 def orbit_members(tower, rep):
-    """The members of the twist orbit of rep = (g, delta), sorted.  From
-    discrete logs: u = gamma^k, gamma = tower.generator, sends rep to
-    (gamma^(log g + k(q-1)), gamma^(log delta + k(q^2-1))), g = 0 to 0."""
+    """The members of the twist orbit of rep = (g, delta), sorted.  u =
+    gamma^k, gamma = tower.generator, sends rep to
+    (gamma^(log g + k(q-1)), gamma^(log delta + k(q^2-1))), g = 0 to 0;
+    the walk k = 1, 2, ... returns to rep after the orbit size, the index
+    of the stabilizer, so it takes that many steps."""
     q = tower.q
     exp, log = tower._exp, tower._log
     units = tower.order - 1
     g, delta = rep
     lg, ld = log[g], log[delta]
-    return sorted({(exp[(lg + k * (q - 1)) % units] if g else 0,
-                    exp[(ld + k * (q * q - 1)) % units]) for k in range(units)})
+    members = [rep]
+    for _ in range(units):  # the orbit size divides |L| - 1
+        lg, ld = (lg + q - 1) % units, (ld + q * q - 1) % units
+        member = (exp[lg] if g else 0, exp[ld])
+        if member == rep:
+            break
+        members.append(member)
+    return sorted(members)

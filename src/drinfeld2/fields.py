@@ -254,10 +254,14 @@ class Fq:
         else:
             tower = build_tower(p, 1, s)
             self.min_poly = tower.top_min_poly
-            self.add_table = [[tower.add(a, b) for b in range(q)] for a in range(q)]
-            self.mul_table = [[tower.mul(a, b) for b in range(q)] for a in range(q)]
-            self.neg_table = [tower.neg(a) for a in range(q)]
-            self.inv_table = [0] + [tower.inv(a) for a in range(1, q)]
+            # rows a != 0 from logs: a + b = g^(la + zech(lb - la)), a b = g^(la + lb)
+            exp, zech, units = tower._exp, tower._zech, q - 1
+            logs = tower._log[1:]
+            self.add_table = [list(range(q))] + [
+                [a] + [exp[la + zech[lb - la]] for lb in logs] for a, la in enumerate(logs, 1)]
+            self.mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+            self.neg_table = tower._negtab
+            self.inv_table = [0] + [exp[-la % units] for la in logs]
         self.kernel = _poly_kernel(self)
 
     def add(self, a, b):
@@ -683,8 +687,8 @@ def second_invariant_factor(tower, step, chi, i1):
     dim ker rho(step) <= 2 deg rho for every irreducible rho | i2 proves
     k <= 2.  The rank of rho(step) is that of the images of the q^j.
     """
-    if i1 == chi:  # cyclic, as most modules are; skipping the two divisions
-        return (1,)  # below saves about 4 us a module, 0.06 s of census-verify
+    if i1 == chi:  # cyclic, as 15,376 of the 15,500 modules at (5,1,3) are;
+        return (1,)  # the two divisions below cost about 3 us a module (CPython 3.11)
     kernel = tower.fq.kernel
     i2, r = kernel.divmod(chi, i1)
     if r:

@@ -5,8 +5,8 @@ search that produces a module with a prescribed structure.
 """
 
 from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
-from .drinfeld import DrinfeldModule, sigma_orbits, twist_orbits
-from .fields import second_invariant_factor
+from .drinfeld import DrinfeldModule, phi_step, sigma_orbits, twist_orbits
+from .fields import char_and_min_poly, second_invariant_factor
 from .ore import OrePoly
 from .polys import UPoly, _Value, _wrap, residue_root
 
@@ -36,8 +36,18 @@ def module_structure(mod):
     more than two invariant factors, which the rank-2 theory forbids.
     """
     chi, i1 = mod.action_invariants()
-    i2 = second_invariant_factor(mod.tower, mod.phi_t.apply, chi.coeffs, i1.coeffs)
+    _, i2 = _invariant_pair(mod.tower, mod.gamma_t, mod.g, mod.delta, (chi.coeffs, i1.coeffs))
     return InvariantFactors(i1, _wrap(mod.tower.fq, i2))
+
+
+def _invariant_pair(tower, gamma, g, delta, action=None):
+    """(i1, i2) as kernel tuples for L under phi_T = gamma + g tau +
+    delta tau^2: one Krylov pass (char_and_min_poly) gives chi and i1,
+    unless action = (chi, i1) hands in that pass, and
+    second_invariant_factor gives i2 and its checks."""
+    step = phi_step(tower, gamma, g, delta)
+    chi, i1 = action or char_and_min_poly(tower, step)
+    return i1, second_invariant_factor(tower, step, chi, i1)
 
 
 def check_criteria(cp, inv):

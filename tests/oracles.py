@@ -704,8 +704,8 @@ def _ore_columns_to_rows(tower, columns, rhs_poly, width):
 
 
 def _t_powers_by_ore(mod, count):
-    """[phi_T^0, ..., phi_T^(count-1)] as OrePoly products of mod.phi_t,
-    apart from the library's cached powers."""
+    """[phi_T^0, ..., phi_T^(count-1)] as OrePoly products of mod.phi_t;
+    the library keeps no powers, it runs Horner's rule (drinfeld.phi_into)."""
     powers = [OrePoly.one(mod.tower)]
     while len(powers) < count:
         powers.append(powers[-1] * mod.phi_t)

@@ -22,9 +22,10 @@ from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly, UPoly,
                        annihilation_holds, build_tower, fields, frobenius_charpoly,
                        module_structure)
 from drinfeld2.charpoly import _annihilation_residue
-from drinfeld2.drinfeld import twist_orbits
+from drinfeld2.drinfeld import orbit_members, twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
+from drinfeld2.structure import _invariant_pair
 from oracles import (_matrix_krylov_relation, _solve_frobenius_in_image, action_matrix,
                      annihilation_residue_by_ore, charpoly_by_solve, frobenius_witness,
                      matrix_char_and_min_poly, matrix_second_invariant_factor,
@@ -261,9 +262,46 @@ def test_annihilation_residue_holds_only_for_the_true_charpoly(q, d, m):
             FrobeniusCharPoly(cp.trace, u, cp.prime, cp.ext_degree)
             for u in mod.tower.fq.units() if u != cp.unit]
         for other in [cp] + wrong:
-            residue = _annihilation_residue(mod, other)
+            residue = _annihilation_residue(mod.tower, mod.gamma_t, mod.g, mod.delta, other)
             assert OrePoly(mod.tower, residue) == annihilation_residue_by_ore(mod, other)
             assert annihilation_holds(mod, other) == (other is cp)
+
+
+@pytest.mark.parametrize("q,d,m", [(3, 1, 2), (2, 2, 2), (5, 1, 2)])
+def test_kernel_residue_matches_the_ore_oracle_on_every_member(q, d, m):
+    """The plain-int residue of every member of every twist orbit, for
+    every prime (gamma = 0 at prime T) and g = 0 among the orbits, against
+    the head's charpoly: it equals the OrePoly residue of the member's own
+    module, and is nonzero with c + 1 or any other unit in place."""
+    tower = build_tower(*FIELDS[q], d * m)
+    one, gammas = UPoly.one(tower.fq), set()
+    for prime in monic_polys(tower.fq, d):
+        if not prime.is_irreducible():
+            continue
+        for rep, _, _ in twist_orbits(tower):
+            head = DrinfeldModule(tower, prime, *rep)
+            cp = frobenius_charpoly(head)
+            wrong = [FrobeniusCharPoly(cp.trace + one, cp.unit, prime, m)] + [
+                FrobeniusCharPoly(cp.trace, u, prime, m)
+                for u in tower.fq.units() if u != cp.unit]
+            for g, delta in orbit_members(tower, rep):
+                mod = DrinfeldModule(tower, prime, g, delta)
+                for other in [cp] + wrong:
+                    residue = _annihilation_residue(tower, head.gamma_t, g, delta, other)
+                    assert OrePoly(tower, residue) == annihilation_residue_by_ore(mod, other)
+                    assert any(residue) == (other is not cp)
+            gammas.add(head.gamma_t)
+    assert (0 in gammas) == (d == 1)  # prime T, of degree 1, has gamma = 0
+
+
+def test_kernel_invariant_pair_matches_module_structure_on_every_module():
+    tower = build_tower(3, 1, 3)
+    for prime in monic_polys(tower.fq, 1):
+        gamma = DrinfeldModule(tower, prime, 0, 1).gamma_t
+        for g in tower.elements():
+            for delta in tower.units():
+                mod = DrinfeldModule(tower, prime, g, delta)
+                assert _invariant_pair(tower, gamma, g, delta) == module_structure(mod).as_pair()
 
 
 def test_annihilation_fails_for_the_charpoly_of_a_larger_field():

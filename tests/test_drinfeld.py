@@ -85,7 +85,8 @@ def test_gamma_rejects_a_polynomial_over_another_field():
 ])
 def test_phi_matches_the_ore_product_oracle(p, s, n, prime, g, delta):
     # every a of degree <= n against the sum of a_k phi_T^k, the powers
-    # multiplied as OrePolys; the module is fresh, so its cache fills here
+    # multiplied as OrePolys; the library's phi is Horner's rule on
+    # coefficient lists (drinfeld.phi_into), with no powers kept
     tw = build_tower(p, s, n)
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, prime), g, delta)
     for t in itertools.product(range(tw.q), repeat=n + 1):

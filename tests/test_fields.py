@@ -38,6 +38,19 @@ def test_fq_tables_equal_the_polynomial_construction():
         assert got == fq_tables_by_polynomials(p, s), (p, s)
 
 
+def test_fq_tables_equal_the_tower_operations():
+    # for s >= 2 the tables come from the log rows of the degree-s tower
+    # over F_p; every entry against that tower's own add, mul, neg and inv
+    fields = [(p, s) for p in (2, 3, 5, 7, 11) for s in range(2, 8) if p ** s <= MAX_BASE_ORDER]
+    assert sorted(p ** s for p, s in fields) == [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
+    for p, s in fields:
+        fq, tw, q = Fq(p, s), build_tower(p, 1, s), p ** s
+        assert fq.add_table == [[tw.add(a, b) for b in range(q)] for a in range(q)], (p, s)
+        assert fq.mul_table == [[tw.mul(a, b) for b in range(q)] for a in range(q)], (p, s)
+        assert fq.neg_table == [tw.neg(a) for a in range(q)], (p, s)
+        assert fq.inv_table == [0] + [tw.inv(a) for a in range(1, q)], (p, s)
+
+
 def test_tower_tables_equal_the_product_construction():
     # every tower with q <= 16 and |L| <= 8192, built uncached
     bases = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]

@@ -6,7 +6,6 @@ with class-number cross-checks.
 
 from .fields import FieldTower, SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles
-from .ore import OrePoly
 from .drinfeld import DrinfeldModule
 from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
                        is_imaginary)
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldTower", "SizeBoundError", "build_tower",
-    "UPoly", "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
+    "UPoly", "enumerate_monic_irreducibles", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",
     "check_criteria", "module_structure",

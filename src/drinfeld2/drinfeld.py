@@ -7,7 +7,9 @@ n = m * deg(prime).  Phi extends to a ring homomorphism A -> L{tau};
 its image endows L, and every extension of L, with an A-module
 structure.
 
-The per-module work runs on plain ints, from (tower, gamma, g, delta)
+An element of L{tau} is its tuple of coefficients, low tau-degree
+first: phi_t is (gamma(T), g, delta) and phi(a) is such a tuple.  The
+per-module work runs on plain ints, from (tower, gamma, g, delta)
 alone: phi_step is the map x -> phi_T(x) on L, and phi_into adds
 phi(a) tau^at into a coefficient list by Horner's rule.  DrinfeldModule
 calls them for its phi, height and action invariants, and a census
@@ -18,7 +20,6 @@ a module per member.
 from math import gcd
 
 from .fields import char_and_min_poly
-from .ore import OrePoly
 from .polys import UPoly, _wrap, residue_root
 
 
@@ -40,7 +41,7 @@ class DrinfeldModule:
         self.n = tower.n
         self.g = g
         self.delta = delta
-        self.phi_t = OrePoly(tower, (self.gamma_t, g, delta))
+        self.phi_t = (self.gamma_t, g, delta)
         self._action = None
 
     def __eq__(self, other):
@@ -60,22 +61,14 @@ class DrinfeldModule:
     # -- the homomorphism ------------------------------------------------------
 
     def phi(self, a):
-        """The image of a in L{tau}; additive and multiplicative in a."""
-        if isinstance(a, int):
-            a = UPoly.constant(self.tower.fq, a)
-        if a.fq != self.tower.fq:
-            raise ValueError("argument lives over a different base field")
-        out = [0] * (2 * len(a.coeffs))
+        """The coefficients of phi(a) in L{tau}, low tau-degree first, for a
+        in A; additive and multiplicative in a.  phi(a) has degree 2 deg a
+        (delta != 0), so the tuple ends in a nonzero entry."""
+        if not isinstance(a, UPoly) or a.fq != self.tower.fq:
+            raise ValueError("phi takes a polynomial over the tower's base field")
+        out = [0] * max(0, 2 * len(a.coeffs) - 1)
         phi_into(self.tower, self.gamma_t, self.g, self.delta, out, (a.coeffs, 0))
-        return OrePoly(self.tower, out)
-
-    def gamma(self, a):
-        """The structure map A -> L (constant term of phi(a))."""
-        return a.eval_in_tower(self.tower, self.gamma_t)
-
-    def frobenius(self):
-        """F = tau^n as an element of L{tau}."""
-        return OrePoly.tau_power(self.tower, self.n)
+        return tuple(out)
 
     def action_invariants(self):
         """(chi, i1): chi = det(T*I - M) and i1 the minimal polynomial of
@@ -93,7 +86,7 @@ class DrinfeldModule:
     def height(self):
         """The height h in {1, 2}: the least tau-power in phi(prime),
         divided by deg(prime)."""
-        ht = self.phi(self.prime).height()
+        ht = next(k for k, c in enumerate(self.phi(self.prime)) if c)
         if ht % self.d != 0:
             raise RuntimeError(
                 "height %d of phi(prime) is not a multiple of deg(prime) = %d"

@@ -460,9 +460,9 @@ class FieldTower:
         return self._exp[la + self._zech[self._log[b] - la]]
 
     def add_scaled(self, out, at, c, ys, k=0):
-        """out[at + j] += c * ys[j]^(q^k) for every j, in place: the
-        multiply-accumulate loop of sums, products and right division in
-        L{tau} and of phi."""
+        """out[at + j] += c * ys[j]^(q^k) for every j, in place.  Its one
+        library caller is the cancel step of right division in L{tau},
+        structure._right_remainder."""
         if not c:  # log[0] reads 0, which would add ys as if c were 1
             return
         exp, log, zech = self._exp, self._log, self._zech

@@ -7,7 +7,6 @@ search that produces a module with a prescribed structure.
 from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
 from .drinfeld import DrinfeldModule, phi_step, sigma_orbits, twist_orbits
 from .fields import char_and_min_poly, second_invariant_factor
-from .ore import OrePoly
 from .polys import UPoly, _Value, _wrap, residue_root
 
 
@@ -79,9 +78,25 @@ def plane_torsion_rational(mod, rho):
     if rho == mod.prime:
         raise ValueError("rho must differ from the characteristic prime")
     tw = mod.tower
-    f_minus_1 = OrePoly(tw, (tw.neg(1),) + (0,) * (mod.n - 1) + (1,))
-    rem = f_minus_1.right_divmod(mod.phi(rho))[1]
-    return rem.is_zero()
+    return not _right_remainder(tw, [tw.neg(1)] + [0] * (mod.n - 1) + [1], mod.phi(rho))
+
+
+def _right_remainder(tower, r, g):
+    """Reduce the list r in place to its remainder on right division by
+    g in L{tau}, r = q*g + rem with deg rem < deg g, and return it with
+    no trailing zeros; both hold coefficients, low tau-degree first, and
+    g ends in a nonzero entry.  No quotient is kept.  Each step cancels
+    the leading term of r with (c tau^k) g, whose leading coefficient is
+    c lc(g)^(q^k), so no root is extracted."""
+    dg = len(g) - 1
+    neg_inv_lc = tower.neg(tower.inv(g[-1]))
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) <= dg:
+            return r
+        k = len(r) - 1 - dg
+        tower.add_scaled(r, k, tower.mul(r[-1], tower.frob(neg_inv_lc, k)), g, k)
 
 
 # ---------------------------------------------------------------------------

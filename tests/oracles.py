@@ -1,19 +1,20 @@
 """Independent oracles used by the unit and acceptance tests: brute-force
 scans, the routes the library no longer takes (F_q's tables from
-polynomial products, L's tables from one product per element, the n x n
-action matrix of phi_T over F_q with its Smith normal form over A and
-its Krylov sequences, linear solves for the Frobenius characteristic
-polynomial and for tau^n in the image of phi, the closed-form candidate
-for that image when the discriminant is 0, the annihilation residue
-built from OrePoly objects, the torsion structure of ker phi_I from a
-nullspace in a splitting tower, with its field embeddings, right gcds in
-L{tau} and two-generator ideal images, the order-containment check, the
-minimal polynomial of the Frobenius with its annihilation check, P(a)
-for a in A, the marking sweep over L x L^* for twist orbits, the census
-records of every twist orbit classified on its own, the realization
-scans over the Hasse box and over every module, and the lattice
-enumeration of ideal classes), and closed-form census counts with their
-derivations.
+polynomial products, L's tables from one product per element, the
+twisted polynomial ring L{tau} as OrePoly objects with the Frobenius
+tau^n and the structure map A -> L, the n x n action matrix of phi_T
+over F_q with its Smith normal form over A and its Krylov sequences,
+linear solves for the Frobenius characteristic polynomial and for tau^n
+in the image of phi, the closed-form candidate for that image when the
+discriminant is 0, the annihilation residue built from OrePoly objects,
+the torsion structure of ker phi_I from a nullspace in a splitting
+tower, with its field embeddings, right gcds in L{tau} and two-generator
+ideal images, the order-containment check, the minimal polynomial of the
+Frobenius with its annihilation check, P(a) for a in A, the marking
+sweep over L x L^* for twist orbits, the census records of every twist
+orbit classified on its own, the realization scans over the Hasse box
+and over every module, and the lattice enumeration of ideal classes),
+and closed-form census counts with their derivations.
 
 Each closed form states the (q, d, m) for which it is proven and raises
 OutsideDomainError everywhere else, so that a count is never compared
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly,
-                       SizeBoundError, UPoly, build_tower, frobenius_charpoly,
-                       is_imaginary, module_structure, plane_torsion_rational)
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, SizeBoundError, UPoly,
+                       build_tower, frobenius_charpoly, is_imaginary, module_structure,
+                       plane_torsion_rational)
 from drinfeld2.census import _process_orbit
 from drinfeld2.drinfeld import twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER, prime_factors
@@ -316,6 +317,200 @@ def residue_root_by_scan(tower, prime):
 
 
 # ---------------------------------------------------------------------------
+# The twisted polynomial ring L{t} with the commutation rule t*c = c^q*t,
+# the route the library took before it computed phi, the height and the
+# plane-torsion remainder on coefficient tuples.  Elements act on any
+# extension of L as F_q-linear (additive) polynomials x -> sum c_k x^(q^k);
+# apply evaluates them on L.  The ring has a right division algorithm; only
+# the right-sided theory is implemented because nothing here needs left
+# division.  mod.phi(a) and mod.phi_t are coefficient tuples, which
+# OrePoly(mod.tower, ...) wraps.
+
+
+class OrePoly:
+    """Twisted polynomial; coefficients in L, stored low tau-degree first."""
+
+    __slots__ = ("tower", "coeffs")
+
+    def __init__(self, tower, coeffs=()):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self.tower = tower
+        self.coeffs = tuple(c)
+
+    @classmethod
+    def zero(cls, tower):
+        return cls(tower, ())
+
+    @classmethod
+    def one(cls, tower):
+        return cls(tower, (1,))
+
+    @classmethod
+    def constant(cls, tower, c):
+        return cls(tower, (c,))
+
+    @classmethod
+    def tau_power(cls, tower, k, coeff=1):
+        return cls(tower, (0,) * k + (coeff,))
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def lc(self):
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __eq__(self, other):
+        return (isinstance(other, OrePoly) and self.tower == other.tower
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.tower, self.coeffs))
+
+    def _check(self, other):
+        if not isinstance(other, OrePoly) or other.tower is not self.tower:
+            raise ValueError("operands live over different towers")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        self.tower.add_scaled(out, 0, 1, b)
+        return OrePoly(self.tower, out)
+
+    def __neg__(self):
+        tw = self.tower
+        return OrePoly(tw, [tw.neg(v) for v in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __mul__(self, other):
+        other = self._check(other)
+        if not self.coeffs or not other.coeffs:
+            return OrePoly.zero(self.tower)
+        tw = self.tower
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:  # x tau^i y = x y^(q^i) tau^i
+                tw.add_scaled(out, i, x, other.coeffs, i)
+        return OrePoly(tw, out)
+
+    def scale_left(self, c):
+        """Left-multiply by the constant c in L."""
+        if c == 0:
+            return OrePoly.zero(self.tower)
+        exp, log = self.tower._exp, self.tower._log
+        lc = log[c]
+        return OrePoly(self.tower, [exp[lc + log[v]] if v else 0 for v in self.coeffs])
+
+    def monic(self):
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no monic normalization")
+        if self.coeffs[-1] == 1:
+            return self
+        return self.scale_left(self.tower.inv(self.coeffs[-1]))
+
+    def right_divmod(self, other):
+        """Quotient and remainder for division on the right: self = q*other + r,
+        deg r < deg other.  Stays inside L; no root extraction is needed because
+        the leading term is cancelled with a Frobenius twist of lc(other)."""
+        other = self._check(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("right division by zero")
+        tw = self.tower
+        r = list(self.coeffs)
+        g = other.coeffs
+        dg = len(g) - 1
+        inv_lc = tw.inv(g[-1])
+        quot = [0] * max(0, len(r) - dg)
+        while len(r) - 1 >= dg:
+            k = len(r) - 1 - dg
+            # leading coefficient of (c*tau^k) * other is c * lc(other)^(q^k)
+            coef = tw.mul(r[-1], tw.frob(inv_lc, k))
+            quot[k] = coef
+            tw.add_scaled(r, k, tw.neg(coef), g, k)  # cancels r[-1]
+            while r and r[-1] == 0:
+                r.pop()
+        return OrePoly(tw, quot), OrePoly(tw, r)
+
+    def height(self):
+        """Least k with a nonzero tau^k coefficient; 0 iff separable."""
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no height")
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return k
+        raise AssertionError("unreachable")
+
+    def apply(self, x):
+        """Evaluate the additive polynomial sum c_k x^(q^k) at x in L, in
+        log space: log x^(q^k) = q^k log x, and each sum is a Zech lookup."""
+        if not x:
+            return 0
+        tw = self.tower
+        exp, log, zech = tw._exp, tw._log, tw._zech
+        q, units = tw.q, tw.order - 1
+        lx = log[x]
+        out = 0
+        for c in self.coeffs:
+            if c:
+                lv = log[c] + lx
+                if out:
+                    lo = log[out]
+                    out = exp[lo + zech[lv - lo]]
+                else:
+                    out = exp[lv]
+            lx = lx * q % units
+        return out
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        terms = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            cs = self.tower.format(c)
+            if k == 0:
+                terms.append(cs)
+            elif k == 1:
+                terms.append("%s*t" % cs)
+            else:
+                terms.append("%s*t^%d" % (cs, k))
+        return " + ".join(terms)
+
+    def __repr__(self):
+        return "OrePoly(%r, %s)" % (self.tower, self)
+
+
+def frobenius(mod):
+    """F = tau^n as an element of L{tau}."""
+    return OrePoly.tau_power(mod.tower, mod.n)
+
+
+def gamma(mod, a):
+    """The structure map A -> L (constant term of phi(a))."""
+    return a.eval_in_tower(mod.tower, mod.gamma_t)
+
+
+# ---------------------------------------------------------------------------
 # Matrices over A (lists of lists of UPoly) and their Smith normal form.
 
 
@@ -479,7 +674,8 @@ def action_matrix(mod):
     column j holds the coordinates of the image of the j-th basis vector."""
     tw = mod.tower
     n = tw.n
-    cols = [tw.vector(mod.phi_t.apply(tw.q ** j)) for j in range(n)]
+    phi_t = OrePoly(tw, mod.phi_t)
+    cols = [tw.vector(phi_t.apply(tw.q ** j)) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -706,9 +902,10 @@ def _ore_columns_to_rows(tower, columns, rhs_poly, width):
 def _t_powers_by_ore(mod, count):
     """[phi_T^0, ..., phi_T^(count-1)] as OrePoly products of mod.phi_t;
     the library keeps no powers, it runs Horner's rule (drinfeld.phi_into)."""
+    phi_t = OrePoly(mod.tower, mod.phi_t)
     powers = [OrePoly.one(mod.tower)]
     while len(powers) < count:
-        powers.append(powers[-1] * mod.phi_t)
+        powers.append(powers[-1] * phi_t)
     return powers
 
 
@@ -734,7 +931,7 @@ def _solve_frobenius_in_image(mod):
     tower = mod.tower
     half = n // 2
     columns = _t_powers_by_ore(mod, half + 1)
-    rhs = mod.frobenius()
+    rhs = frobenius(mod)
     rows, rhs_v = _ore_columns_to_rows(tower, columns, rhs, n + 1)
     status, sol = gauss_solve(tower.fq, rows, rhs_v)
     if status == "none":
@@ -814,7 +1011,7 @@ def point_scan_structure(mod):
              for t in itertools.product(range(fq.q), repeat=d)]
     profile = {}
     for a in cands:
-        fa = mod.phi(a)
+        fa = OrePoly(tw, mod.phi(a))
         cols = [tw.vector(fa.apply(tw.q ** j)) for j in range(n)]
         rows = [[cols[j][i] for j in range(n)] for i in range(n)]
         profile[a] = len(nullspace(fq, rows))
@@ -870,13 +1067,13 @@ def phi_ideal(mod, ideal):
     ideal = ideal.monic()  # ValueError for the zero ideal
     if ideal.is_one():
         return OrePoly.one(mod.tower)
-    return mod.phi(ideal).monic()
+    return OrePoly(mod.tower, mod.phi(ideal)).monic()
 
 
 def phi_ideal_two_generators(mod, a, b):
     """Same result computed from two generators of the ideal (a, b) by a
     right gcd; a cross-check of the principal-generator path."""
-    return right_gcd(mod.phi(a), mod.phi(b))
+    return right_gcd(OrePoly(mod.tower, mod.phi(a)), OrePoly(mod.tower, mod.phi(b)))
 
 
 def frobenius_witness(mod, cp):
@@ -897,7 +1094,7 @@ def frobenius_witness(mod, cp):
         a = mod.prime.pow(mod.m // 2).scale(fq.pow(cp.unit, fq.q // 2))
     else:
         return None
-    return a if mod.phi(a) == mod.frobenius() else None
+    return a if OrePoly(mod.tower, mod.phi(a)) == frobenius(mod) else None
 
 
 def charpoly_at(cp, a):
@@ -926,7 +1123,7 @@ def minimal_polynomial_annihilates(mod):
     acc = OrePoly.zero(mod.tower)
     for k, a in enumerate(minimal_polynomial(mod)):
         if not a.is_zero():
-            acc = acc + mod.phi(a) * OrePoly.tau_power(mod.tower, mod.n * k)
+            acc = acc + OrePoly(mod.tower, mod.phi(a)) * OrePoly.tau_power(mod.tower, mod.n * k)
     return acc.is_zero()
 
 
@@ -1036,7 +1233,7 @@ def torsion_structure(mod, ideal, max_splitting_degree=10):
             break
         big = build_tower(tw.p, tw.s, tw.n * e)
         emb = FieldEmbedding(tw, big)
-        big_f, big_t = emb.ore(f), emb.ore(mod.phi_t)
+        big_f, big_t = emb.ore(f), emb.ore(OrePoly(tw, mod.phi_t))
         dim = big.n
         basis = [big.q ** j for j in range(dim)]
         cols = [big.vector(big_f.apply(b)) for b in basis]

@@ -1,6 +1,6 @@
 """The public API of drinfeld2, and the names that left the library: the
-second structure route and other test-only code live in tests/oracles.py,
-dead methods are gone."""
+second structure route, the L{tau} arithmetic of OrePoly and other
+test-only code live in tests/oracles.py, dead methods are gone."""
 
 import ast
 import copy
@@ -14,11 +14,12 @@ import pytest
 
 import drinfeld2
 from drinfeld2 import (CensusReport, FrobeniusCharPoly, InvariantFactors, NotRealizable,
-                       UPoly, build_tower, charpoly, drinfeld, fields, ore, polys, structure)
+                       UPoly, build_tower, charpoly, drinfeld, fields, polys, structure)
+from oracles import OrePoly
 
 PUBLIC = [
     "FieldTower", "SizeBoundError", "build_tower",
-    "UPoly", "enumerate_monic_irreducibles", "OrePoly", "DrinfeldModule",
+    "UPoly", "enumerate_monic_irreducibles", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",
     "check_criteria", "module_structure",
@@ -32,19 +33,20 @@ REMOVED = {
     drinfeld2: ["FieldEmbedding", "SplittingBoundError", "TorsionStructure",
                 "discriminant", "suborder_contained", "action_matrix",
                 "is_isogenous", "minimal_polynomial", "MonicIdeal",
-                "euler_characteristic", "embed_residue_field", "FieldElement"],
-    drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix"],
+                "euler_characteristic", "embed_residue_field", "FieldElement",
+                "OrePoly", "ore"],
+    drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix", "OrePoly"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element",
-                              "same_category", "is_supersingular"],
+                              "same_category", "is_supersingular", "frobenius", "gamma"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
              "is_prime", "_gcd", "FieldElement"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
-    ore.OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
-                  "__call__", "shift", "constant_coeff"],
+    OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
+              "__call__", "shift", "constant_coeff"],
     polys: ["monic_divisors", "MonicIdeal", "embed_residue_field"],
     polys.UPoly: ["is_constant", "eval_fq", "shift"],
-    structure: ["suborder_contained", "action_matrix"],
+    structure: ["suborder_contained", "action_matrix", "OrePoly"],
     structure.InvariantFactors: ["common_factor"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates", "is_isogenous",
                "minimal_polynomial", "_frobenius_witness", "euler_characteristic",
@@ -64,7 +66,7 @@ def test_removed_names_are_gone_from_the_library():
     for owner, names in REMOVED.items():
         for name in names:
             assert name not in vars(owner), (owner, name)
-    assert list(inspect.signature(ore.OrePoly.apply).parameters) == ["self", "x"]
+    assert list(inspect.signature(OrePoly.apply).parameters) == ["self", "x"]
     # plain data of the Weil pair, and a check with no default charpoly
     assert list(inspect.signature(charpoly.FrobeniusCharPoly).parameters) == [
         "trace", "unit", "prime", "ext_degree"]
@@ -82,8 +84,8 @@ def test_removed_names_are_gone_from_the_library():
 def test_import_leaves_out_the_dataclasses_machinery():
     src = str(Path(drinfeld2.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import drinfeld2, drinfeld2.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
-            "& set(sys.modules)))" % src)
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "'drinfeld2.ore'} & set(sys.modules)))" % src)
     out = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

@@ -18,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, OrePoly, UPoly,
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
                        annihilation_holds, build_tower, fields, frobenius_charpoly,
                        module_structure)
 from drinfeld2.charpoly import _annihilation_residue
@@ -26,7 +26,7 @@ from drinfeld2.drinfeld import orbit_members, twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
 from drinfeld2.structure import _invariant_pair
-from oracles import (_matrix_krylov_relation, _solve_frobenius_in_image, action_matrix,
+from oracles import (OrePoly, _matrix_krylov_relation, _solve_frobenius_in_image, action_matrix,
                      annihilation_residue_by_ore, charpoly_by_solve, frobenius_witness,
                      matrix_char_and_min_poly, matrix_second_invariant_factor,
                      snf_invariant_factors)

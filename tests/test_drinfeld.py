@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from drinfeld2 import DrinfeldModule, OrePoly, UPoly, build_tower
+from drinfeld2 import DrinfeldModule, UPoly, build_tower
 from drinfeld2.fields import Fq
-from oracles import (FieldEmbedding, SplittingBoundError, phi_by_ore, phi_ideal,
-                     phi_ideal_two_generators, torsion_structure)
+from oracles import (FieldEmbedding, OrePoly, SplittingBoundError, frobenius, gamma,
+                     phi_by_ore, phi_ideal, phi_ideal_two_generators, torsion_structure)
 
 
 def module311(g=1, delta=1):
@@ -55,7 +55,8 @@ def test_module_and_phi_t_write_vectors():
     tw = build_tower(3, 1, 2)
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 2, [1, 1])
     assert repr(mod) == "DrinfeldModule(q=3, n=2, prime=T, g=[2,0], delta=[1,1])"
-    assert str(mod.phi_t) == "[1,1]*t^2 + [2,0]*t"
+    assert mod.phi_t == (0, 2, 4)
+    assert str(OrePoly(tw, mod.phi_t)) == "[1,1]*t^2 + [2,0]*t"
 
 
 def test_constructor_rejects_a_prime_over_another_field_with_cached_coefficients():
@@ -72,8 +73,8 @@ def test_gamma_rejects_a_polynomial_over_another_field():
     tw9 = build_tower(3, 2, 1)
     mod = DrinfeldModule(tw9, UPoly.parse(tw9.fq, "T"), 1, 1)
     with pytest.raises(ValueError):
-        mod.gamma(UPoly.parse(build_tower(5, 1, 1).fq, "T+4"))
-    assert mod.gamma(UPoly.parse(Fq(3, 2), "T+4")) == 4  # an equal field, not the same object
+        gamma(mod, UPoly.parse(build_tower(5, 1, 1).fq, "T+4"))
+    assert gamma(mod, UPoly.parse(Fq(3, 2), "T+4")) == 4  # an equal field, not the same object
 
 
 @pytest.mark.parametrize("p,s,n,prime,g,delta", [
@@ -91,29 +92,45 @@ def test_phi_matches_the_ore_product_oracle(p, s, n, prime, g, delta):
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, prime), g, delta)
     for t in itertools.product(range(tw.q), repeat=n + 1):
         a = UPoly(tw.fq, t)
-        assert mod.phi(a) == phi_by_ore(mod, a)
+        assert OrePoly(tw, mod.phi(a)) == phi_by_ore(mod, a)
 
 
 def test_phi_basic_examples():
     mod = module311()
-    fq = mod.tower.fq
-    assert mod.phi(UPoly.one(fq)) == OrePoly.one(mod.tower)
+    tw, fq = mod.tower, mod.tower.fq
+    assert OrePoly(tw, mod.phi(UPoly.one(fq))) == OrePoly.one(tw)
     assert mod.phi(UPoly.parse(fq, "T")) == mod.phi_t
-    sq = mod.phi(UPoly.parse(fq, "T^2"))
-    assert sq == mod.phi_t * mod.phi_t
+    sq = OrePoly(tw, mod.phi(UPoly.parse(fq, "T^2")))
+    assert sq == OrePoly(tw, mod.phi_t) * OrePoly(tw, mod.phi_t)
     assert sq.degree() == 4
+
+
+def test_phi_takes_only_polynomials_over_the_base_field():
+    # an int is no element of A = F_9[T]: read mod q it would make -1 the
+    # element 8 = [2,2] of F_9, not -1 = 2 = [2,0]
+    tw9 = build_tower(3, 2, 1)
+    mod = DrinfeldModule(tw9, UPoly.parse(tw9.fq, "T"), 1, 1)
+    for a in (-1, 0, 2, "T", UPoly.parse(build_tower(3, 1, 1).fq, "T")):
+        with pytest.raises(ValueError):
+            mod.phi(a)
+    assert mod.phi(UPoly.constant(tw9.fq, 2)) == (2,)
+    assert mod.phi(UPoly.zero(tw9.fq)) == ()
 
 
 def test_phi_is_ring_homomorphism_exhaustive_small():
     # every pair of polynomials of degree <= 2
     mod = module311()
     fq = mod.tower.fq
+
+    def phi(a):
+        return OrePoly(mod.tower, mod.phi(a))
+
     polys = [UPoly(fq, t) for d in range(3)
              for t in itertools.product(range(3), repeat=d + 1)]
     for a in polys:
         for b in polys:
-            assert mod.phi(a + b) == mod.phi(a) + mod.phi(b)
-            assert mod.phi(a * b) == mod.phi(a) * mod.phi(b)
+            assert phi(a + b) == phi(a) + phi(b)
+            assert phi(a * b) == phi(a) * phi(b)
 
 
 def test_phi_degree_and_constant_term():
@@ -121,10 +138,10 @@ def test_phi_degree_and_constant_term():
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 2, 5)
     for t in itertools.product(range(3), repeat=3):
         a = UPoly(tw.fq, t)
-        img = mod.phi(a)
+        img = OrePoly(tw, mod.phi(a))
         if a:
             assert img.degree() == 2 * a.degree()
-            assert img.coeffs[0] == mod.gamma(a)
+            assert img.coeffs[0] == gamma(mod, a)
         else:
             assert img.is_zero()
 
@@ -134,7 +151,7 @@ def test_phi_injective_up_to_bound():
     seen = {}
     for t in itertools.product(range(3), repeat=3):
         a = UPoly(mod.tower.fq, t)
-        key = mod.phi(a).coeffs
+        key = mod.phi(a)
         assert key not in seen or seen[key] == a, "phi is not injective"
         seen[key] = a
 
@@ -145,7 +162,7 @@ def test_phi_ideal():
     assert phi_ideal(mod, UPoly.one(fq)) == OrePoly.one(mod.tower)
     f = phi_ideal(mod, UPoly.parse(fq, "T"))
     assert f.is_monic()
-    assert f == mod.phi_t.monic()
+    assert f == OrePoly(mod.tower, mod.phi_t).monic()
     with pytest.raises(ValueError):
         phi_ideal(mod, UPoly.zero(fq))
 
@@ -187,9 +204,9 @@ def test_height_scaling_with_valuation():
         mod = module311(g, delta)
         h = mod.height()
         P = mod.prime
-        assert mod.phi(P).height() == h * 1
-        assert mod.phi(P * P).height() == h * 2
-        assert mod.phi(P.scale(2)).height() == h * 1
+        assert OrePoly(mod.tower, mod.phi(P)).height() == h * 1
+        assert OrePoly(mod.tower, mod.phi(P * P)).height() == h * 2
+        assert OrePoly(mod.tower, mod.phi(P.scale(2))).height() == h * 1
 
 
 def test_frobenius_power_search_soundness():
@@ -206,7 +223,7 @@ def test_frobenius_power_search_soundness():
                 a = _solve_frobenius_in_image(mod)
                 if a is not None:
                     assert mod.height() == 2
-                    assert mod.phi(a) == mod.frobenius()
+                    assert OrePoly(tw, mod.phi(a)) == frobenius(mod)
                 if mod.height() == 1:
                     assert a is None
 
@@ -219,7 +236,7 @@ def test_torsion_structure_coprime():
     assert ts.root_count == 9
     assert ts.factor_multiset() == ((2, 1), (2, 1))  # (A/(T+2))^2
     assert ts.splitting_degree == 8
-    phi_rho = mod.phi(rho)
+    phi_rho = OrePoly(mod.tower, mod.phi(rho))
     assert phi_rho == OrePoly(mod.tower, (2, 1, 1))
     assert phi_rho.height() == 0  # separable
 
@@ -249,7 +266,7 @@ def test_torsion_kernel_is_module_stable():
     assert len(roots) == 9
     root_set = set(roots)
     for a in ("T", "T+1", "T^2"):
-        fa = emb.ore(mod.phi(UPoly.parse(fq, a)))
+        fa = emb.ore(OrePoly(tw, mod.phi(UPoly.parse(fq, a))))
         for x in roots:
             assert fa.apply(x) in root_set
 

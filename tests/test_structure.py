@@ -14,10 +14,10 @@ from drinfeld2.charpoly import frobenius_unit
 from drinfeld2.drinfeld import sigma_orbits
 from drinfeld2.polys import irreducible_divisors, monic_polys
 from drinfeld2.structure import NotRealizable, _candidate_isogeny_keys
-from oracles import (SplittingBoundError, action_matrix, candidate_isogeny_keys_by_scan,
-                     determinantal_divisors, point_scan_structure, poly_mat_det,
-                     poly_mat_mul, realize_by_scan, smith_normal_form,
-                     suborder_contained, torsion_structure)
+from oracles import (OrePoly, SplittingBoundError, action_matrix,
+                     candidate_isogeny_keys_by_scan, determinantal_divisors,
+                     point_scan_structure, poly_mat_det, poly_mat_mul, realize_by_scan,
+                     smith_normal_form, suborder_contained, torsion_structure)
 
 from conftest import GRID, STRETCH, tower_for
 
@@ -101,7 +101,7 @@ def test_action_matrix_is_linear():
         for i in range(tw.n):
             for j in range(tw.n):
                 img[i] = fq.add(img[i], fq.mul(mat[i][j], vec[j]))
-        assert tuple(img) == tw.vector(mod.phi_t.apply(x))
+        assert tuple(img) == tw.vector(OrePoly(tw, mod.phi_t).apply(x))
 
 
 def test_structure_example_and_cyclic_n1():
@@ -216,6 +216,40 @@ def test_plane_torsion_rational_matches_the_torsion_oracle(q, d, m):
                 rational = False
             assert plane_torsion_rational(mod, rho) == rational
             outcomes.add(rational)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 2, 2), (3, 1, 4), (2, 1, 13)])
+def test_right_remainder_matches_the_ore_oracle(p, s, n):
+    # random dividends (trailing zeros and exact multiples among them) and
+    # divisors (non-monic, some of higher degree than the dividend), then
+    # tau^n - 1 by phi(rho) for every sigma-head of the census at d = 1
+    # and every rho of degree <= 2 but the prime
+    tw = build_tower(p, s, n)
+    rng = random.Random(11 * p + n)
+    outcomes = set()
+
+    def check(f, g):
+        want = OrePoly(tw, f).right_divmod(OrePoly(tw, g))[1].coeffs
+        assert tuple(structure._right_remainder(tw, list(f), g)) == want
+        outcomes.add(not want)
+
+    def draw(low, high):
+        return [rng.randrange(tw.order) for _ in range(rng.randrange(low, high))]
+
+    for _ in range(300):
+        f, g = draw(0, 9), draw(0, 6) + [rng.randrange(1, tw.order)]
+        check(f, g)
+        check((OrePoly(tw, draw(0, 4)) * OrePoly(tw, g)).coeffs, g)
+    check([1, 2], [0, 0, 3, 2])  # a non-monic divisor above the dividend leaves it
+    prime = default_prime(tw.fq, 1)
+    rhos = [rho for k in (1, 2) for rho in monic_polys(tw.fq, k)
+            if rho.is_irreducible() and rho != prime]
+    orbits = twist_orbits(tw)
+    for group in sigma_orbits(tw, 1, orbits):
+        mod = DrinfeldModule(tw, prime, *orbits[group[0]][0])
+        for rho in rhos:
+            check([tw.neg(1)] + [0] * (n - 1) + [1], mod.phi(rho))
     assert outcomes == {True, False}
 
 

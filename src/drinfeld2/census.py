@@ -24,11 +24,11 @@ from math import gcd
 
 from .charpoly import (FrobeniusCharPoly, _annihilation_residue, frobenius_charpoly,
                        frobenius_unit, is_imaginary)
-from .drinfeld import DrinfeldModule, orbit_members, sigma_orbits, twist_orbits
+from .drinfeld import DrinfeldModule, invariants, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors
-from .structure import (InvariantFactors, _invariant_pair, check_criteria,
-                        module_structure, plane_torsion_rational)
+from .structure import (InvariantFactors, check_criteria, module_structure,
+                        plane_torsion_rational)
 
 SCHEMA_VERSION = "2"
 
@@ -102,7 +102,7 @@ def _process_orbit(tower, prime, group, verify_members):
                     break
                 if member != rep:  # each module gets its own residue and Krylov pass
                     members_ok = (not any(_annihilation_residue(tower, gamma, *member, cp))
-                                  and _invariant_pair(tower, gamma, *member) == pair)
+                                  and invariants(tower, gamma, *member)[1:] == pair)
         records.append(dict(head, g=g, delta=delta, orbit_size=size, aut_count=aut,
                             unit=frobenius_unit(tower, delta), members_ok=members_ok))
     return records
@@ -363,7 +363,6 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     isogeny_rows = []
     criteria = []  # (ordinary, check_criteria flags) per (class, structure)
-    q_even = q % 2 == 0
     for key in sorted(by_key):
         group = by_key[key]
         cp = charpolys[key]
@@ -386,7 +385,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             "ordinary": ordinary[key],
             "chi": str(cp.chi),
             "disc": str(cp.disc),
-            "disc_imaginary": (None if q_even else is_imaginary(cp.disc)),
+            "disc_imaginary": is_imaginary(cp.disc),
             "W": len(group),
             "weighted_W": _fraction_dict(weighted),
             "weighted_equals_count": weighted == len(group),
@@ -476,7 +475,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         p=tower.p, s=tower.s, q=q, d=d, m=m, n=n, prime=str(prime),
         totals=totals, statistics=statistics, iso_classes=iso_rows,
         isogeny_classes=isogeny_rows, checks=checks, formula_comparison=fc,
-        q_even_caveat=q_even)
+        q_even_caveat=q % 2 == 0)
 
 
 def _admissible_i2(chi, c_minus_2):

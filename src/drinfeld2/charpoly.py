@@ -42,8 +42,8 @@ class FrobeniusCharPoly(_Value):
     - norm = unit*prime^m, the constant coefficient P(0);
     - neg_trace = (-trace).coeffs;
     - chi, the monic normalization of P(1) = 1 - trace + norm;
-    - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even;
-      callers flag that case.
+    - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even,
+      where is_imaginary gives None.
 
     Raises RuntimeError when P(1) = 0, which no module gives: there
     P(1) = unit*chi with deg chi = n >= 1.
@@ -76,7 +76,7 @@ def frobenius_charpoly(mod):
     Raises RuntimeError unless the trace bound and the annihilation
     identity hold for it.
     """
-    chi, _ = mod.action_invariants()
+    chi = mod.action_invariants()[0]
     unit = frobenius_unit(mod.tower, mod.delta)
     trace = _weil_trace(mod.prime, mod.m, unit, chi)
     cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
@@ -113,7 +113,10 @@ def _annihilation_residue(tower, gamma, g, delta, cp):
 
 def is_imaginary(disc):
     """True if the place at infinity does not split in K(sqrt(disc)):
-    deg odd, or deg even with a non-square leading coefficient."""
+    deg odd, or deg even with a non-square leading coefficient.  None in
+    characteristic 2, where disc = trace^2 decides nothing."""
+    if disc.fq.p == 2:
+        return None
     if disc.is_zero():
         return False
     if disc.degree() % 2 == 1:

@@ -107,7 +107,7 @@ def cmd_charpoly(args):
         "P": str(cp.prime),
         "m": cp.ext_degree,
         "disc": str(disc),
-        "disc_imaginary": None if mod.tower.q % 2 == 0 else is_imaginary(disc),
+        "disc_imaginary": is_imaginary(disc),
         "chi": str(cp.chi),
         "ordinary": not ss,
         "supersingular": ss,

@@ -10,16 +10,17 @@ structure.
 An element of L{tau} is its tuple of coefficients, low tau-degree
 first: phi_t is (gamma(T), g, delta) and phi(a) is such a tuple.  The
 per-module work runs on plain ints, from (tower, gamma, g, delta)
-alone: phi_step is the map x -> phi_T(x) on L, and phi_into adds
-phi(a) tau^at into a coefficient list by Horner's rule.  DrinfeldModule
-calls them for its phi, height and action invariants, and a census
-checks the members of a twist orbit with them directly, without building
-a module per member.
+alone: phi_step is the map x -> phi_T(x) on L, invariants classifies
+L under it with one Krylov pass, and phi_into adds phi(a) tau^at into a
+coefficient list by Horner's rule.  DrinfeldModule calls them for its
+phi, height and action invariants; a census checks the members of a
+twist orbit, and realize_structure tries heads, with them directly,
+without building a module per member or head.
 """
 
 from math import gcd
 
-from .fields import char_and_min_poly
+from .fields import char_and_min_poly, second_invariant_factor
 from .polys import UPoly, _wrap, residue_root
 
 
@@ -30,8 +31,7 @@ class DrinfeldModule:
         # raises ValueError unless prime is monic irreducible over tower.fq
         # with deg(prime) | n; memoized, so each prime is checked once
         self.gamma_t = residue_root(tower, prime)
-        g, delta = [v if type(v) is int and 0 <= v < tower.order else tower.element(v)
-                    for v in (g, delta)]
+        g, delta = tower.element(g), tower.element(delta)
         if delta == 0:
             raise ValueError("the tau^2 coefficient delta must be nonzero")
         self.tower = tower
@@ -42,7 +42,7 @@ class DrinfeldModule:
         self.g = g
         self.delta = delta
         self.phi_t = (self.gamma_t, g, delta)
-        self._action = None
+        self._invariants = None
 
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule)
@@ -71,15 +71,13 @@ class DrinfeldModule:
         return tuple(out)
 
     def action_invariants(self):
-        """(chi, i1): chi = det(T*I - M) and i1 the minimal polynomial of
-        M: x -> phi_T(x), from one Krylov pass over the elements of L;
-        cached.  The characteristic polynomial and the invariant factors
-        both start from it."""
-        if self._action is None:
-            step = phi_step(self.tower, self.gamma_t, self.g, self.delta)
-            chi, i1 = char_and_min_poly(self.tower, step)
-            self._action = (_wrap(self.tower.fq, chi), _wrap(self.tower.fq, i1))
-        return self._action
+        """(chi, i1, i2): chi = det(T*I - M), i1 the minimal polynomial of
+        M: x -> phi_T(x) and i2 = chi / i1, so L = A/(i1) + A/(i2); from
+        one call of the kernel invariants, cached.  The characteristic
+        polynomial and the invariant factors both read it."""
+        if self._invariants is None:
+            self._invariants = invariants(self.tower, self.gamma_t, self.g, self.delta)
+        return tuple(_wrap(self.tower.fq, f) for f in self._invariants)
 
     # -- height ----------------------------------------------------------------
 
@@ -103,7 +101,7 @@ class DrinfeldModule:
 def phi_step(tower, gamma, g, delta):
     """The F_q-linear map x -> phi_T(x) = delta x^(q^2) + g x^q + gamma x
     on L, in log space with the logs of the coefficients bound once; each
-    sum is a Zech lookup.  The Krylov step of the action invariants."""
+    sum is a Zech lookup.  The Krylov step of invariants."""
     exp, log, zech, frob = tower._exp, tower._log, tower._zech, tower._frob
     l0, l1, l2 = log[gamma], log[g], log[delta]
     f1, f2 = frob[1 % tower.n], frob[2 % tower.n]
@@ -121,6 +119,16 @@ def phi_step(tower, gamma, g, delta):
         return out
 
     return step
+
+
+def invariants(tower, gamma, g, delta):
+    """(chi, i1, i2) as kernel tuples for L under phi_T = gamma + g tau +
+    delta tau^2: one phi_step, one Krylov pass (char_and_min_poly) for
+    chi and i1, and second_invariant_factor for i2 and its checks, which
+    raise RuntimeError."""
+    step = phi_step(tower, gamma, g, delta)
+    chi, i1 = char_and_min_poly(tower, step)
+    return chi, i1, second_invariant_factor(tower, step, chi, i1)
 
 
 def phi_into(tower, gamma, g, delta, out, *parts):

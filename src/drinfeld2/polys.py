@@ -40,7 +40,11 @@ class UPoly:
 
     @classmethod
     def constant(cls, fq, c):
-        return cls(fq, (c % fq.q,) if isinstance(c, int) else (c,))
+        """The constant c, an int in [0, q) as F_q numbers its elements;
+        raises ValueError for anything else, bool included."""
+        if type(c) is bool or not isinstance(c, int) or not 0 <= c < fq.q:
+            raise ValueError("constant %r out of range for F_%d" % (c, fq.q))
+        return cls(fq, (c,))
 
     # -- basic queries --------------------------------------------------------
 
@@ -78,15 +82,11 @@ class UPoly:
             if other.fq is self.fq or other.fq == self.fq:
                 return other
             raise ValueError("operands live over different fields")
-        if isinstance(other, int):
-            return UPoly.constant(self.fq, other)
         raise ValueError("cannot combine UPoly with %r" % (other,))
 
     def __add__(self, other):
         other = self._check(other)
         return _wrap(self.fq, self.fq.kernel.add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _wrap(self.fq, self.fq.kernel.neg(self.coeffs))
@@ -95,14 +95,9 @@ class UPoly:
         other = self._check(other)
         return _wrap(self.fq, self.fq.kernel.sub(self.coeffs, other.coeffs))
 
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         other = self._check(other)
         return _wrap(self.fq, self.fq.kernel.mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply by the scalar c in F_q."""
@@ -282,13 +277,9 @@ def monic_polys(fq, degree):
         yield _wrap(fq, f)
 
 
-def enumerate_monic_irreducibles(field, degree):
+def enumerate_monic_irreducibles(fq, degree):
     """The monic irreducibles of the given degree over F_q, in
-    lexicographic order (low-degree coefficients compared first).
-
-    Accepts either an Fq or a FieldTower (its base field is used).
-    """
-    fq = getattr(field, "fq", field)
+    lexicographic order (low-degree coefficients compared first)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     return [_wrap(fq, f) for f in fq.kernel.irreducibles(degree)]

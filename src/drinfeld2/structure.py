@@ -5,9 +5,8 @@ search that produces a module with a prescribed structure.
 """
 
 from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
-from .drinfeld import DrinfeldModule, phi_step, sigma_orbits, twist_orbits
-from .fields import char_and_min_poly, second_invariant_factor
-from .polys import UPoly, _Value, _wrap, residue_root
+from .drinfeld import DrinfeldModule, invariants, sigma_orbits, twist_orbits
+from .polys import UPoly, _Value, residue_root
 
 
 class InvariantFactors(_Value):
@@ -34,19 +33,8 @@ def module_structure(mod):
     det(T*I - M), when i2 does not divide i1, or when the rank check finds
     more than two invariant factors, which the rank-2 theory forbids.
     """
-    chi, i1 = mod.action_invariants()
-    _, i2 = _invariant_pair(mod.tower, mod.gamma_t, mod.g, mod.delta, (chi.coeffs, i1.coeffs))
-    return InvariantFactors(i1, _wrap(mod.tower.fq, i2))
-
-
-def _invariant_pair(tower, gamma, g, delta, action=None):
-    """(i1, i2) as kernel tuples for L under phi_T = gamma + g tau +
-    delta tau^2: one Krylov pass (char_and_min_poly) gives chi and i1,
-    unless action = (chi, i1) hands in that pass, and
-    second_invariant_factor gives i2 and its checks."""
-    step = phi_step(tower, gamma, g, delta)
-    chi, i1 = action or char_and_min_poly(tower, step)
-    return i1, second_invariant_factor(tower, step, chi, i1)
+    _, i1, i2 = mod.action_invariants()
+    return InvariantFactors(i1, i2)
 
 
 def check_criteria(cp, inv):
@@ -139,14 +127,15 @@ def realize_structure(tower, prime, m, i1, i2):
     sigma-heads (drinfeld.sigma_orbits) are tried: twists and x -> x^(q^d)
     keep class and structure, so the least witness of a class is a head.
     A head of structure (i1, i2) has chi = i1*i2, so its unit names its
-    class: heads of another unit are skipped, and only the witness runs
-    frobenius_charpoly, whose annihilation check guards the answer.
+    class: heads of another unit are skipped, the others are classified by
+    the kernel drinfeld.invariants, and only the witness becomes a module
+    and runs frobenius_charpoly, whose annihilation check guards the answer.
     Returns a DrinfeldModule or a NotRealizable naming the failed
     condition.  A prime that is not monic irreducible with
     m * deg(prime) = n, invariant factors over another field and a zero
     invariant factor raise ValueError before any condition is read.
     """
-    residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
+    gamma = residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
     if tower.n != m * prime.degree():
         raise ValueError("tower degree differs from m * deg(prime)")
     if i1.fq != tower.fq or i2.fq != tower.fq:
@@ -164,15 +153,17 @@ def realize_structure(tower, prime, m, i1, i2):
         return NotRealizable(
             "no ordinary isogeny class matches (needs P(1) = i1*i2 up to a "
             "unit and i2 | trace - 2)")
-    want = InvariantFactors(i1, i2)
+    want = (i1.coeffs, i2.coeffs)
     orbits = twist_orbits(tower)
     heads = [orbits[group[0]][0] for group in sigma_orbits(tower, prime.degree(), orbits)]
     for trace, unit in candidates:
         for g, delta in heads:
             if frobenius_unit(tower, delta) != unit:
                 continue
-            mod = DrinfeldModule(tower, prime, g, delta)
-            if module_structure(mod) == want:
+            found = invariants(tower, gamma, g, delta)
+            if found[1:] == want:
+                mod = DrinfeldModule(tower, prime, g, delta)
+                mod._invariants = found  # so frobenius_charpoly runs no second Krylov pass
                 cp = frobenius_charpoly(mod)
                 if (cp.trace, cp.unit) != (trace, unit):
                     raise RuntimeError("the witness lies outside its candidate class")

@@ -45,8 +45,8 @@ REMOVED = {
     OrePoly: ["right_gcd", "right_mod", "right_divides", "is_separable",
               "__call__", "shift", "constant_coeff"],
     polys: ["monic_divisors", "MonicIdeal", "embed_residue_field"],
-    polys.UPoly: ["is_constant", "eval_fq", "shift"],
-    structure: ["suborder_contained", "action_matrix", "OrePoly"],
+    polys.UPoly: ["is_constant", "eval_fq", "shift", "__radd__", "__rsub__", "__rmul__"],
+    structure: ["suborder_contained", "action_matrix", "OrePoly", "_invariant_pair"],
     structure.InvariantFactors: ["common_factor"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates", "is_isogenous",
                "minimal_polynomial", "_frobenius_witness", "euler_characteristic",

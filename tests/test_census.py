@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from drinfeld2 import (DrinfeldModule, InvariantFactors, UPoly, build_tower, census,
-                       frobenius_charpoly, structure)
+                       drinfeld, frobenius_charpoly)
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
@@ -169,15 +169,16 @@ def test_descent_guard_on_automorphism_counts(monkeypatch):
 
 
 def test_members_of_carried_orbits_are_verified(monkeypatch):
-    # every one of the |L|(|L| - 1) modules gets its own structure from the
-    # kernel (a head through module_structure, a member from the census),
-    # and all but the sigma-orbit heads their own annihilation residue
+    # every one of the |L|(|L| - 1) modules gets its own structure from one
+    # call of the kernel, with one phi_step (a head through its
+    # action_invariants, a member from the census), and all but the
+    # sigma-orbit heads their own annihilation residue
     tw = tower_for(3, 3)
     prime = default_prime(tw.fq, 1)
     heads = len(sigma_orbits(tw, 1, twist_orbits(tw)))
-    calls = {"_annihilation_residue": 0, "_invariant_pair": 0}
-    for owner, name in ((census, "_annihilation_residue"), (census, "_invariant_pair"),
-                        (structure, "_invariant_pair")):
+    calls = {"_annihilation_residue": 0, "invariants": 0, "phi_step": 0}
+    for owner, name in ((census, "_annihilation_residue"), (census, "invariants"),
+                        (drinfeld, "invariants"), (drinfeld, "phi_step")):
         real = getattr(owner, name)
 
         def counted(*args, name=name, real=real):
@@ -188,7 +189,8 @@ def test_members_of_carried_orbits_are_verified(monkeypatch):
     report = run_census(tw, prime, 3, verify_members=True)
     assert report.checks["members_all_ok"]
     modules = tw.order * (tw.order - 1)
-    assert calls == {"_annihilation_residue": modules - heads, "_invariant_pair": modules}
+    assert calls == {"_annihilation_residue": modules - heads, "invariants": modules,
+                     "phi_step": modules}
 
 
 def test_carried_members_are_checked_against_the_head(monkeypatch):

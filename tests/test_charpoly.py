@@ -105,6 +105,15 @@ def test_discriminant_examples():
     assert not is_imaginary(UPoly.zero(cp.trace.fq))
 
 
+def test_is_imaginary_decides_nothing_in_characteristic_2():
+    # disc = trace^2 there: no answer rather than a wrong False
+    for p, s in ((2, 1), (2, 2)):
+        fq = build_tower(p, s, 1).fq
+        for text in ("T", "T^2+1", "1"):
+            assert is_imaginary(UPoly.parse(fq, text)) is None
+        assert is_imaginary(UPoly.zero(fq)) is None
+
+
 def test_discriminant_is_imaginary_for_ordinary_odd_q():
     for n, ptxt in ((1, "T"), (2, "T"), (2, "T^2+1")):
         tw = build_tower(3, 1, n)

@@ -22,10 +22,9 @@ from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
                        annihilation_holds, build_tower, fields, frobenius_charpoly,
                        module_structure)
 from drinfeld2.charpoly import _annihilation_residue
-from drinfeld2.drinfeld import orbit_members, twist_orbits
+from drinfeld2.drinfeld import invariants, orbit_members, twist_orbits
 from drinfeld2.fields import MAX_FIELD_ORDER, char_and_min_poly, second_invariant_factor
 from drinfeld2.polys import monic_polys
-from drinfeld2.structure import _invariant_pair
 from oracles import (OrePoly, _matrix_krylov_relation, _solve_frobenius_in_image, action_matrix,
                      annihilation_residue_by_ore, charpoly_by_solve, frobenius_witness,
                      matrix_char_and_min_poly, matrix_second_invariant_factor,
@@ -241,9 +240,9 @@ def test_l_route_matches_the_matrix_krylov_and_smith_on_every_orbit(q, d, m):
         mat = action_matrix(mod)
         chi, i1 = matrix_char_and_min_poly(fq, mat)
         i2 = matrix_second_invariant_factor(fq, mat, chi, i1)
-        got_chi, got_i1 = mod.action_invariants()
+        got_chi, got_i1, got_i2 = mod.action_invariants()
         inv = module_structure(mod)
-        assert (got_chi.coeffs, got_i1.coeffs) == (chi, i1)
+        assert (got_chi.coeffs, got_i1.coeffs, got_i2.coeffs) == (chi, i1, i2)
         assert inv.as_pair() == (i1, i2)
         nonunit = [f for f in (inv.i2, inv.i1) if f.degree() > 0]
         assert nonunit == snf_invariant_factors(mat, fq)
@@ -301,7 +300,7 @@ def test_kernel_invariant_pair_matches_module_structure_on_every_module():
         for g in tower.elements():
             for delta in tower.units():
                 mod = DrinfeldModule(tower, prime, g, delta)
-                assert _invariant_pair(tower, gamma, g, delta) == module_structure(mod).as_pair()
+                assert invariants(tower, gamma, g, delta)[1:] == module_structure(mod).as_pair()
 
 
 def test_annihilation_fails_for_the_charpoly_of_a_larger_field():

@@ -25,6 +25,23 @@ def test_zero_degree_sentinel():
     assert UPoly(fq3(), (0, 0, 0)).coeffs == ()
 
 
+def test_integer_operands_are_refused():
+    # an int is no element of F_(p^s): -1 mod 9 would read as the digit
+    # code 8 = 2 + 2a, and 3 as the generator a
+    fq9 = build_tower(3, 2, 1).fq
+    for bad in (-1, 9, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            UPoly.constant(fq9, bad)
+    assert UPoly.constant(fq9, 8).coeffs == (8,) and UPoly.constant(fq9, 0).is_zero()
+    t = UPoly.gen(fq9)
+    for op in (lambda: t + 2, lambda: t - 2, lambda: t * 3, lambda: divmod(t, 2)):
+        with pytest.raises(ValueError):
+            op()
+    for op in (lambda: 2 + t, lambda: 2 - t, lambda: 3 * t):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_divmod_example():
     q, r = divmod(P("T^3"), P("T+1"))
     assert q == P("T^2+2*T+1")

@@ -418,13 +418,14 @@ def test_realize_answers_are_pinned():
         "04504b2037c9480176ebf0d714b135f268f0bff5f6272a99d45d0e0c89f15a13")
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, pair):
+    """The calls of structure.<name>, each recorded as pair(*args)."""
     calls = []
     real = getattr(structure, name)
 
-    def counted(mod):
-        calls.append((mod.g, mod.delta))
-        return real(mod)
+    def counted(*args):
+        calls.append(pair(*args))
+        return real(*args)
 
     monkeypatch.setattr(structure, name, counted)
     return calls
@@ -432,7 +433,8 @@ def _count_calls(monkeypatch, name):
 
 def test_realize_classifies_only_heads_of_a_candidate_unit(monkeypatch):
     # a head's unit names its class, so heads of another unit are never
-    # classified and only the witness runs frobenius_charpoly
+    # classified; the kernel classifies the others, and only the witness
+    # becomes a module and runs frobenius_charpoly
     tw = build_tower(5, 1, 3)
     fq = tw.fq
     prime, i1, i2 = UPoly.parse(fq, "T"), UPoly.parse(fq, "T^2+3*T+2"), UPoly.parse(fq, "T+2")
@@ -441,17 +443,18 @@ def test_realize_classifies_only_heads_of_a_candidate_unit(monkeypatch):
     heads = [orbits[group[0]][0] for group in sigma_orbits(tw, 1, orbits)]
     in_units = [h for h in heads if frobenius_unit(tw, h[1]) in units]
     assert (len(heads), len(in_units)) == (180, 45)
-    charpolys = _count_calls(monkeypatch, "frobenius_charpoly")
-    structures = _count_calls(monkeypatch, "module_structure")
+    charpolys = _count_calls(monkeypatch, "frobenius_charpoly", lambda mod: (mod.g, mod.delta))
+    kernels = _count_calls(monkeypatch, "invariants", lambda tower, gamma, g, delta: (g, delta))
+    modules = _count_calls(monkeypatch, "DrinfeldModule", lambda tower, prime, g, delta: (g, delta))
     mod = realize_structure(tw, prime, 3, i1, i2)
-    assert charpolys == [(mod.g, mod.delta)]
-    assert len(structures) == 13 and set(structures) <= set(in_units)
+    assert charpolys == modules == [(mod.g, mod.delta)]
+    assert len(kernels) == 13 and set(kernels) <= set(in_units)
     # candidates exist but no head has the structure: no charpoly at all
     tw2 = build_tower(3, 1, 2)
     res = realize_structure(tw2, UPoly.parse(tw2.fq, "T"), 2,
                             UPoly.parse(tw2.fq, "T^2+1"), UPoly.one(tw2.fq))
     assert res == NotRealizable("no witness found in any matching isogeny class")
-    assert len(charpolys) == 1
+    assert len(charpolys) == len(modules) == 1
 
 
 # (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and

@@ -44,13 +44,13 @@ def default_prime(fq, d):
 
 def _process_orbit(tower, prime, group, verify_members):
     """Classify the head of one sigma-orbit of isomorphism classes; returns
-    one plain-data record per twist orbit of group, a list of
-    (rep, orbit_size, aut_count) with the head first.  A record carries
-    only what a module decides: its isogeny class (trace, unit), its
-    invariant factors, its height and its own checks; run_census derives
-    the invariants of the class from (trace, unit).  Each record keeps its
-    own rep, size, automorphism count and unit, the last recomputed from
-    its delta; the rest is the head's, which sigma carries over.
+    one record per twist orbit of group, a list of (rep, orbit_size,
+    aut_count) with the head first.  A record carries its isogeny class
+    (trace, unit), its invariant factors, its height, its own checks and
+    its head's FrobeniusCharPoly cp, which run_census reuses for the
+    class.  Each record keeps its own rep, size, automorphism count and
+    unit, the last recomputed from its delta; the rest is the head's,
+    which sigma carries over.
 
     With verify_members, every other member of each twist orbit gets its
     own annihilation residue against the head's charpoly and its own
@@ -63,13 +63,11 @@ def _process_orbit(tower, prime, group, verify_members):
     h = mod.height()
     ss = h == 2
 
-    prime_divides_trace = (cp.trace % prime).is_zero()
-    if prime_divides_trace != ss:
+    if cp.ordinary == ss:
         raise RuntimeError(
             "supersingularity criteria disagree for (g, delta) = %r over %r: "
             "height gives %s but prime %s trace %s"
-            % (rep, tower, ss, "divides" if prime_divides_trace else "does not divide",
-               cp.trace))
+            % (rep, tower, ss, "does not divide" if cp.ordinary else "divides", cp.trace))
 
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
@@ -84,6 +82,7 @@ def _process_orbit(tower, prime, group, verify_members):
             break
 
     head = {
+        "cp": cp,
         "trace": cp.trace.coeffs,
         "i1": inv.i1.coeffs,
         "i2": inv.i2.coeffs,
@@ -304,7 +303,8 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     orbit still gets its own row.  jobs > 1 distributes the per-sigma-orbit
     work over worker processes, at most one per CPU and one per
     sigma-orbit; the merge order is the orbit order, so reports are
-    identical regardless of the job count.  jobs < 1 raises ValueError.
+    identical regardless of the job count, and an isogeny class reuses the
+    charpoly of its first record's head.  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
@@ -329,9 +329,6 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     by_key = {}
     for r in records:
         by_key.setdefault((r["trace"], r["unit"]), []).append(r)
-    charpolys = {key: FrobeniusCharPoly(UPoly(fq, key[0]), key[1], prime, m)
-                 for key in by_key}
-    ordinary = {key: not (cp.trace % prime).is_zero() for key, cp in charpolys.items()}
     one = UPoly.one(fq).coeffs  # i2 = 1: L is cyclic
 
     # ---- per isomorphism class rows (serialized form) ----
@@ -345,16 +342,15 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
 
     iso_rows = []
     for r in records:
-        key = (r["trace"], r["unit"])
         iso_rows.append({
             "g": list(tower.vector(r["g"])),
             "delta": list(tower.vector(r["delta"])),
             "orbit_size": r["orbit_size"],
             "aut_count": r["aut_count"],
-            "ordinary": ordinary[key],
+            "ordinary": r["cp"].ordinary,
             "c": text(r["trace"]),
             "mu": r["unit"],
-            "chi": text(charpolys[key].chi.coeffs),
+            "chi": text(r["cp"].chi.coeffs),
             "i1": text(r["i1"]),
             "i2": text(r["i2"]),
             "cyclic": r["i2"] == one,
@@ -365,7 +361,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     criteria = []  # (ordinary, check_criteria flags) per (class, structure)
     for key in sorted(by_key):
         group = by_key[key]
-        cp = charpolys[key]
+        cp = group[0]["cp"]
         structures = {}
         for r in group:
             key2 = (r["i1"], r["i2"])
@@ -373,7 +369,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         counted = [(i1c, UPoly(fq, i2c), cnt) for (i1c, i2c), cnt in sorted(structures.items())]
         for i1c, i2, _ in counted:
             flags = check_criteria(cp, InvariantFactors(UPoly(fq, i1c), i2))
-            criteria.append((ordinary[key], flags))
+            criteria.append((cp.ordinary, flags))
         i2_counts = [(i2, cnt) for _, i2, cnt in counted]
         struct_rows = [{"i1": text(i1c), "i2": str(i2), "count": cnt,
                         "cumulative": _members_with_plane(i2_counts, i2)}
@@ -382,7 +378,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         row = {
             "c": str(cp.trace),
             "mu": cp.unit,
-            "ordinary": ordinary[key],
+            "ordinary": cp.ordinary,
             "chi": str(cp.chi),
             "disc": str(cp.disc),
             "disc_imaginary": is_imaginary(cp.disc),
@@ -508,7 +504,9 @@ def attach_class_number_checks(report, tower):
     and for each admissible i2 the number of members whose structure
     contains the full i2-plane against H(disc / i2^2).
 
-    Mutates report.hurwitz; requires odd q and the report's field.
+    Each class's chi, disc, ordinarity, discriminant sign and c - 2 are
+    read off the charpoly of its (c, mu), and ValueError is raised when the
+    report's chi, disc, ordinary or disc_imaginary differs.  Mutates report.hurwitz; requires odd q and the report's field.
     """
     from .hurwitz import hurwitz_class_number
 
@@ -517,22 +515,28 @@ def attach_class_number_checks(report, tower):
         raise ValueError("the tower is over F_%d, the report over F_%d" % (tower.q, report.q))
     if report.q % 2 == 0:
         raise ValueError("class-number checks require odd q")
+    prime = UPoly.parse(fq, report.prime)
     rows = []
     all_match = True
-    for cls in report.ordinary_isogeny_classes():
-        disc = UPoly.parse(fq, cls["disc"])
-        chi = UPoly.parse(fq, cls["chi"])
-        trace = UPoly.parse(fq, cls["c"])
-        imaginary = cls["disc_imaginary"]
-        H, details = hurwitz_class_number(disc)
+    for cls in report.isogeny_classes:
+        cp = FrobeniusCharPoly(UPoly.parse(fq, cls["c"]), cls["mu"], prime, report.m)
+        imaginary = is_imaginary(cp.disc)
+        derived = (str(cp.chi), str(cp.disc), cp.ordinary, imaginary)
+        given = tuple(cls[k] for k in ("chi", "disc", "ordinary", "disc_imaginary"))
+        if derived != given:
+            raise ValueError("class (%s, %d) has (chi, disc, ordinary, disc_imaginary) = %r, "
+                             "not the report's %r" % (cls["c"], cls["mu"], derived, given))
+        if not cp.ordinary:
+            continue
+        H, details = hurwitz_class_number(cp.disc)
         w_match = H == cls["W"]
         all_match = all_match and w_match and imaginary
         i2_counts = [(UPoly.parse(fq, srow["i2"]), srow["count"])
                      for srow in cls["structures"]]
         sub_rows = []
-        for i2 in _admissible_i2(chi, trace - UPoly.constant(fq, 2 % fq.p)):
+        for i2 in _admissible_i2(cp.chi, cp.c_minus_2):
             cumulative = _members_with_plane(i2_counts, i2)
-            sub_disc, rem = divmod(disc, i2 * i2)
+            sub_disc, rem = divmod(cp.disc, i2 * i2)
             if not rem.is_zero():
                 raise RuntimeError(
                     "i2^2 divides P(1) and i2 divides c - 2, so it must "

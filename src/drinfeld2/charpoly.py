@@ -1,7 +1,9 @@
 """Characteristic polynomial of the Frobenius F = tau^n of a rank-2 module.
 
 P(X) = X^2 - trace*X + unit*prime^m with trace in A, deg trace <= m*d/2,
-and unit in F_q^*.  Both come from the action of T on L:
+and unit in F_q^*.  FrobeniusCharPoly alone derives the facts of this
+Weil pair: chi, disc, ordinary (prime does not divide trace) and
+trace - 2.  Both trace and unit come from the action of T on L:
 
 - unit = (-1)^n N(delta)^(-1), with N(delta) = delta^((q^n-1)/(q-1)) the
   norm from L to F_q of the tau^2 coefficient;
@@ -43,14 +45,16 @@ class FrobeniusCharPoly(_Value):
     - neg_trace = (-trace).coeffs;
     - chi, the monic normalization of P(1) = 1 - trace + norm;
     - disc = trace^2 - 4*norm, which degenerates to trace^2 for q even,
-      where is_imaginary gives None.
+      where is_imaginary gives None;
+    - ordinary, True when prime does not divide trace;
+    - c_minus_2 = trace - 2, which i2 divides in an ordinary class.
 
     Raises RuntimeError when P(1) = 0, which no module gives: there
     P(1) = unit*chi with deg chi = n >= 1.
     """
 
     _fields = ("trace", "unit", "prime", "ext_degree")
-    __slots__ = _fields + ("norm", "neg_trace", "chi", "disc")
+    __slots__ = _fields + ("norm", "neg_trace", "chi", "disc", "ordinary", "c_minus_2")
 
     def __init__(self, trace, unit, prime, ext_degree):
         fq = trace.fq
@@ -58,11 +62,13 @@ class FrobeniusCharPoly(_Value):
         at_one = UPoly.one(fq) - trace + norm
         if at_one.is_zero():
             raise RuntimeError("P(1) = 0; the Frobenius cannot fix a nonzero point")
-        four = UPoly.constant(fq, 4 % fq.p)
+        four, two = UPoly.constant(fq, 4 % fq.p), UPoly.constant(fq, 2 % fq.p)
         for name, value in (("trace", trace), ("unit", unit), ("prime", prime),
                             ("ext_degree", ext_degree), ("norm", norm),
                             ("neg_trace", (-trace).coeffs), ("chi", at_one.monic()),
-                            ("disc", trace * trace - four * norm)):
+                            ("disc", trace * trace - four * norm),
+                            ("ordinary", not (trace % prime).is_zero()),
+                            ("c_minus_2", trace - two)):
             object.__setattr__(self, name, value)
 
     def trace_degree_ok(self):

@@ -60,10 +60,18 @@ def _check_out(path):
         raise ValueError("cannot write %s: %s is missing or not writable" % (path, parent))
 
 
+def _parse_prime(args):
+    """--P over F_q; a constant is refused before a tower of its degree."""
+    prime = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
+    if prime.degree() < 1:
+        raise ValueError("--P %s is not a prime: a prime is monic of degree >= 1" % prime)
+    return prime
+
+
 def _tower_and_prime(args, n=None):
     """Parse --P over F_q and build the tower of degree m deg P, which
     must equal n when n is given."""
-    prime = UPoly.parse(build_tower(args.p, args.s, 1).fq, args.P)
+    prime = _parse_prime(args)
     degree = args.m * prime.degree()
     if n is not None and n != degree:
         raise ValueError("--n %d does not match m*deg(P) = %d" % (n, degree))
@@ -150,12 +158,9 @@ def cmd_census(args):
     tower = build_tower(args.p, args.s, args.d * args.m)
     if args.hurwitz and tower.q % 2 == 0:  # refused before the census, not after
         raise ValueError("class-number checks require odd q")
-    if args.P is not None:
-        prime = UPoly.parse(tower.fq, args.P)
-        if prime.degree() != args.d:
-            raise ValueError("--P has degree %d, expected %d" % (prime.degree(), args.d))
-    else:
-        prime = default_prime(tower.fq, args.d)
+    prime = default_prime(tower.fq, args.d) if args.P is None else _parse_prime(args)
+    if prime.degree() != args.d:
+        raise ValueError("--P has degree %d, expected %d" % (prime.degree(), args.d))
     report = run_census(tower, prime, args.m, jobs=args.jobs,
                         verify_members=args.verify_members)
     if args.hurwitz:

@@ -185,14 +185,15 @@ class UPoly:
 
     @classmethod
     def parse(cls, fq, text):
-        """Parse 'c_k*T^k+...+c_0' (coefficients are integers, reduced mod q)."""
+        """Parse 'c_k*T^k+...+c_0', each c an int in [0, q) as F_q numbers
+        its elements, or its negation '-c'; raises ValueError for c >= q."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]
-        coeffs = {}
+        total = cls.zero(fq)
         for raw in s.split("+"):
             if not raw:
                 raise ValueError("malformed polynomial string: %r" % text)
@@ -205,7 +206,7 @@ class UPoly:
                     mt.group(2) and None in (mt.group(1), mt.group(3))):
                 # quote the text as written: the '-' rewrite may have split a term
                 raise ValueError("malformed polynomial term in %r" % text)
-            cnum = int(mt.group(1)) if mt.group(1) is not None else 1
+            c = int(mt.group(1)) if mt.group(1) is not None else 1
             if mt.group(3) is None:
                 k = 0
             elif mt.group(5) is not None:
@@ -215,14 +216,9 @@ class UPoly:
             if k > MAX_DEGREE:
                 raise SizeBoundError("degree %d exceeds the largest usable degree %d"
                                      % (k, MAX_DEGREE))
-            c = cnum % fq.q
-            if negate:
-                c = fq.neg_table[c]
-            coeffs[k] = fq.add(coeffs.get(k, 0), c)
-        out = [0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return cls(fq, out)
+            term = cls(fq, [0] * k + [c])  # ValueError unless c < q
+            total = total - term if negate else total + term
+        return total
 
 
 def _wrap(fq, coeffs):

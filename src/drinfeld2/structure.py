@@ -4,9 +4,9 @@ right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
 
-from .charpoly import _weil_trace, frobenius_charpoly, frobenius_unit
+from .charpoly import FrobeniusCharPoly, _weil_trace, frobenius_charpoly, frobenius_unit
 from .drinfeld import DrinfeldModule, invariants, sigma_orbits, twist_orbits
-from .polys import UPoly, _Value, residue_root
+from .polys import _Value, residue_root
 
 
 class InvariantFactors(_Value):
@@ -42,14 +42,11 @@ def check_criteria(cp, inv):
     class of the characteristic polynomial cp; returns flags, does not
     raise.  The trace clause is only a theorem for ordinary classes, the
     caller decides what to assert."""
-    fq = cp.trace.fq
-    chi = cp.chi
-    c_minus_2 = cp.trace - UPoly.constant(fq, 2 % fq.p)
     return {
         "i2_divides_i1": (inv.i1 % inv.i2).is_zero(),
-        "product_is_chi": (inv.i1 * inv.i2).monic() == chi,
-        "i2_divides_c_minus_2": (c_minus_2 % inv.i2).is_zero(),
-        "i_sq_divides_chi": (chi % (inv.i2 * inv.i2)).is_zero(),
+        "product_is_chi": (inv.i1 * inv.i2).monic() == cp.chi,
+        "i2_divides_c_minus_2": (cp.c_minus_2 % inv.i2).is_zero(),
+        "i_sq_divides_chi": (cp.chi % (inv.i2 * inv.i2)).is_zero(),
     }
 
 
@@ -107,13 +104,12 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
     """The ordinary (trace, unit) with P(1) = unit*i1*i2 and i2 | trace - 2,
     sorted by (trace coefficients, unit).  deg trace <= m*d/2 < n makes
     unit the leading coefficient of P(1), so each unit fixes the trace."""
-    chi, two = i1 * i2, UPoly.constant(tower.fq, 2 % tower.fq.p)
+    chi = i1 * i2
     out = []
     for unit in tower.fq.units():
-        trace = _weil_trace(prime, m, unit, chi)
-        if (2 * trace.degree() <= tower.n and not (trace % prime).is_zero()
-                and ((trace - two) % i2).is_zero()):
-            out.append((trace, unit))
+        cp = FrobeniusCharPoly(_weil_trace(prime, m, unit, chi), unit, prime, m)
+        if cp.trace_degree_ok() and cp.ordinary and (cp.c_minus_2 % i2).is_zero():
+            out.append((cp.trace, unit))
     return sorted(out, key=lambda key: (key[0].coeffs, key[1]))
 
 

@@ -71,7 +71,8 @@ def test_removed_names_are_gone_from_the_library():
     assert list(inspect.signature(charpoly.FrobeniusCharPoly).parameters) == [
         "trace", "unit", "prime", "ext_degree"]
     assert charpoly.FrobeniusCharPoly.__slots__ == (
-        "trace", "unit", "prime", "ext_degree", "norm", "neg_trace", "chi", "disc")
+        "trace", "unit", "prime", "ext_degree", "norm", "neg_trace", "chi", "disc",
+        "ordinary", "c_minus_2")
     assert all(p.default is p.empty for p in
                inspect.signature(charpoly.annihilation_holds).parameters.values())
     for function in (drinfeld2.is_imaginary, drinfeld2.class_number,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld2 import (DrinfeldModule, InvariantFactors, UPoly, build_tower, census,
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, InvariantFactors, UPoly,
+                       build_tower, census,
                        drinfeld, frobenius_charpoly)
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
@@ -166,6 +167,45 @@ def test_descent_guard_on_automorphism_counts(monkeypatch):
     _regroup(monkeypatch, [[0, 1]] + [[i] for i in range(2, len(orbits))])
     with pytest.raises(RuntimeError, match="aut_count"):
         run_census(tw, prime, 2)
+
+
+@pytest.mark.parametrize("case", [(3, 1, 2), (4, 2, 1), (3, 2, 2)],
+                         ids=lambda c: "q%d-d%d-m%d" % c)
+def test_census_builds_one_charpoly_per_sigma_head(monkeypatch, case):
+    # an isogeny class reads its charpoly off the record of its head, and
+    # no other stage of the census builds one
+    q, d, m = case
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    heads = len(sigma_orbits(tw, d, twist_orbits(tw)))
+    real, built = FrobeniusCharPoly.__init__, []
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(FrobeniusCharPoly, "__init__", counted)
+    run_census(tw, prime, m, jobs=1)
+    assert len(built) == heads
+
+
+def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
+    # the constructor's two slots against the trace itself, and ordinarity
+    # against the height, on every isogeny class of one GRID case
+    tw = tower_for(5, 2)
+    prime = default_prime(tw.fq, 1)
+    two = UPoly.constant(tw.fq, 2)
+    classes = {}
+    for r in census_records_without_descent(tw, prime):
+        classes.setdefault((r["trace"], r["unit"]), []).append(r)
+    assert any(r["cp"].ordinary for r, *_ in classes.values())
+    assert not all(r["cp"].ordinary for r, *_ in classes.values())
+    for (trace, unit), group in classes.items():
+        cp = group[0]["cp"]
+        assert (cp.trace.coeffs, cp.unit) == (trace, unit)
+        assert cp.ordinary == (not (UPoly(tw.fq, trace) % prime).is_zero())
+        assert cp.c_minus_2 == UPoly(tw.fq, trace) - two
+        assert all(r["cp"] == cp and (r["height"] == 1) == cp.ordinary for r in group)
 
 
 def test_members_of_carried_orbits_are_verified(monkeypatch):
@@ -408,6 +448,31 @@ def test_class_number_checks_refuse_a_tower_over_another_field(census_cache):
     for tower in (build_tower(5, 1, 1), build_tower(3, 2, 1)):
         with pytest.raises(ValueError):
             attach_class_number_checks(r, tower)
+    assert r.hurwitz is None
+
+
+def _bump(fq, text):
+    return str(UPoly.parse(fq, text) + UPoly.one(fq))
+
+
+@pytest.mark.parametrize("ordinary, key, edit", [
+    (True, "disc", _bump),
+    (True, "chi", _bump),
+    (True, "ordinary", lambda fq, v: not v),
+    (False, "ordinary", lambda fq, v: not v),
+    (True, "disc_imaginary", lambda fq, v: not v),
+], ids=["disc", "chi", "ordinary-cleared", "ordinary-set", "disc_imaginary"])
+def test_class_number_checks_refuse_an_edited_class(census_cache, ordinary, key, edit):
+    # chi, disc, ordinarity and the discriminant's sign are recomputed
+    # from (c, mu), not read, so a report with one class edited is refused
+    import copy
+
+    r = copy.deepcopy(census_cache(3, 1, 2))
+    tower = tower_for(3, 2)
+    cls = next(c for c in r.isogeny_classes if c["ordinary"] == ordinary)
+    cls[key] = edit(tower.fq, cls[key])
+    with pytest.raises(ValueError, match="not the report's"):
+        attach_class_number_checks(r, tower)
     assert r.hurwitz is None
 
 

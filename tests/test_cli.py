@@ -193,7 +193,7 @@ def test_realize_not_realizable_exit_code(capsys):
 @pytest.mark.parametrize("prime,m,i1,reason", [
     ("T^2", "1", "T", "reducible"),
     ("2*T", "1", "T^2", "monic"),
-    ("0", "-1", "T^2", "monic"),  # m deg P = 1 builds a tower, then the zero prime
+    ("0", "-1", "T^2", "monic"),  # refused before m deg P = 1 builds a tower
 ])
 def test_realize_rejects_an_invalid_prime(capsys, prime, m, i1, reason):
     # the prime is checked before any condition on i1 and i2 is read
@@ -201,6 +201,30 @@ def test_realize_rejects_an_invalid_prime(capsys, prime, m, i1, reason):
                              "--i1", i1, "--i2", "1")
     assert code == 2 and out == ""
     assert reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--p", "3", "--d", "1", "--m", "1", "--P", "0"],
+    ["charpoly", "--p", "3", "--P", "2", "--m", "1", "--g", "1", "--delta", "1"],
+    ["structure", "--p", "3", "--P", "1", "--m", "2", "--g", "1", "--delta", "1"],
+    ["realize", "--p", "3", "--P", "2", "--m", "1", "--i1", "T", "--i2", "1"],
+], ids=lambda argv: argv[0])
+def test_a_constant_prime_is_named(capsys, argv):
+    # refused by the one parser of --P, before a tower of degree m deg P
+    # is built
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--P %s is not a prime" % argv[argv.index("--P") + 1] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s,prime", [("1", "T+3"), ("2", "T+12")])
+def test_census_refuses_a_coefficient_of_q_or_more(capsys, s, prime):
+    # 'T+3' over F_3 ran as P = T, and 'T+12' over F_9 as T + a
+    code, out, err = run_cli(capsys, "census", "--p", "3", "--s", s, "--d", "1",
+                             "--m", "1", "--P", prime)
+    assert code == 2 and out == ""
+    assert "out of range" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("i1,i2", [("T+1", "0"), ("0", "0")])

@@ -23,16 +23,23 @@ EXIT_VALIDATION = 2
 EXIT_BOUND = 3
 
 
+def _positive_int(text):
+    """An argparse type: ASCII digits, at least 1; argparse names the flag."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _add_field_args(sub):
-    sub.add_argument("--p", type=int, required=True, help="prime characteristic")
-    sub.add_argument("--s", type=int, default=1, help="base degree, q = p^s")
+    sub.add_argument("--p", type=_positive_int, required=True, help="prime characteristic")
+    sub.add_argument("--s", type=_positive_int, default=1, help="base degree, q = p^s")
 
 
 def _add_module_args(sub):
     _add_field_args(sub)
     sub.add_argument("--P", required=True, help="monic irreducible in T, e.g. 'T^2+1'")
-    sub.add_argument("--m", type=int, required=True, help="degree of L over A/P")
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--m", type=_positive_int, required=True, help="degree of L over A/P")
+    sub.add_argument("--n", type=_positive_int, default=None,
                      help="optional consistency check: must equal m*deg(P)")
     sub.add_argument("--g", required=True, help="tau coefficient, int or [c0,c1,...]")
     sub.add_argument("--delta", required=True, help="tau^2 coefficient, nonzero")
@@ -44,8 +51,8 @@ def _add_output_args(sub, formats=("json", "text")):
 
 
 def _add_jobs_arg(sub):
-    # a string default goes through type=int, so a bad value exits 2
-    sub.add_argument("--jobs", type=int, default=os.environ.get("DRINFELD2_JOBS", "1"),
+    # a string default goes through the type, so a bad value exits 2
+    sub.add_argument("--jobs", type=_positive_int, default=os.getenv("DRINFELD2_JOBS", "1"),
                      help="worker processes, capped at the CPU count "
                           "(default $DRINFELD2_JOBS or 1)")
 
@@ -105,30 +112,25 @@ def _emit(args, payload, text_lines):
 def cmd_charpoly(args):
     mod = _build_module(args)
     cp = frobenius_charpoly(mod)
-    disc = cp.disc
     height = mod.height()
     ss = height == 2
     payload = {
-        "schema_version": "1",
+        "schema_version": "2",
         "c": str(cp.trace),
         "mu": cp.unit,
         "P": str(cp.prime),
         "m": cp.ext_degree,
-        "disc": str(disc),
-        "disc_imaginary": is_imaginary(disc),
+        "disc": str(cp.disc),
+        "disc_imaginary": is_imaginary(cp.disc),
         "chi": str(cp.chi),
         "ordinary": not ss,
         "supersingular": ss,
         "height": height,
-        # frobenius_charpoly raises unless both of these hold
-        "hasse_weil_ok": True,
-        "annihilation_ok": True,
         "q_even_caveat": mod.tower.q % 2 == 0,
     }
     text = ["c = %s" % payload["c"], "mu = %d" % payload["mu"],
             "chi = %s" % payload["chi"], "disc = %s" % payload["disc"],
-            "ordinary = %s" % payload["ordinary"],
-            "hasse_weil_ok = %s" % payload["hasse_weil_ok"]]
+            "ordinary = %s" % payload["ordinary"]]
     _emit(args, payload, text)
     return EXIT_OK
 
@@ -207,7 +209,7 @@ def cmd_realize(args):
 
 
 def cmd_trend(args):
-    qs = [int(x) for x in args.q.split(",")]
+    qs = [_positive_int(x.strip()) for x in args.q.split(",")]
     table = cyclicity_trend(qs, args.d, args.m, jobs=args.jobs)
 
     def fmt(fr):
@@ -240,8 +242,8 @@ def build_parser():
 
     p_ce = sub.add_parser("census", help="exhaustive census for (q, d, m)")
     _add_field_args(p_ce)
-    p_ce.add_argument("--d", type=int, required=True, help="degree of the prime P")
-    p_ce.add_argument("--m", type=int, required=True)
+    p_ce.add_argument("--d", type=_positive_int, required=True, help="degree of the prime P")
+    p_ce.add_argument("--m", type=_positive_int, required=True)
     p_ce.add_argument("--P", default=None,
                       help="explicit prime (default: lex-first irreducible of degree d)")
     _add_jobs_arg(p_ce)
@@ -255,7 +257,7 @@ def build_parser():
     p_re = sub.add_parser("realize", help="find a module with given invariant factors")
     _add_field_args(p_re)
     p_re.add_argument("--P", required=True)
-    p_re.add_argument("--m", type=int, required=True)
+    p_re.add_argument("--m", type=_positive_int, required=True)
     p_re.add_argument("--i1", required=True)
     p_re.add_argument("--i2", required=True)
     _add_output_args(p_re)
@@ -263,8 +265,8 @@ def build_parser():
 
     p_tr = sub.add_parser("trend", help="C and C0 across several q")
     p_tr.add_argument("--q", required=True, help="comma-separated prime powers")
-    p_tr.add_argument("--d", type=int, required=True)
-    p_tr.add_argument("--m", type=int, required=True)
+    p_tr.add_argument("--d", type=_positive_int, required=True)
+    p_tr.add_argument("--m", type=_positive_int, required=True)
     _add_jobs_arg(p_tr)
     _add_output_args(p_tr)
     p_tr.set_defaults(func=cmd_trend)
@@ -285,7 +287,7 @@ def main(argv=None):
     except SizeBoundError as exc:
         print("size bound exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -538,8 +538,10 @@ class FieldTower:
         return value
 
     def parse(self, text):
-        """Parse '[c0,c1,...]' or a bare integer below the field order."""
+        """Parse '[c0,c1,...]' or a bare integer below the field order, in ASCII."""
         text = text.strip()
+        if not text.isascii():
+            raise ValueError("non-ASCII character in element %r" % text)
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ValueError("unterminated vector literal: %r" % text)

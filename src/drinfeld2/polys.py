@@ -181,7 +181,7 @@ class UPoly:
     def __repr__(self):
         return "UPoly(F_%d, %s)" % (self.fq.q, self)
 
-    _TERM_RE = re.compile(r"^(\d+)?\s*(\*)?\s*(T(\^(\d+))?)?$")
+    _TERM_RE = re.compile(r"^(\d+)?\s*(\*)?\s*(T(\^(\d+))?)?$", re.ASCII)
 
     @classmethod
     def parse(cls, fq, text):

@@ -49,12 +49,9 @@ def test_criterion_1_annihilation_identity(census_cache):
     for q, d, m in ALL_CASES:
         r = census_cache(q, d, m)
         modules += r.totals["modules"]
-        if not r.checks["annihilation_all"]:
-            failures.append((q, d, m, "representatives"))
-        if not r.checks["members_all_ok"]:
+        # a head's identity and trace bound hold, or frobenius_charpoly raises
+        if not (r.checks["members_verified"] and r.checks["members_all_ok"]):
             failures.append((q, d, m, "orbit members"))
-        if not r.checks["trace_bound_all"]:
-            failures.append((q, d, m, "trace degree bound"))
     elapsed = time.time() - t0
     report(1, not failures,
            "tau^(2n) - phi(c) tau^n + phi(mu P^m) = 0 for %d modules in %.1fs"

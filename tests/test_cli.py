@@ -9,6 +9,8 @@ import pytest
 
 from drinfeld2.cli import main
 
+from conftest import GRID, HURWITZ_CASES, LARGE_Q, STRETCH, hurwitz_report
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -25,7 +27,11 @@ def test_charpoly_command(capsys):
     assert payload["mu"] == 2
     assert payload["chi"] == "T+1"
     assert payload["ordinary"] is True
-    assert payload["hasse_weil_ok"] is True
+    # schema 2 carries no literal flags: frobenius_charpoly raises unless
+    # the annihilation identity and the trace bound hold
+    assert payload["schema_version"] == "2"
+    assert sorted(payload) == ["P", "c", "chi", "disc", "disc_imaginary", "height", "m", "mu",
+                               "ordinary", "q_even_caveat", "schema_version", "supersingular"]
 
 
 def test_charpoly_rejects_zero_delta(capsys):
@@ -78,11 +84,11 @@ def test_structure_noncyclic_instance(capsys):
 # has disc 0 and its Frobenius is phi(T)
 CLI_STDOUT_SHA256 = [
     ("charpoly --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
-     "88c04bd36224d6f6b53f2b94f4a215fb88ab9f7b295199b17bf618af187ba6db"),
+     "b2cb0b23afe59cdde06ee62dd0ebd3cad442797061286a3628d281a7e0e06d14"),
     ("charpoly --p 2 --s 2 --P T --m 2 --g 1 --delta 3",
-     "76086fb3d7028ca1b787e2efd1f44b4c65938379e70a835581f1fd5a096e4f07"),
+     "3d44c18be86eb442a58e9f0148a4627e975a6f50f0fdde5438df979c2b797b49"),
     ("charpoly --p 5 --P T^2+2 --m 1 --g 7 --delta 3",
-     "40eb422d1cd302033387cdaddbee1d09f9b97c87d78d44fc811f45b3185a3227"),
+     "c5199b74a6091df6a33a73539b983f6d2c98542db0ebdc17780db3e1ce35cd30"),
     ("structure --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
      "a7adfe9289c29a217cb018ac75b3156ed2c38165b87e09da691e16353a1b1885"),
     ("structure --p 2 --P T+1 --m 3 --g 5 --delta 2",
@@ -153,7 +159,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
     assert str(path) in err and "Traceback" not in err
 
 
-def test_census_report_validates_against_schema(capsys):
+def test_census_report_validates_against_schema(capsys, census_cache, unverified_census):
+    # the CLI report, every golden report and one verified report; checks
+    # admits only its named keys, and members_all_ok only when verified
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources as resources
 
@@ -162,7 +170,12 @@ def test_census_report_validates_against_schema(capsys):
     assert code == 0
     schema = json.loads(resources.files("drinfeld2").joinpath(
         "schemas/census_report.schema.json").read_text())
-    jsonschema.validate(json.loads(out), schema)
+    reports = ([unverified_census(*case) for case in GRID + STRETCH + [(3, 1, 7)] + LARGE_Q]
+               + [hurwitz_report(unverified_census, *case) for case in HURWITZ_CASES]
+               + [census_cache(3, 1, 2)])
+    assert "members_all_ok" in reports[-1].checks
+    for payload in [json.loads(out)] + [json.loads(r.to_json_bytes()) for r in reports]:
+        jsonschema.validate(payload, schema)
 
 
 def test_realize_command(capsys):
@@ -193,7 +206,7 @@ def test_realize_not_realizable_exit_code(capsys):
 @pytest.mark.parametrize("prime,m,i1,reason", [
     ("T^2", "1", "T", "reducible"),
     ("2*T", "1", "T^2", "monic"),
-    ("0", "-1", "T^2", "monic"),  # refused before m deg P = 1 builds a tower
+    ("0", "1", "T^2", "monic"),  # refused before m deg P = -1 builds a tower
 ])
 def test_realize_rejects_an_invalid_prime(capsys, prime, m, i1, reason):
     # the prime is checked before any condition on i1 and i2 is read
@@ -225,6 +238,43 @@ def test_census_refuses_a_coefficient_of_q_or_more(capsys, s, prime):
                              "--m", "1", "--P", prime)
     assert code == 2 and out == ""
     assert "out of range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["census", "--p", "３", "--d", "1", "--m", "1"], "--p"),  # ran as p = 3
+    (["census", "--p", "3", "--s", "２", "--d", "1", "--m", "1"], "--s"),
+    (["census", "--p", "3", "--d", "1", "--m", "1", "--jobs", "２"], "--jobs"),
+    (["census", "--p", "3", "--d", "0", "--m", "1"], "--d"),  # named no flag
+    (["census", "--p", "3", "--d", "1", "--m", "0"], "--m"),
+    (["charpoly", "--p", "3", "--P", "T", "--m", "0", "--g", "1", "--delta", "1"], "--m"),
+    (["charpoly", "--p", "3", "--P", "T", "--m", "1", "--n", "+1", "--g", "1",
+      "--delta", "1"], "--n"),
+    (["realize", "--p", "3", "--P", "T", "--m", "-1", "--i1", "T", "--i2", "1"], "--m"),
+    (["trend", "--q", "3", "--d", " 1", "--m", "1"], "--d"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_integer_flags_take_ascii_digits_of_at_least_one(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "argument %s: expected an integer >= 1" % flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("qs", ["３", "3,５", "0", "-3", "3,,5"])
+def test_trend_q_takes_ascii_digits_of_at_least_one(capsys, qs):
+    # '３' ran as q = 3
+    code, out, err = run_cli(capsys, "trend", "--q", qs, "--d", "1", "--m", "1")
+    assert code == 2 and out == ""
+    assert "expected an integer >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("P,g,delta", [("T+１", "２", "[１]"), ("T+１", "2", "1"),
+                                       ("T", "２", "1"), ("T", "1", "[１]")])
+def test_module_text_takes_ascii_digits(capsys, P, g, delta):
+    # the first ran as P = T+1, g = 2, delta = 1 and exited 0
+    code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", P, "--m", "1",
+                             "--g", g, "--delta", delta)
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("i1,i2", [("T+1", "0"), ("0", "0")])

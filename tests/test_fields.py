@@ -205,6 +205,15 @@ def test_element_vectors_and_parse():
             tw.from_vector(bad)
 
 
+def test_parse_refuses_non_ascii_digits():
+    # int() reads full-width and other Unicode digits, so '[１,0]' was [1, 0]
+    tw = build_tower(3, 1, 2)
+    for bad in ("２", "[１,0]", "[0, ２]", "\u0665"):
+        with pytest.raises(ValueError, match="non-ASCII"):
+            tw.parse(bad)
+    assert tw.parse(" [1, 0] ") == 1 and tw.parse(" 2 ") == 2
+
+
 def test_gauss_solve_and_nullspace():
     fq = build_tower(3, 1, 1).fq
     rows = [[1, 2], [2, 2]]

@@ -1,66 +1,84 @@
 """Golden report bytes: the census JSON of every GRID and STRETCH case, of
-one case above |L| = 1024, and one report with class-number checks
-attached, pinned by SHA-256.
+one case above |L| = 1024, of five cases at q > 5, and of two reports with
+class-number checks attached, pinned by SHA-256.
 
 Any change to the library's answers, to the report schema or to its
 serialization shows here as a changed hash.  A change that is meant to
-alter report bytes records new ones and says why.  These were recorded
-with schema version 2, which dropped the isogeny rows' conjecture_probe;
-the version-1 reports give the same hashes once that key is deleted and
-schema_version is set to "2".  The class-number report was recorded again
-when class numbers came to be computed from L-polynomials: each term's
-stabilized_bound gave way to the genus and L-polynomial coefficients of
-its squarefree part, and the earlier report gives the new hash once every
-stabilized_bound is replaced by genus 0 and L [1] (all its discriminants
-have degree at most 1).
-"""
+alter report bytes records new ones and says why.  Schema version 2
+dropped the isogeny rows' conjecture_probe; the version-1 reports gave
+the version-2 hashes once that key was deleted and schema_version set to
+"2".  The class-number report was recorded again when class numbers came
+to be computed from L-polynomials: each term's stabilized_bound gave way
+to the genus and L-polynomial coefficients of its squarefree part, and
+the earlier report gave the new hash once every stabilized_bound was
+replaced by genus 0 and L [1] (all its discriminants have degree at
+most 1).
 
-import copy
+These hashes were recorded with schema version 3, whose checks hold only
+flags that are computed and can be false.  Every version-2 report gives
+the version-3 hash after this transform: delete checks.annihilation_all
+and checks.trace_bound_all (literal true: frobenius_charpoly raises
+unless both hold), delete checks.members_all_ok when members_verified is
+false, set schema_version to "3", and re-serialize with
+json.dumps(sort_keys=True, separators=(",", ":")) + "\n".  The q > 5 and
+(7, 1, 2) class-number pins were recorded at version 2 and carried
+through the same transform."""
+
 import hashlib
 
 import pytest
 
-from drinfeld2 import attach_class_number_checks
-
-from conftest import GRID, STRETCH, tower_for
+from conftest import GRID, HURWITZ_CASES, LARGE_Q, STRETCH, hurwitz_report
 
 REPORT_SHA256 = {
-    (2, 1, 1): "56e0d2b1cdb33982ca8beaea93fed23370967a24fedfeefd85c40eb1fc303c48",
-    (2, 1, 2): "c1069e3f8aea0db6acb78ae87056433cb2513b489f88052dfeafe3f674cf8314",
-    (2, 2, 1): "44e29abd807d0720143ed2a33152a7073aeb422ddf2504565bf49c7e302f2081",
-    (2, 1, 3): "8f249a8e3556a084184f2c489a05a7ddbafe881b358ae0c76379bd090ec4fe2f",
-    (2, 3, 1): "d4218030c7d8ea196682ab385438adb2185cdd99bfb31f176aed9fc967ba4067",
-    (3, 1, 1): "0c605ea9f6f1d0abd4c41b67cc7db09e133e8df55b7fa8ef51e681614645f72a",
-    (3, 1, 2): "4a0da9bd762c700f26d9f6bee83851d634c020d00d4b2b05c788dd9feff988fe",
-    (3, 2, 1): "b9f12c9844209c3a93d4321aa81f680bf942f07f936fa9561c9a4b0424b1189a",
-    (3, 1, 3): "0926139c887dfc9aad3a531135facf5f86191ee8e6c95d6416d6ac77e4f09304",
-    (3, 3, 1): "9ce19806bae3693311aa1ff348d75e50722fd6d4a9cc7acc5b461a1ade44c463",
-    (4, 1, 1): "f1e9aad2863a99b99ce0e0e87061a842788ee64d90fa34444f2079c249f73b1c",
-    (4, 1, 2): "33458756324ec7c2188b46e734be1e41c80ff5200f08b87d9e2cbdd8b7d6c792",
-    (4, 2, 1): "05f58002523310cdb2647de5955fc9274e15560980bb1c86baad84a7c48a136c",
-    (4, 1, 3): "02c673d1c145ebe51fa1056550bf911ba82e5025205253fb8aa65196bbf8bee0",
-    (4, 3, 1): "390fde8fa1c6d658a02b8ee0cdae00f176d525fccc9e2074b28121afa37d5174",
-    (5, 1, 1): "36da55d24ce6250943c0251358f7f980b9e4d05d1f7ff2f3bce0fee73ceedd29",
-    (5, 1, 2): "b3409d6c5eca3e35e47724f3aa9316f084ea0d80d5a4b65d75338f8f9d5fbaaf",
-    (5, 2, 1): "c13953dc64b06d5e5e7a97e7a9791b1d397a00cc8408c82204ce0b6446a7e96e",
-    (5, 1, 3): "d29f945f448cb4844df9f627113fe8b1af2d5188b087935215ebee54fcb523f7",
-    (5, 3, 1): "6d9edca8508509cf3735ae3a4c2e836f70b1fe3ac9b39852a01d4bac9376d0f5",
-    (3, 1, 4): "f7eea399b30cbd34e1f559d575c2b8333e3f19d7474b1ab36e68df2b6c202607",
-    (3, 2, 2): "6fd2fd574146fdea254ec8a2c32bf3caefe521332c78811707bbfae1d5639211",
-    (3, 4, 1): "49e191cdf4f65d1185f65e06935945e8b1d07eb84b15cd85d23b223f3d89ee5a",
+    (2, 1, 1): "8c05047c0c92e07d70f12ab74de94aa8a644960bbffcb80081236786ea71e1b7",
+    (2, 1, 2): "52247622bc00c4467c5715d81e6c90caac0c27076c6cada3167316ba86a2105a",
+    (2, 2, 1): "73798e3b3869fb13f59fa9af1aba8f95cce298923ba00ecc17410339fadc799f",
+    (2, 1, 3): "0c2b2ce1d9588045b76d407e2d98fde437456992976b515bac328343af14cac4",
+    (2, 3, 1): "b6e786067c0f992c11612e4afe283b3f451695a48518334d0a6bce9b2e300ae4",
+    (3, 1, 1): "bb00b6dd6d531100d4df10ac3a46287db73cbc793fa1c2c354de1c1de4505b66",
+    (3, 1, 2): "bbed1f780c1866c5b673ed15b3b66b5ef62c27994e64844496a62c9ef3ac9a15",
+    (3, 2, 1): "35d763746cb6b5b6ec8fc412ceec9b2d9f001a9d3b120c0255a3e9d833df3d8d",
+    (3, 1, 3): "8567a2a7bf340e247413588578337df107ce69924db4134e96a09e6765251352",
+    (3, 3, 1): "f800f228c6c46b3b71167ac066800b0b3423ce10a68dab5151cfaf08496cd3cd",
+    (4, 1, 1): "01dcd09952260afccdd6be6e86e891f0d01e0ee2bd4478a75d454dd71b89d7ff",
+    (4, 1, 2): "98b0e661d27e525e1f3287d03ba6fc353d6f7342826dbdddda4947339d63c0e7",
+    (4, 2, 1): "876a6e2a57fc279e8f902a86ab7ad50bcb1c8485ccabe2a163eb3a7c88b28032",
+    (4, 1, 3): "56322dede4d1ea9ba5b09fdb9d864f3b6e781d95ff625ce420d4496f80f0bc09",
+    (4, 3, 1): "9a1e64d1cc10517f44fe83d5dbec8e6cc27e4f857189bdfdb876e27e7966048d",
+    (5, 1, 1): "330ec0de6f750f8bccb75c888ce6e30ad87279290555e1b117109e2021d6674a",
+    (5, 1, 2): "e31c9ec4d26b92074e29b5f93051e1690645e615667ffcf23b006349144bcfb3",
+    (5, 2, 1): "2e11ae7623785aafc4c101b98fbe099222c9cdfd7f89f45bf71c701e592bf68e",
+    (5, 1, 3): "93b3191552d94b72cf592c130709cfcc9b25f70f88f13a8607cfb7455c3fe74b",
+    (5, 3, 1): "f258580e092e8eb45d32b7ee11738b671ba60722ccacd71ad4f374916d1241f9",
+    (3, 1, 4): "1eaf5b7d7089871132257c02757b484ba10720ef7f597eacfb5d3f1908c528aa",
+    (3, 2, 2): "7db22786ce1a0ebd83eb201f2c7fb8e11c34a2de756e0e3ba80b895fd9258747",
+    (3, 4, 1): "de8438dddc3af43a5e3628e50829e2aa41259dbf2da3fbdbc1de042d6f0bb0a7",
 }
 
 # SHA-256 of the 23 reports concatenated in GRID + STRETCH order.
-ALL_REPORTS_SHA256 = "2baec517c27d02148c1f98a88445826503b7c99b7ddd0cb4dd064ca899fa5d17"
+ALL_REPORTS_SHA256 = "51382a54c3c40e952c61f5fd7427156d1819c31a34ef85e1abc0548456ce3222"
 
 # The (3, 1, 7) report, |L| = 2187: a census above the member-verification
 # bound, where tower addition took the path for |L| > 256 when it was
 # recorded.
-REPORT_317_SHA256 = "bb377ad087857f627c6653451c4cdb15f8347200bd432f19852bb1c850eb4b37"
+REPORT_317_SHA256 = "2ddf12ef7e0382fffce11662cc15afbf45bd0e21bb106018055f5be91abd5bdd"
 
-# The (3, 1, 1) report with attach_class_number_checks, as `census --hurwitz`
-# writes it.
-HURWITZ_311_SHA256 = "97874e813b557065dd96f64348a58ba04b0fdea5e9d556c898e04926bef7d72b"
+# Reports at q > 5, the LARGE_Q cases of conftest.
+LARGE_Q_SHA256 = {
+    (7, 2, 2): "5a3e1ba92b7df5b531517e0e0303888f5bd319367e9edc10cd3d951d06b6a83c",
+    (9, 1, 2): "752146ae18df5addba81dcde74e4be4cf49ebc2f8d7874e980fa6893c55c167b",
+    (8, 1, 2): "801cd0df939076e56bead3e9377826324d083299f6dcb7c03c6d28f6b8982d9e",
+    (13, 1, 2): "8f73143e29ae736c8a6267b8feb79784b0552cdbfdb12bb39c9181103bbe1335",
+    (31, 1, 1): "dabecd8d25460151fcfd9a32c3d68ff961ed352e34f02b77e50b2606030695a7",
+}
+
+# The HURWITZ_CASES reports with attach_class_number_checks, as
+# `census --hurwitz` writes them.
+HURWITZ_SHA256 = {
+    (3, 1, 1): "20070bba67782bb5b839feab5eb511e803f7d4c324c9144df27912dddf829d77",
+    (7, 1, 2): "ac333564925684cae4607549e235332d6d6b32cd2504a89d1875418f2bd31801",
+}
 
 
 def sha256(data):
@@ -69,6 +87,8 @@ def sha256(data):
 
 def test_golden_table_covers_grid_and_stretch():
     assert list(REPORT_SHA256) == GRID + STRETCH
+    assert list(LARGE_Q_SHA256) == LARGE_Q
+    assert list(HURWITZ_SHA256) == HURWITZ_CASES
 
 
 @pytest.mark.parametrize("case", GRID + STRETCH, ids=lambda c: "q%d-d%d-m%d" % c)
@@ -85,7 +105,18 @@ def test_census_report_bytes_317(unverified_census):
     assert sha256(unverified_census(3, 1, 7).to_json_bytes()) == REPORT_317_SHA256
 
 
+@pytest.mark.parametrize("case", LARGE_Q, ids=lambda c: "q%d-d%d-m%d" % c)
+def test_census_report_bytes_large_q(unverified_census, case):
+    assert sha256(unverified_census(*case).to_json_bytes()) == LARGE_Q_SHA256[case]
+
+
 def test_hurwitz_report_bytes(unverified_census):
-    report = copy.deepcopy(unverified_census(3, 1, 1))
-    attach_class_number_checks(report, tower_for(3, 1))
-    assert sha256(report.to_json_bytes()) == HURWITZ_311_SHA256
+    case = (3, 1, 1)
+    assert sha256(hurwitz_report(unverified_census, *case).to_json_bytes()) \
+        == HURWITZ_SHA256[case]
+
+
+def test_hurwitz_report_bytes_712(unverified_census):
+    case = (7, 1, 2)
+    assert sha256(hurwitz_report(unverified_census, *case).to_json_bytes()) \
+        == HURWITZ_SHA256[case]

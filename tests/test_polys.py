@@ -53,6 +53,14 @@ def test_parse_refuses_a_coefficient_of_q_or_more():
     assert P("-1") == P("2") and UPoly.parse(fq9, "8*T+3").coeffs == (3, 8)
 
 
+@pytest.mark.parametrize("text", ["T+２", "２*T", "T^２", "T+\u0661", "2\u00a0*T"])
+def test_parse_refuses_non_ascii_digits_and_spaces(text):
+    # \d and \s matched any Unicode digit or space, and int() read the digit:
+    # over F_3, 'T+２' was T + 2
+    with pytest.raises(ValueError, match="malformed polynomial term"):
+        UPoly.parse(fq3(), text)
+
+
 def test_divmod_example():
     q, r = divmod(P("T^3"), P("T+1"))
     assert q == P("T^2+2*T+1")

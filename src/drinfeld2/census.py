@@ -10,7 +10,9 @@ sigma fixes gamma(T), so it is an isomorphism of A-modules from L^phi
 to L^(phi^sigma), and the two share (c, mu), chi, the invariant factors,
 the height and the rational planes.  Each twist orbit keeps
 its own row, with its own size, automorphism count and unit, the last
-recomputed from its own delta and checked against its head's.  All
+recomputed from its own delta and checked against its head's.  Heads
+are classified on the plain-int kernels, with no module built, and each
+isogeny class gets one characteristic polynomial.  All
 statistics are exact rationals; closed-form counting formulas are
 evaluated alongside and reported with match flags, never silently
 assumed.  Reports serialize deterministically: identical inputs give
@@ -22,13 +24,13 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import (FrobeniusCharPoly, _annihilation_residue, frobenius_charpoly,
-                       frobenius_unit, is_imaginary)
-from .drinfeld import DrinfeldModule, invariants, orbit_members, sigma_orbits, twist_orbits
+from .charpoly import (FrobeniusCharPoly, _annihilation_residue, class_charpoly,
+                       frobenius_unit, is_imaginary, require_annihilation)
+from .drinfeld import invariants, orbit_members, phi_height, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
-from .polys import UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors
-from .structure import (InvariantFactors, check_criteria, module_structure,
-                        plane_torsion_rational)
+from .polys import (UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors,
+                    residue_root)
+from .structure import criteria, plane_torsion
 
 SCHEMA_VERSION = "3"
 
@@ -42,54 +44,65 @@ def default_prime(fq, d):
     return enumerate_monic_irreducibles(fq, d)[0]
 
 
-def _process_orbit(tower, prime, group, verify_members):
+def _process_orbit(tower, prime, group, verify_members, classes):
     """Classify the head of one sigma-orbit of isomorphism classes; returns
     one record per twist orbit of group, a list of (rep, orbit_size,
     aut_count) with the head first.  A record carries its isogeny class
     (trace, unit), its invariant factors, its height, its own checks and
-    its head's FrobeniusCharPoly cp, which run_census reuses for the
+    its class's FrobeniusCharPoly cp, which run_census reuses for the
     class.  Each record keeps its own rep, size, automorphism count and
     unit, the last recomputed from its delta; the rest is the head's,
     which sigma carries over.
 
+    The head is classified from (tower, gamma, g, delta) on the plain-int
+    kernels, and no module is built: invariants gives (chi, i1, i2) and
+    frobenius_unit the unit.  classes maps (chi, unit) to the class's
+    charpoly and the irreducible divisors of chi other than the prime; an
+    entry is built, and its trace bound checked, by the first head of its
+    class, so a census builds one charpoly per isogeny class.  Each head
+    still runs its own annihilation residue against it, reads its height
+    off phi(prime) and checks its own plane torsion for every stored rho.
+
     With verify_members, every other member of each twist orbit gets its
-    own annihilation residue against the head's charpoly and its own
-    Krylov pass against the head's invariant factors, from the plain-int
-    kernels with the head's gamma; no module is built for a member."""
-    rep = group[0][0]
-    mod = DrinfeldModule(tower, prime, rep[0], rep[1])
-    cp = frobenius_charpoly(mod)
-    inv = module_structure(mod)
-    h = mod.height()
+    own annihilation residue against the class's charpoly and its own
+    Krylov pass against the head's invariant factors, from the same
+    kernels with the head's gamma."""
+    (g, delta), _, _ = group[0]
+    gamma = residue_root(tower, prime)
+    kernel = tower.fq.kernel
+    chi, i1, i2 = invariants(tower, gamma, g, delta)
+    unit = frobenius_unit(tower, delta)
+    entry = classes.get((chi, unit))
+    if entry is None:
+        cp = class_charpoly(prime, tower.n // prime.degree(), chi, unit)
+        rhos = tuple(rho for rho in kernel.irreducible_divisors(chi) if rho != prime.coeffs)
+        entry = classes[chi, unit] = (cp, rhos)
+    cp, rhos = entry
+    require_annihilation(not any(_annihilation_residue(tower, gamma, g, delta, cp)), cp)
+    h = phi_height(tower, gamma, g, delta, prime)
     ss = h == 2
 
     if cp.ordinary == ss:
         raise RuntimeError(
             "supersingularity criteria disagree for (g, delta) = %r over %r: "
             "height gives %s but prime %s trace %s"
-            % (rep, tower, ss, "does not divide" if cp.ordinary else "divides", cp.trace))
+            % ((g, delta), tower, ss, "does not divide" if cp.ordinary else "divides",
+               cp.trace))
 
     # right-division test against the invariant factors, for every monic
     # irreducible divisor of chi other than the prime
-    torsion_equiv_ok = True
-    for rho in irreducible_divisors(cp.chi):
-        if rho == prime:
-            continue
-        via_division = plane_torsion_rational(mod, rho)
-        via_factors = (inv.i2 % rho).is_zero()
-        if via_division != via_factors:
-            torsion_equiv_ok = False
-            break
+    torsion_equiv_ok = all(plane_torsion(tower, gamma, g, delta, rho)
+                           == (not kernel.divmod(i2, rho)[1]) for rho in rhos)
 
     head = {
         "cp": cp,
         "trace": cp.trace.coeffs,
-        "i1": inv.i1.coeffs,
-        "i2": inv.i2.coeffs,
+        "i1": i1,
+        "i2": i2,
         "height": h,
         "torsion_equiv_ok": torsion_equiv_ok,
     }
-    pair, gamma = inv.as_pair(), mod.gamma_t
+    rep, pair = (g, delta), (i1, i2)
     records = []
     for (g, delta), size, aut in group:
         members_ok = True
@@ -117,8 +130,8 @@ def _fork_available():
 
 
 def _pool_work(group):
-    tower, prime, verify_members = _WORKER["args"]
-    return _process_orbit(tower, prime, group, verify_members)
+    tower, prime, verify_members, classes = _WORKER["args"]
+    return _process_orbit(tower, prime, group, verify_members, classes)
 
 
 def counting_formulas(q, d, m):
@@ -271,15 +284,17 @@ def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
     if workers > 1 and _fork_available():
         import multiprocessing
 
-        # forked workers inherit the tower and prime from _WORKER
-        _WORKER["args"] = (tower, prime, verify_members)
+        # forked workers inherit the tower and prime from _WORKER, and each
+        # its own copy of the empty class table
+        _WORKER["args"] = (tower, prime, verify_members, {})
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 done = pool.map(_pool_work, work)
         finally:
             _WORKER.clear()
     else:
-        done = [_process_orbit(tower, prime, group, verify_members) for group in work]
+        classes = {}
+        done = [_process_orbit(tower, prime, group, verify_members, classes) for group in work]
 
     records = [None] * len(orbits)
     for group, group_records in zip(groups, done):
@@ -301,8 +316,11 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     orbit still gets its own row.  jobs > 1 distributes the per-sigma-orbit
     work over worker processes, at most one per CPU and one per
     sigma-orbit; the merge order is the orbit order, so reports are
-    identical regardless of the job count, and an isogeny class reuses the
-    charpoly of its first record's head.  jobs < 1 raises ValueError.
+    identical regardless of the job count.  Each process builds one
+    charpoly per isogeny class it meets (see _process_orbit), and the
+    class pass reuses the one its first record carries; the four
+    divisibility criteria run on kernel tuples once per (class,
+    structure).  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
@@ -327,7 +345,8 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     by_key = {}
     for r in records:
         by_key.setdefault((r["trace"], r["unit"]), []).append(r)
-    one = UPoly.one(fq).coeffs  # i2 = 1: L is cyclic
+    one = (1,)  # i2 = 1: L is cyclic
+    kernel = fq.kernel
 
     # ---- per isomorphism class rows (serialized form) ----
     texts = {}  # carried orbits repeat their head's polynomials
@@ -356,34 +375,35 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         })
 
     isogeny_rows = []
-    criteria = []  # (ordinary, check_criteria flags) per (class, structure)
+    flags = []  # (ordinary, criteria flags) per (class, structure)
     for key in sorted(by_key):
         group = by_key[key]
         cp = group[0]["cp"]
-        structures = {}
+        chi, c_minus_2 = cp.chi.coeffs, cp.c_minus_2.coeffs
+        structures, auts = {}, {}
         for r in group:
             key2 = (r["i1"], r["i2"])
             structures[key2] = structures.get(key2, 0) + 1
-        counted = [(i1c, UPoly(fq, i2c), cnt) for (i1c, i2c), cnt in sorted(structures.items())]
-        for i1c, i2, _ in counted:
-            flags = check_criteria(cp, InvariantFactors(UPoly(fq, i1c), i2))
-            criteria.append((cp.ordinary, flags))
-        i2_counts = [(i2, cnt) for _, i2, cnt in counted]
-        struct_rows = [{"i1": text(i1c), "i2": str(i2), "count": cnt,
-                        "cumulative": _members_with_plane(i2_counts, i2)}
-                       for i1c, i2, cnt in counted]
-        weighted = sum(Fraction(q - 1, r["aut_count"]) for r in group)
+            auts[r["aut_count"]] = auts.get(r["aut_count"], 0) + 1
+        counted = sorted(structures.items())
+        i2_counts = [(i2, cnt) for (_, i2), cnt in counted]
+        struct_rows = []
+        for (i1, i2), cnt in counted:
+            flags.append((cp.ordinary, criteria(kernel, chi, c_minus_2, i1, i2)))
+            struct_rows.append({"i1": text(i1), "i2": text(i2), "count": cnt,
+                                "cumulative": _members_with_plane(kernel, i2_counts, i2)})
+        weighted = sum(Fraction((q - 1) * cnt, aut) for aut, cnt in auts.items())
         row = {
-            "c": str(cp.trace),
+            "c": text(key[0]),
             "mu": cp.unit,
             "ordinary": cp.ordinary,
-            "chi": str(cp.chi),
+            "chi": text(chi),
             "disc": str(cp.disc),
             "disc_imaginary": is_imaginary(cp.disc),
             "W": len(group),
             "weighted_W": _fraction_dict(weighted),
             "weighted_equals_count": weighted == len(group),
-            "cyclic": all(i2.is_one() for _, i2, _ in counted),
+            "cyclic": all(i2 == one for i2, _ in i2_counts),
             "structures": struct_rows,
         }
         isogeny_rows.append(row)
@@ -408,13 +428,12 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     statistics = compute_statistics(totals)
 
     # ---- checks ----
+    # flags in the order of structure.CRITERIA: i2 | i1, i1 i2 = chi, i2 | c - 2, i2^2 | chi
     checks = {
-        "structure_product_all": all(flags["product_is_chi"] and flags["i2_divides_i1"]
-                                     for _, flags in criteria),
-        "ordinary_trace_divisibility_all": all(
-            flags["i2_divides_c_minus_2"] for ordinary_class, flags in criteria
-            if ordinary_class),
-        "i_sq_divides_chi_all": all(flags["i_sq_divides_chi"] for _, flags in criteria),
+        "structure_product_all": all(f[0] and f[1] for _, f in flags),
+        "ordinary_trace_divisibility_all": all(f[2] for ordinary_class, f in flags
+                                               if ordinary_class),
+        "i_sq_divides_chi_all": all(f[3] for _, f in flags),
         "torsion_equiv_all": all(r["torsion_equiv_ok"] for r in records),
         "members_verified": verify_members,
         "aut_orbit_product_all": all(
@@ -486,11 +505,11 @@ def _admissible_i2(chi, c_minus_2):
     return sorted((f for f in out if not f.is_one()), key=lambda f: (f.degree(), f.coeffs))
 
 
-def _members_with_plane(i2_counts, i2):
+def _members_with_plane(kernel, i2_counts, i2):
     """The number of members of an isogeny class whose L contains the
-    full i2-plane, from (second invariant factor, member count) pairs:
-    those whose second invariant factor i2 divides."""
-    return sum(cnt for j2, cnt in i2_counts if (j2 % i2).is_zero())
+    full i2-plane, from (second invariant factor, member count) pairs of
+    kernel tuples: those whose second invariant factor i2 divides."""
+    return sum(cnt for j2, cnt in i2_counts if not kernel.divmod(j2, i2)[1])
 
 
 def attach_class_number_checks(report, tower):
@@ -527,11 +546,11 @@ def attach_class_number_checks(report, tower):
         H, details = hurwitz_class_number(cp.disc)
         w_match = H == cls["W"]
         all_match = all_match and w_match and imaginary
-        i2_counts = [(UPoly.parse(fq, srow["i2"]), srow["count"])
+        i2_counts = [(UPoly.parse(fq, srow["i2"]).coeffs, srow["count"])
                      for srow in cls["structures"]]
         sub_rows = []
         for i2 in _admissible_i2(cp.chi, cp.c_minus_2):
-            cumulative = _members_with_plane(i2_counts, i2)
+            cumulative = _members_with_plane(fq.kernel, i2_counts, i2.coeffs)
             sub_disc, rem = divmod(cp.disc, i2 * i2)
             if not rem.is_zero():
                 raise RuntimeError(

@@ -14,12 +14,19 @@ trace - 2.  Both trace and unit come from the action of T on L:
 The result is accepted only when it satisfies the annihilation identity
 
     tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
+
+(trace, unit) depends on (chi, unit) alone, so class_charpoly builds the
+charpoly of an isogeny class from them, with its trace bound, and each
+module runs only its own annihilation residue against it:
+frobenius_charpoly does both for one module, and a census builds one
+charpoly per isogeny class and runs the residue once per sigma-orbit
+head, on kernel tuples, with no module built.
 """
 
 from functools import lru_cache
 
 from .drinfeld import phi_into
-from .polys import UPoly, _Value
+from .polys import _Value, _wrap
 
 
 @lru_cache(maxsize=None)
@@ -29,9 +36,12 @@ def _prime_power(prime, m):
 
 
 def _weil_trace(prime, m, unit, chi):
-    """The trace of the Weil pair (trace, unit) with P(1) = unit*chi:
-    P(1) = 1 - trace + unit*prime^m gives trace = 1 + unit*(prime^m - chi)."""
-    return UPoly.one(chi.fq) + (_prime_power(prime, m) - chi).scale(unit)
+    """The trace of the Weil pair (trace, unit) with P(1) = unit*chi, chi a
+    kernel tuple: P(1) = 1 - trace + unit*prime^m gives
+    trace = 1 + unit*(prime^m - chi)."""
+    kernel = prime.fq.kernel
+    return _wrap(prime.fq, kernel.add((1,), kernel.scale(
+        kernel.sub(_prime_power(prime, m).coeffs, chi), unit)))
 
 
 class FrobeniusCharPoly(_Value):
@@ -57,18 +67,19 @@ class FrobeniusCharPoly(_Value):
     __slots__ = _fields + ("norm", "neg_trace", "chi", "disc", "ordinary", "c_minus_2")
 
     def __init__(self, trace, unit, prime, ext_degree):
-        fq = trace.fq
-        norm = _prime_power(prime, ext_degree).scale(unit)
-        at_one = UPoly.one(fq) - trace + norm
-        if at_one.is_zero():
+        fq = trace._check(prime).fq  # ValueError over another field
+        kernel, c = fq.kernel, trace.coeffs
+        norm = kernel.scale(_prime_power(prime, ext_degree).coeffs, unit)
+        at_one = kernel.add(kernel.sub((1,), c), norm)
+        if not at_one:
             raise RuntimeError("P(1) = 0; the Frobenius cannot fix a nonzero point")
-        four, two = UPoly.constant(fq, 4 % fq.p), UPoly.constant(fq, 2 % fq.p)
         for name, value in (("trace", trace), ("unit", unit), ("prime", prime),
-                            ("ext_degree", ext_degree), ("norm", norm),
-                            ("neg_trace", (-trace).coeffs), ("chi", at_one.monic()),
-                            ("disc", trace * trace - four * norm),
-                            ("ordinary", not (trace % prime).is_zero()),
-                            ("c_minus_2", trace - two)):
+                            ("ext_degree", ext_degree), ("norm", _wrap(fq, norm)),
+                            ("neg_trace", kernel.neg(c)), ("chi", _wrap(fq, kernel.monic(at_one))),
+                            ("disc", _wrap(fq, kernel.sub(kernel.mul(c, c),
+                                                          kernel.scale(norm, 4 % fq.p)))),
+                            ("ordinary", bool(kernel.divmod(c, prime.coeffs)[1])),
+                            ("c_minus_2", _wrap(fq, kernel.sub(c, (2 % fq.p,))))):
             object.__setattr__(self, name, value)
 
     def trace_degree_ok(self):
@@ -77,21 +88,36 @@ class FrobeniusCharPoly(_Value):
 
 
 def frobenius_charpoly(mod):
-    """The characteristic polynomial of tau^n acting on the module.
+    """The characteristic polynomial of tau^n acting on the module: the
+    class charpoly of its chi and unit, accepted once the module's own
+    annihilation identity holds.
 
     Raises RuntimeError unless the trace bound and the annihilation
     identity hold for it.
     """
-    chi = mod.action_invariants()[0]
-    unit = frobenius_unit(mod.tower, mod.delta)
-    trace = _weil_trace(mod.prime, mod.m, unit, chi)
-    cp = FrobeniusCharPoly(trace, unit, mod.prime, mod.m)
+    cp = class_charpoly(mod.prime, mod.m, mod.action_invariants()[0].coeffs,
+                        frobenius_unit(mod.tower, mod.delta))
+    require_annihilation(annihilation_holds(mod, cp), cp)
+    return cp
+
+
+def class_charpoly(prime, m, chi, unit):
+    """The FrobeniusCharPoly of the isogeny class with P(1) = unit*chi, chi
+    the monic kernel tuple det(T*I - M) of any of its modules; raises
+    RuntimeError unless the trace bound holds.  It depends on (chi, unit)
+    alone, so a census builds it once per class."""
+    cp = FrobeniusCharPoly(_weil_trace(prime, m, unit, chi), unit, prime, m)
     if not cp.trace_degree_ok():
         raise RuntimeError("trace degree violates the half-degree bound")
-    if not annihilation_holds(mod, cp):
-        raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
-                           % (trace, unit))
     return cp
+
+
+def require_annihilation(holds, cp):
+    """Raise RuntimeError unless holds, the verdict of one module's
+    annihilation identity for cp."""
+    if not holds:
+        raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
+                           % (cp.trace, cp.unit))
 
 
 def frobenius_unit(tower, delta):

@@ -11,11 +11,12 @@ An element of L{tau} is its tuple of coefficients, low tau-degree
 first: phi_t is (gamma(T), g, delta) and phi(a) is such a tuple.  The
 per-module work runs on plain ints, from (tower, gamma, g, delta)
 alone: phi_step is the map x -> phi_T(x) on L, invariants classifies
-L under it with one Krylov pass, and phi_into adds phi(a) tau^at into a
-coefficient list by Horner's rule.  DrinfeldModule calls them for its
-phi, height and action invariants; a census checks the members of a
+L under it with one Krylov pass, phi_into adds phi(a) tau^at into a
+coefficient list by Horner's rule, and phi_height reads the height off
+phi(prime).  DrinfeldModule calls them for its phi, height and action
+invariants; a census classifies its heads and checks the members of a
 twist orbit, and realize_structure tries heads, with them directly,
-without building a module per member or head.
+without building a module per head or member.
 """
 
 from math import gcd
@@ -82,17 +83,8 @@ class DrinfeldModule:
     # -- height ----------------------------------------------------------------
 
     def height(self):
-        """The height h in {1, 2}: the least tau-power in phi(prime),
-        divided by deg(prime)."""
-        ht = next(k for k, c in enumerate(self.phi(self.prime)) if c)
-        if ht % self.d != 0:
-            raise RuntimeError(
-                "height %d of phi(prime) is not a multiple of deg(prime) = %d"
-                % (ht, self.d))
-        h = ht // self.d
-        if h not in (1, 2):
-            raise RuntimeError("height %d outside the rank-2 range" % h)
-        return h
+        """The height h in {1, 2}; see phi_height."""
+        return phi_height(self.tower, self.gamma_t, self.g, self.delta, self.prime)
 
     def is_ordinary(self):
         return self.height() == 1
@@ -129,6 +121,24 @@ def invariants(tower, gamma, g, delta):
     step = phi_step(tower, gamma, g, delta)
     chi, i1 = char_and_min_poly(tower, step)
     return chi, i1, second_invariant_factor(tower, step, chi, i1)
+
+
+def phi_height(tower, gamma, g, delta, prime):
+    """The height h in {1, 2} of phi_T = gamma + g tau + delta tau^2 at
+    its characteristic prime: the least tau-power in phi(prime), divided
+    by deg(prime).  Raises RuntimeError for any other value."""
+    coeffs = prime.coeffs
+    out = [0] * (2 * len(coeffs) - 1)
+    phi_into(tower, gamma, g, delta, out, (coeffs, 0))
+    ht = next(k for k, c in enumerate(out) if c)
+    d = len(coeffs) - 1
+    if ht % d != 0:
+        raise RuntimeError(
+            "height %d of phi(prime) is not a multiple of deg(prime) = %d" % (ht, d))
+    h = ht // d
+    if h not in (1, 2):
+        raise RuntimeError("height %d outside the rank-2 range" % h)
+    return h
 
 
 def phi_into(tower, gamma, g, delta, out, *parts):

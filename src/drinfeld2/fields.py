@@ -538,7 +538,10 @@ class FieldTower:
         return value
 
     def parse(self, text):
-        """Parse '[c0,c1,...]' or a bare integer below the field order, in ASCII."""
+        """Parse '[c0,c1,...]' or a bare integer below the field order, in ASCII;
+        each number is ASCII digits, after a '-' for a coefficient that the
+        range check then refuses.  int() syntax beyond that, such as '0_5' or
+        '+1', is refused."""
         text = text.strip()
         if not text.isascii():
             raise ValueError("non-ASCII character in element %r" % text)
@@ -546,8 +549,9 @@ class FieldTower:
             if not text.endswith("]"):
                 raise ValueError("unterminated vector literal: %r" % text)
             body = text[1:-1].strip()
-            return self.from_vector([int(c) for c in body.split(",")] if body else [])
-        return self.element(int(text))
+            return self.from_vector([_digits_int(c.strip()) for c in body.split(",")]
+                                    if body else [])
+        return self.element(_digits_int(text))
 
     def format(self, a):
         """The text '[c0,c1,...]' of a, low degree first."""
@@ -562,6 +566,16 @@ class FieldTower:
 
     def __repr__(self):
         return "FieldTower(p=%d, s=%d, n=%d)" % (self.p, self.s, self.n)
+
+
+def _digits_int(text):
+    """int(text) for ASCII digits, or a '-' and the digits of a negative
+    value; ValueError, with int()'s message for what int() refuses,
+    otherwise."""
+    value = int(text)
+    if not (text[1:] if value < 0 else text).isdigit():
+        raise ValueError("expected digits, got %r" % text)
+    return value
 
 
 @lru_cache(maxsize=None)

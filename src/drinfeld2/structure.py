@@ -5,7 +5,7 @@ search that produces a module with a prescribed structure.
 """
 
 from .charpoly import FrobeniusCharPoly, _weil_trace, frobenius_charpoly, frobenius_unit
-from .drinfeld import DrinfeldModule, invariants, sigma_orbits, twist_orbits
+from .drinfeld import DrinfeldModule, invariants, phi_into, sigma_orbits, twist_orbits
 from .polys import _Value, residue_root
 
 
@@ -37,33 +37,55 @@ def module_structure(mod):
     return InvariantFactors(i1, i2)
 
 
+CRITERIA = ("i2_divides_i1", "product_is_chi", "i2_divides_c_minus_2", "i_sq_divides_chi")
+
+
 def check_criteria(cp, inv):
     """Divisibility facts the structure inv must satisfy in the isogeny
-    class of the characteristic polynomial cp; returns flags, does not
-    raise.  The trace clause is only a theorem for ordinary classes, the
-    caller decides what to assert."""
-    return {
-        "i2_divides_i1": (inv.i1 % inv.i2).is_zero(),
-        "product_is_chi": (inv.i1 * inv.i2).monic() == cp.chi,
-        "i2_divides_c_minus_2": (cp.c_minus_2 % inv.i2).is_zero(),
-        "i_sq_divides_chi": (cp.chi % (inv.i2 * inv.i2)).is_zero(),
-    }
+    class of the characteristic polynomial cp; returns flags named as in
+    CRITERIA, does not raise.  The trace clause is only a theorem for
+    ordinary classes, the caller decides what to assert."""
+    i1, i2 = cp.chi._check(inv.i1), cp.chi._check(inv.i2)  # ValueError over another field
+    return dict(zip(CRITERIA, criteria(cp.chi.fq.kernel, cp.chi.coeffs, cp.c_minus_2.coeffs,
+                                       i1.coeffs, i2.coeffs)))
+
+
+def criteria(kernel, chi, c_minus_2, i1, i2):
+    """The flags of check_criteria, in the order of CRITERIA, for kernel
+    tuples: i2 | i1, monic(i1 i2) = chi, i2 | c - 2 and i2^2 | chi."""
+    product = kernel.mul(i1, i2)
+    divides_i1 = not kernel.divmod(i1, i2)[1]  # ZeroDivisionError for i2 = 0
+    if not product:
+        raise ValueError("the zero polynomial has no monic normalization")
+    return (divides_i1, kernel.monic(product) == chi, not kernel.divmod(c_minus_2, i2)[1],
+            not kernel.divmod(chi, kernel.mul(i2, i2))[1])
 
 
 def plane_torsion_rational(mod, rho):
-    """True iff the full rho-torsion plane (A/rho)^2 sits inside L.
-
-    Operationally: tau^n - 1 is right-divisible by phi(rho), i.e. the
-    kernel of phi(rho) lies in the kernel of F - 1, which is L itself.
-    Cross-validated against the invariant factors (equivalent to
-    rho | i2).
-    """
+    """True iff the full rho-torsion plane (A/rho)^2 sits inside L; see
+    plane_torsion.  Raises ValueError unless rho is a monic irreducible
+    other than the characteristic prime, over the tower's base field."""
     if not rho.is_monic() or not rho.is_irreducible():
         raise ValueError("rho must be monic irreducible")
     if rho == mod.prime:
         raise ValueError("rho must differ from the characteristic prime")
-    tw = mod.tower
-    return not _right_remainder(tw, [tw.neg(1)] + [0] * (mod.n - 1) + [1], mod.phi(rho))
+    if rho.fq != mod.tower.fq:
+        raise ValueError("phi takes a polynomial over the tower's base field")
+    return plane_torsion(mod.tower, mod.gamma_t, mod.g, mod.delta, rho.coeffs)
+
+
+def plane_torsion(tower, gamma, g, delta, rho):
+    """True iff the full rho-torsion plane (A/rho)^2 sits inside L, for
+    phi_T = gamma + g tau + delta tau^2 and rho the kernel tuple of a
+    monic irreducible other than the prime, which is not checked here.
+
+    Operationally: tau^n - 1 is right-divisible by phi(rho), i.e. the
+    kernel of phi(rho) lies in the kernel of F - 1, which is L itself.
+    Cross-validated against the invariant factors (equivalent to
+    rho | i2)."""
+    phi_rho = [0] * (2 * len(rho) - 1)
+    phi_into(tower, gamma, g, delta, phi_rho, (rho, 0))
+    return not _right_remainder(tower, [tower.neg(1)] + [0] * (tower.n - 1) + [1], phi_rho)
 
 
 def _right_remainder(tower, r, g):
@@ -104,7 +126,7 @@ def _candidate_isogeny_keys(tower, prime, m, i1, i2):
     """The ordinary (trace, unit) with P(1) = unit*i1*i2 and i2 | trace - 2,
     sorted by (trace coefficients, unit).  deg trace <= m*d/2 < n makes
     unit the leading coefficient of P(1), so each unit fixes the trace."""
-    chi = i1 * i2
+    chi = (i1 * i2).coeffs
     out = []
     for unit in tower.fq.units():
         cp = FrobeniusCharPoly(_weil_trace(prime, m, unit, chi), unit, prime, m)

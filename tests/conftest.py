@@ -7,7 +7,7 @@ from drinfeld2 import build_tower
 from drinfeld2.census import attach_class_number_checks, default_prime, run_census
 
 Q_TO_PS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
-           13: (13, 1), 31: (31, 1)}
+           13: (13, 1), 31: (31, 1), 127: (127, 1)}
 
 # every (d, m) with d*m <= 3, for q in {2, 3, 4, 5}
 GRID_DM = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
@@ -16,6 +16,9 @@ STRETCH = [(3, 1, 4), (3, 2, 2), (3, 4, 1)]
 # golden cases at q > 5: odd and even prime-power bases, a sigma-orbit
 # length of 2 (d = 2 over F_7), and n <= 2 at q = 13 and 31
 LARGE_Q = [(7, 2, 2), (9, 1, 2), (8, 1, 2), (13, 1, 2), (31, 1, 1)]
+# golden cases at the largest q the bounds admit at n = 2 and n = 1, where
+# classifying the sigma-orbit heads costs most; too large to keep cached
+HEADS_AT_LARGE_Q = [(31, 1, 2), (127, 1, 1)]
 # golden cases with class-number checks attached
 HURWITZ_CASES = [(3, 1, 1), (7, 1, 2)]
 

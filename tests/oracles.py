@@ -1295,7 +1295,7 @@ def census_records_without_descent(tower, prime):
     orbit is classified as a head of its own, so no record is carried
     from another orbit by x -> x^(q^d)."""
     return [record for orbit in twist_orbits(tower)
-            for record in _process_orbit(tower, prime, [orbit], False)]
+            for record in _process_orbit(tower, prime, [orbit], False, {})]
 
 
 def candidate_isogeny_keys_by_scan(tower, prime, m, i1, i2):

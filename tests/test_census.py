@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, InvariantFactors, UPoly,
-                       build_tower, census,
-                       drinfeld, frobenius_charpoly)
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
+                       build_tower, census, drinfeld, frobenius_charpoly, module_structure,
+                       plane_torsion_rational, structure)
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
 from drinfeld2.drinfeld import orbit_members, sigma_orbits
 from drinfeld2.fields import SizeBoundError
+from drinfeld2.polys import irreducible_divisors, residue_root
 from oracles import (census_records_without_descent, l_polynomial_problems,
                      twist_orbits_by_sweep)
 
@@ -169,24 +170,75 @@ def test_descent_guard_on_automorphism_counts(monkeypatch):
         run_census(tw, prime, 2)
 
 
+def _count_constructions(monkeypatch, *classes):
+    """Calls of each class's constructor, counted from now on."""
+    built = {cls: 0 for cls in classes}
+    for cls in classes:
+        def counted(self, *args, cls=cls, real=cls.__init__):
+            built[cls] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("case", [(3, 1, 2), (4, 2, 1), (3, 2, 2)],
                          ids=lambda c: "q%d-d%d-m%d" % c)
-def test_census_builds_one_charpoly_per_sigma_head(monkeypatch, case):
-    # an isogeny class reads its charpoly off the record of its head, and
-    # no other stage of the census builds one
+def test_census_builds_one_charpoly_per_isogeny_class(monkeypatch, case):
+    # the first head of a class builds its charpoly, every later head and
+    # the class pass reuse it, and no stage of the census builds a module
     q, d, m = case
     tw = tower_for(q, d * m)
     prime = default_prime(tw.fq, d)
     heads = len(sigma_orbits(tw, d, twist_orbits(tw)))
-    real, built = FrobeniusCharPoly.__init__, []
+    built = _count_constructions(monkeypatch, FrobeniusCharPoly, DrinfeldModule)
+    report = run_census(tw, prime, m, jobs=1)
+    assert built == {FrobeniusCharPoly: report.totals["isogeny_classes"], DrinfeldModule: 0}
+    assert report.totals["isogeny_classes"] <= heads
 
-    def counted(self, *args):
-        built.append(args)
-        real(self, *args)
 
-    monkeypatch.setattr(FrobeniusCharPoly, "__init__", counted)
-    run_census(tw, prime, m, jobs=1)
-    assert len(built) == heads
+def test_grid_builds_716_charpolys_and_no_module(monkeypatch):
+    # the 23 GRID + STRETCH censuses have 1,722 sigma-orbit heads in 716
+    # isogeny classes
+    cases = []
+    for q, d, m in GRID + STRETCH:
+        tw = tower_for(q, d * m)
+        cases.append((tw, default_prime(tw.fq, d), m))
+    built = _count_constructions(monkeypatch, FrobeniusCharPoly, DrinfeldModule)
+    heads = classes = 0
+    for tw, prime, m in cases:
+        heads += len(sigma_orbits(tw, prime.degree(), twist_orbits(tw)))
+        classes += run_census(tw, prime, m).totals["isogeny_classes"]
+    assert (heads, classes) == (1722, 716)
+    assert built == {FrobeniusCharPoly: 716, DrinfeldModule: 0}
+
+
+@pytest.mark.parametrize("q,d,m", GRID + STRETCH, ids=lambda v: str(v))
+def test_heads_on_kernels_match_the_module_route(q, d, m):
+    # every sigma-head classified as the census does it, with one class
+    # table for the whole census, against a DrinfeldModule of its own:
+    # charpoly, invariant factors, height, the rho it tests and each rho's
+    # plane-torsion verdict
+    tw = tower_for(q, d * m)
+    prime = default_prime(tw.fq, d)
+    gamma = residue_root(tw, prime)
+    orbits = twist_orbits(tw)
+    classes = {}
+    for group in sigma_orbits(tw, d, orbits):
+        head = census._process_orbit(tw, prime, [orbits[i] for i in group], False, classes)[0]
+        g, delta = head["g"], head["delta"]
+        mod = DrinfeldModule(tw, prime, g, delta)
+        cp, inv = frobenius_charpoly(mod), module_structure(mod)
+        rhos = [rho for rho in irreducible_divisors(cp.chi) if rho != prime]
+        via_module = {rho.coeffs: plane_torsion_rational(mod, rho) for rho in rhos}
+        stored = classes[cp.chi.coeffs, cp.unit][1]
+        via_kernel = {rho: structure.plane_torsion(tw, gamma, g, delta, rho) for rho in stored}
+        assert (head["cp"], head["trace"], head["unit"], head["i1"], head["i2"],
+                head["height"]) == (cp, cp.trace.coeffs, cp.unit, inv.i1.coeffs,
+                                    inv.i2.coeffs, mod.height())
+        assert via_kernel == via_module
+        assert head["torsion_equiv_ok"] == all(
+            via_module[rho.coeffs] == (inv.i2 % rho).is_zero() for rho in rhos)
 
 
 def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
@@ -210,27 +262,27 @@ def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
 
 def test_members_of_carried_orbits_are_verified(monkeypatch):
     # every one of the |L|(|L| - 1) modules gets its own structure from one
-    # call of the kernel, with one phi_step (a head through its
-    # action_invariants, a member from the census), and all but the
-    # sigma-orbit heads their own annihilation residue
+    # call of the census's kernel, with one phi_step, and its own
+    # annihilation residue; no module object calls the kernel
     tw = tower_for(3, 3)
     prime = default_prime(tw.fq, 1)
-    heads = len(sigma_orbits(tw, 1, twist_orbits(tw)))
-    calls = {"_annihilation_residue": 0, "invariants": 0, "phi_step": 0}
+    calls = {"census._annihilation_residue": 0, "census.invariants": 0,
+             "drinfeld.invariants": 0, "drinfeld.phi_step": 0}
     for owner, name in ((census, "_annihilation_residue"), (census, "invariants"),
                         (drinfeld, "invariants"), (drinfeld, "phi_step")):
         real = getattr(owner, name)
+        key = "%s.%s" % (owner.__name__.split(".")[-1], name)
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
+        def counted(*args, key=key, real=real):
+            calls[key] += 1
             return real(*args)
 
         monkeypatch.setattr(owner, name, counted)
     report = run_census(tw, prime, 3, verify_members=True)
     assert report.checks["members_all_ok"]
     modules = tw.order * (tw.order - 1)
-    assert calls == {"_annihilation_residue": modules - heads, "invariants": modules,
-                     "phi_step": modules}
+    assert calls == {"census._annihilation_residue": modules, "census.invariants": modules,
+                     "drinfeld.invariants": 0, "drinfeld.phi_step": modules}
 
 
 def test_carried_members_are_checked_against_the_head(monkeypatch):
@@ -266,15 +318,15 @@ def test_class_checks_catch_a_wrong_structure(monkeypatch, c_is_two):
     bad = next(mod for mod in (DrinfeldModule(tw, prime, *orbits[group[0]][0])
                                for group in sigma_orbits(tw, 1, orbits))
                if mod.is_ordinary() and (frobenius_charpoly(mod).trace == two) == c_is_two)
-    real = census.module_structure
+    real = census.invariants
 
-    def wrong(mod):
-        inv = real(mod)
-        if mod == bad:
-            return InvariantFactors(UPoly.one(tw.fq), inv.i1 * inv.i2)
-        return inv
+    def wrong(tower, gamma, g, delta):
+        chi, i1, i2 = real(tower, gamma, g, delta)
+        if (g, delta) == (bad.g, bad.delta):
+            return chi, (1,), tower.fq.kernel.mul(i1, i2)
+        return chi, i1, i2
 
-    monkeypatch.setattr(census, "module_structure", wrong)
+    monkeypatch.setattr(census, "invariants", wrong)
     checks = run_census(tw, prime, 2, jobs=1).checks
     assert [checks[k] for k in flags] == [False, False, c_is_two]
 
@@ -557,11 +609,17 @@ def test_report_serialization_deterministic(census_cache):
 
 
 def test_report_parallel_identical():
-    tw = build_tower(3, 1, 2)
-    prime = default_prime(tw.fq, 1)
-    serial = run_census(tw, prime, 2).to_json_bytes()
-    parallel = run_census(tw, prime, 2, jobs=2).to_json_bytes()
-    assert serial == parallel
+    # at (3, 2, 2) sigma-orbits of length 2 carry a second twist orbit, and
+    # each worker builds the charpoly of a class once for all its heads
+    for q, d, m in ((3, 1, 2), (3, 2, 2)):
+        tw = tower_for(q, d * m)
+        prime = default_prime(tw.fq, d)
+        groups = sigma_orbits(tw, d, twist_orbits(tw))
+        serial = run_census(tw, prime, m)
+        if d == 2:
+            assert any(len(group) > 1 for group in groups)
+            assert serial.totals["isogeny_classes"] < len(groups)
+        assert run_census(tw, prime, m, jobs=2).to_json_bytes() == serial.to_json_bytes()
 
 
 def test_pool_size_capped(monkeypatch):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from drinfeld2.census import SCHEMA_VERSION
 from drinfeld2.cli import main
 
 from conftest import GRID, HURWITZ_CASES, LARGE_Q, STRETCH, hurwitz_report
@@ -178,6 +179,15 @@ def test_census_report_validates_against_schema(capsys, census_cache, unverified
         jsonschema.validate(payload, schema)
 
 
+def test_schema_id_names_the_schema_version():
+    import importlib.resources as resources
+
+    schema = json.loads(resources.files("drinfeld2").joinpath(
+        "schemas/census_report.schema.json").read_text())
+    assert schema["$id"] == "drinfeld2/census_report/%s" % SCHEMA_VERSION
+    assert schema["properties"]["schema_version"] == {"const": SCHEMA_VERSION}
+
+
 def test_realize_command(capsys):
     code, out, _ = run_cli(capsys, "realize", "--p", "3", "--s", "1",
                            "--P", "T", "--m", "1", "--i1", "T+1", "--i2", "1")
@@ -292,6 +302,11 @@ def test_realize_rejects_a_zero_invariant_factor(capsys, i1, i2):
     ("[-1,0]", "coefficient -1 out of range for F_3"),
     ("9", "value 9 out of range for a field of order 9"),
     ("[0,x]", "invalid literal for int()"),
+    # int() reads these as 5, [1,0], 4 and [0,0]: plain digits only
+    ("0_5", "expected digits, got '0_5'"),
+    ("[+1,0_0]", "expected digits, got '+1'"),
+    ("+4", "expected digits, got '+4'"),
+    ("[0,-0]", "expected digits, got '-0'"),
 ])
 def test_element_reader_rejects_malformed_text(capsys, g, message):
     code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",

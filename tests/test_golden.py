@@ -1,6 +1,6 @@
 """Golden report bytes: the census JSON of every GRID and STRETCH case, of
-one case above |L| = 1024, of five cases at q > 5, and of two reports with
-class-number checks attached, pinned by SHA-256.
+one case above |L| = 1024, of seven cases at q > 5, and of two reports
+with class-number checks attached, pinned by SHA-256.
 
 Any change to the library's answers, to the report schema or to its
 serialization shows here as a changed hash.  A change that is meant to
@@ -28,7 +28,10 @@ import hashlib
 
 import pytest
 
-from conftest import GRID, HURWITZ_CASES, LARGE_Q, STRETCH, hurwitz_report
+from drinfeld2.census import default_prime, run_census
+
+from conftest import (GRID, HEADS_AT_LARGE_Q, HURWITZ_CASES, LARGE_Q, STRETCH, hurwitz_report,
+                      tower_for)
 
 REPORT_SHA256 = {
     (2, 1, 1): "8c05047c0c92e07d70f12ab74de94aa8a644960bbffcb80081236786ea71e1b7",
@@ -73,6 +76,13 @@ LARGE_Q_SHA256 = {
     (31, 1, 1): "dabecd8d25460151fcfd9a32c3d68ff961ed352e34f02b77e50b2606030695a7",
 }
 
+# The HEADS_AT_LARGE_Q reports of conftest, recorded from the library's
+# bytes before the census classified its heads on kernel tuples.
+HEADS_AT_LARGE_Q_SHA256 = {
+    (31, 1, 2): "6d790c32edb483445f2ea89b753e57fde11f3ec5c50ffcb151fea58028b12215",
+    (127, 1, 1): "56e33369428c04f230fd081c7671819b443a6345ba5c6f1064d8234c7222ff98",
+}
+
 # The HURWITZ_CASES reports with attach_class_number_checks, as
 # `census --hurwitz` writes them.
 HURWITZ_SHA256 = {
@@ -88,6 +98,7 @@ def sha256(data):
 def test_golden_table_covers_grid_and_stretch():
     assert list(REPORT_SHA256) == GRID + STRETCH
     assert list(LARGE_Q_SHA256) == LARGE_Q
+    assert list(HEADS_AT_LARGE_Q_SHA256) == HEADS_AT_LARGE_Q
     assert list(HURWITZ_SHA256) == HURWITZ_CASES
 
 
@@ -108,6 +119,15 @@ def test_census_report_bytes_317(unverified_census):
 @pytest.mark.parametrize("case", LARGE_Q, ids=lambda c: "q%d-d%d-m%d" % c)
 def test_census_report_bytes_large_q(unverified_census, case):
     assert sha256(unverified_census(*case).to_json_bytes()) == LARGE_Q_SHA256[case]
+
+
+@pytest.mark.parametrize("case", HEADS_AT_LARGE_Q, ids=lambda c: "q%d-d%d-m%d" % c)
+def test_census_report_bytes_heads_at_large_q(case):
+    # about 30,000 and 16,000 rows: run here, not cached for the whole test run
+    q, d, m = case
+    tower = tower_for(q, d * m)
+    report = run_census(tower, default_prime(tower.fq, d), m)
+    assert sha256(report.to_json_bytes()) == HEADS_AT_LARGE_Q_SHA256[case]
 
 
 def test_hurwitz_report_bytes(unverified_census):

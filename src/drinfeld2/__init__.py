@@ -7,9 +7,8 @@ with class-number cross-checks.
 from .fields import FieldTower, SizeBoundError, build_tower
 from .polys import UPoly, enumerate_monic_irreducibles
 from .drinfeld import DrinfeldModule
-from .charpoly import (FrobeniusCharPoly, annihilation_holds, frobenius_charpoly,
-                       is_imaginary)
-from .structure import (InvariantFactors, NotRealizable, check_criteria,
+from .charpoly import FrobeniusCharPoly, annihilation_holds, is_imaginary
+from .structure import (InvariantFactors, NotRealizable, frobenius_charpoly,
                         module_structure, plane_torsion_rational,
                         realize_structure)
 from .hurwitz import class_number, hurwitz_class_number
@@ -24,7 +23,7 @@ __all__ = [
     "UPoly", "enumerate_monic_irreducibles", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",
-    "check_criteria", "module_structure",
+    "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",

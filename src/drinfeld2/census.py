@@ -11,7 +11,7 @@ to L^(phi^sigma), and the two share (c, mu), chi, the invariant factors,
 the height and the rational planes.  Each twist orbit keeps
 its own row, with its own size, automorphism count and unit, the last
 recomputed from its own delta and checked against its head's.  Heads
-are classified on the plain-int kernels, with no module built, and each
+are classified by structure.classify, with no module built, and each
 isogeny class gets one characteristic polynomial.  All
 statistics are exact rationals; closed-form counting formulas are
 evaluated alongside and reported with match flags, never silently
@@ -24,13 +24,12 @@ import os
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import (FrobeniusCharPoly, _annihilation_residue, class_charpoly,
-                       frobenius_unit, is_imaginary, require_annihilation)
-from .drinfeld import invariants, orbit_members, phi_height, sigma_orbits, twist_orbits
+from .charpoly import FrobeniusCharPoly, _annihilation_residue, frobenius_unit, is_imaginary
+from .drinfeld import invariants, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
 from .polys import (UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors,
                     residue_root)
-from .structure import criteria, plane_torsion
+from .structure import classify, criteria
 
 SCHEMA_VERSION = "3"
 
@@ -54,14 +53,9 @@ def _process_orbit(tower, prime, group, verify_members, classes):
     unit, the last recomputed from its delta; the rest is the head's,
     which sigma carries over.
 
-    The head is classified from (tower, gamma, g, delta) on the plain-int
-    kernels, and no module is built: invariants gives (chi, i1, i2) and
-    frobenius_unit the unit.  classes maps (chi, unit) to the class's
-    charpoly and the irreducible divisors of chi other than the prime; an
-    entry is built, and its trace bound checked, by the first head of its
-    class, so a census builds one charpoly per isogeny class.  Each head
-    still runs its own annihilation residue against it, reads its height
-    off phi(prime) and checks its own plane torsion for every stored rho.
+    The head is classified by structure.classify, with every guard it
+    runs, against classes, the census's table of class charpolys; its
+    torsion verdict becomes the record's torsion_equiv_ok.
 
     With verify_members, every other member of each twist orbit gets its
     own annihilation residue against the class's charpoly and its own
@@ -69,38 +63,14 @@ def _process_orbit(tower, prime, group, verify_members, classes):
     kernels with the head's gamma."""
     (g, delta), _, _ = group[0]
     gamma = residue_root(tower, prime)
-    kernel = tower.fq.kernel
-    chi, i1, i2 = invariants(tower, gamma, g, delta)
-    unit = frobenius_unit(tower, delta)
-    entry = classes.get((chi, unit))
-    if entry is None:
-        cp = class_charpoly(prime, tower.n // prime.degree(), chi, unit)
-        rhos = tuple(rho for rho in kernel.irreducible_divisors(chi) if rho != prime.coeffs)
-        entry = classes[chi, unit] = (cp, rhos)
-    cp, rhos = entry
-    require_annihilation(not any(_annihilation_residue(tower, gamma, g, delta, cp)), cp)
-    h = phi_height(tower, gamma, g, delta, prime)
-    ss = h == 2
-
-    if cp.ordinary == ss:
-        raise RuntimeError(
-            "supersingularity criteria disagree for (g, delta) = %r over %r: "
-            "height gives %s but prime %s trace %s"
-            % ((g, delta), tower, ss, "does not divide" if cp.ordinary else "divides",
-               cp.trace))
-
-    # right-division test against the invariant factors, for every monic
-    # irreducible divisor of chi other than the prime
-    torsion_equiv_ok = all(plane_torsion(tower, gamma, g, delta, rho)
-                           == (not kernel.divmod(i2, rho)[1]) for rho in rhos)
-
+    cp, i1, i2, h, torsion_ok = classify(tower, prime, g, delta, classes)
     head = {
         "cp": cp,
         "trace": cp.trace.coeffs,
         "i1": i1,
         "i2": i2,
         "height": h,
-        "torsion_equiv_ok": torsion_equiv_ok,
+        "torsion_equiv_ok": torsion_ok,
     }
     rep, pair = (g, delta), (i1, i2)
     records = []

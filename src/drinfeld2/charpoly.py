@@ -15,12 +15,10 @@ The result is accepted only when it satisfies the annihilation identity
 
     tau^(2n) - phi(trace)*tau^n + phi(unit*prime^m) = 0   in L{tau}.
 
-(trace, unit) depends on (chi, unit) alone, so class_charpoly builds the
-charpoly of an isogeny class from them, with its trace bound, and each
-module runs only its own annihilation residue against it:
-frobenius_charpoly does both for one module, and a census builds one
-charpoly per isogeny class and runs the residue once per sigma-orbit
-head, on kernel tuples, with no module built.
+(trace, unit) depends on (chi, unit) alone, so one charpoly serves a
+whole isogeny class.  structure.classify builds it, checks its trace
+bound and runs each module's own annihilation residue against it; this
+module holds the Weil pair and the residue, not the classification.
 """
 
 from functools import lru_cache
@@ -87,39 +85,6 @@ class FrobeniusCharPoly(_Value):
         return 2 * self.trace.degree() <= self.ext_degree * self.prime.degree()
 
 
-def frobenius_charpoly(mod):
-    """The characteristic polynomial of tau^n acting on the module: the
-    class charpoly of its chi and unit, accepted once the module's own
-    annihilation identity holds.
-
-    Raises RuntimeError unless the trace bound and the annihilation
-    identity hold for it.
-    """
-    cp = class_charpoly(mod.prime, mod.m, mod.action_invariants()[0].coeffs,
-                        frobenius_unit(mod.tower, mod.delta))
-    require_annihilation(annihilation_holds(mod, cp), cp)
-    return cp
-
-
-def class_charpoly(prime, m, chi, unit):
-    """The FrobeniusCharPoly of the isogeny class with P(1) = unit*chi, chi
-    the monic kernel tuple det(T*I - M) of any of its modules; raises
-    RuntimeError unless the trace bound holds.  It depends on (chi, unit)
-    alone, so a census builds it once per class."""
-    cp = FrobeniusCharPoly(_weil_trace(prime, m, unit, chi), unit, prime, m)
-    if not cp.trace_degree_ok():
-        raise RuntimeError("trace degree violates the half-degree bound")
-    return cp
-
-
-def require_annihilation(holds, cp):
-    """Raise RuntimeError unless holds, the verdict of one module's
-    annihilation identity for cp."""
-    if not holds:
-        raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
-                           % (cp.trace, cp.unit))
-
-
 def frobenius_unit(tower, delta):
     """The unit (-1)^n N(delta)^(-1) of P, N(delta) = delta^((q^n-1)/(q-1))
     the norm from L to F_q; one table pow."""
@@ -129,7 +94,8 @@ def frobenius_unit(tower, delta):
 
 
 def annihilation_holds(mod, cp):
-    """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0."""
+    """Exact check of tau^(2n) - phi(trace) tau^n + phi(unit prime^m) = 0
+    for the module mod and any charpoly cp; a view of the residue."""
     return not any(_annihilation_residue(mod.tower, mod.gamma_t, mod.g, mod.delta, cp))
 
 

@@ -11,11 +11,11 @@ import sys
 
 from .census import (attach_class_number_checks, cyclicity_trend,
                      default_prime, run_census)
-from .charpoly import frobenius_charpoly, is_imaginary
+from .charpoly import is_imaginary
 from .drinfeld import DrinfeldModule
 from .fields import SizeBoundError, build_tower
 from .polys import UPoly
-from .structure import NotRealizable, check_criteria, module_structure, realize_structure
+from .structure import CRITERIA, NotRealizable, classify_module, criteria, realize_structure
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -58,8 +58,11 @@ def _add_jobs_arg(sub):
 
 
 def _check_out(path):
-    """Reject an --out path before any work, creating nothing: a directory,
-    or a file whose directory is missing or not writable."""
+    """Reject an --out path before any work, creating nothing: an empty
+    path, a directory, or a file whose directory is missing or not
+    writable."""
+    if not path:
+        raise ValueError("cannot write '': the path is empty")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise ValueError("cannot write %s: is a directory" % path)
@@ -98,7 +101,7 @@ def _emit(args, payload, text_lines):
         body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(body)
@@ -111,9 +114,7 @@ def _emit(args, payload, text_lines):
 
 def cmd_charpoly(args):
     mod = _build_module(args)
-    cp = frobenius_charpoly(mod)
-    height = mod.height()
-    ss = height == 2
+    cp, _, _, height, _ = classify_module(mod)
     payload = {
         "schema_version": "2",
         "c": str(cp.trace),
@@ -123,8 +124,8 @@ def cmd_charpoly(args):
         "disc": str(cp.disc),
         "disc_imaginary": is_imaginary(cp.disc),
         "chi": str(cp.chi),
-        "ordinary": not ss,
-        "supersingular": ss,
+        "ordinary": cp.ordinary,
+        "supersingular": not cp.ordinary,
         "height": height,
         "q_even_caveat": mod.tower.q % 2 == 0,
     }
@@ -137,16 +138,16 @@ def cmd_charpoly(args):
 
 def cmd_structure(args):
     mod = _build_module(args)
-    inv = module_structure(mod)
-    cp = frobenius_charpoly(mod)
-    flags = check_criteria(cp, inv)
+    cp, i1, i2, _, _ = classify_module(mod)
+    fq = mod.tower.fq
+    flags = dict(zip(CRITERIA, criteria(fq.kernel, cp.chi.coeffs, cp.c_minus_2.coeffs, i1, i2)))
     payload = {
         "schema_version": "1",
-        "i1": str(inv.i1),
-        "i2": str(inv.i2),
-        "cyclic": inv.is_cyclic(),
+        "i1": str(UPoly(fq, i1)),
+        "i2": str(UPoly(fq, i2)),
+        "cyclic": i2 == (1,),
         "chi": str(cp.chi),
-        "ordinary": mod.is_ordinary(),
+        "ordinary": cp.ordinary,
         "criteria": flags,
     }
     text = ["i1 = %s" % payload["i1"], "i2 = %s" % payload["i2"],
@@ -281,7 +282,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.func(args)
     except SizeBoundError as exc:

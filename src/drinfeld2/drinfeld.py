@@ -13,16 +13,19 @@ per-module work runs on plain ints, from (tower, gamma, g, delta)
 alone: phi_step is the map x -> phi_T(x) on L, invariants classifies
 L under it with one Krylov pass, phi_into adds phi(a) tau^at into a
 coefficient list by Horner's rule, and phi_height reads the height off
-phi(prime).  DrinfeldModule calls them for its phi, height and action
-invariants; a census classifies its heads and checks the members of a
-twist orbit, and realize_structure tries heads, with them directly,
-without building a module per head or member.
+phi(prime).  structure.classify combines them into the one
+classification of a module, for a census head, the CLI and realize's
+witness alike; a census checks the members of a twist orbit with
+invariants and the annihilation residue directly, and realize filters
+heads with invariants, without building a module per head or member.
+DrinfeldModule holds validated data; its phi and height are views of
+phi_into and phi_height.
 """
 
 from math import gcd
 
 from .fields import char_and_min_poly, second_invariant_factor
-from .polys import UPoly, _wrap, residue_root
+from .polys import UPoly, residue_root
 
 
 class DrinfeldModule:
@@ -43,7 +46,6 @@ class DrinfeldModule:
         self.g = g
         self.delta = delta
         self.phi_t = (self.gamma_t, g, delta)
-        self._invariants = None
 
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule)
@@ -70,15 +72,6 @@ class DrinfeldModule:
         out = [0] * max(0, 2 * len(a.coeffs) - 1)
         phi_into(self.tower, self.gamma_t, self.g, self.delta, out, (a.coeffs, 0))
         return tuple(out)
-
-    def action_invariants(self):
-        """(chi, i1, i2): chi = det(T*I - M), i1 the minimal polynomial of
-        M: x -> phi_T(x) and i2 = chi / i1, so L = A/(i1) + A/(i2); from
-        one call of the kernel invariants, cached.  The characteristic
-        polynomial and the invariant factors both read it."""
-        if self._invariants is None:
-            self._invariants = invariants(self.tower, self.gamma_t, self.g, self.delta)
-        return tuple(_wrap(self.tower.fq, f) for f in self._invariants)
 
     # -- height ----------------------------------------------------------------
 

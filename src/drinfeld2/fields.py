@@ -570,8 +570,10 @@ class FieldTower:
 
 def _digits_int(text):
     """int(text) for ASCII digits, or a '-' and the digits of a negative
-    value; ValueError, with int()'s message for what int() refuses,
-    otherwise."""
+    value; ValueError naming an empty entry, with int()'s message for the
+    rest of what int() refuses, otherwise."""
+    if not text:
+        raise ValueError("empty entry in element text")
     value = int(text)
     if not (text[1:] if value < 0 else text).isdigit():
         raise ValueError("expected digits, got %r" % text)

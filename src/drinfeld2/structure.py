@@ -1,12 +1,13 @@
-"""The A-module structure induced on L: invariant factors from the action
-of phi_T on L, the divisibility criteria they satisfy, the
+"""The A-module structure induced on L: the one classification of a
+module, with its characteristic polynomial, invariant factors, height and
+plane-torsion verdict, the divisibility criteria they satisfy, the
 right-division test for rational plane torsion, and the realization
 search that produces a module with a prescribed structure.
 """
 
-from .charpoly import FrobeniusCharPoly, _weil_trace, frobenius_charpoly, frobenius_unit
-from .drinfeld import DrinfeldModule, invariants, phi_into, sigma_orbits, twist_orbits
-from .polys import _Value, residue_root
+from .charpoly import FrobeniusCharPoly, _annihilation_residue, _weil_trace, frobenius_unit
+from .drinfeld import DrinfeldModule, invariants, phi_height, phi_into, sigma_orbits, twist_orbits
+from .polys import _Value, _wrap, residue_root
 
 
 class InvariantFactors(_Value):
@@ -25,34 +26,90 @@ class InvariantFactors(_Value):
         return (self.i1.coeffs, self.i2.coeffs)
 
 
-def module_structure(mod):
-    """Invariant factors of L as an A-module via phi.
+def classify(tower, prime, g, delta, classes):
+    """(cp, i1, i2, height, torsion_ok) for phi_T = gamma + g tau +
+    delta tau^2, gamma the root of prime in L, from the plain-int kernels
+    with no module built: the class charpoly cp, the invariant factors
+    i1, i2 as kernel tuples, the height and the plane-torsion verdict.
+    Every route that classifies a module calls it.
 
-    i1 is the minimal polynomial of M: x -> phi_T(x) on L and
-    i2 = det(T*I - M) / i1.  Raises RuntimeError when i1 does not divide
-    det(T*I - M), when i2 does not divide i1, or when the rank check finds
-    more than two invariant factors, which the rank-2 theory forbids.
+    (chi, i1, i2) come from one call of invariants and the unit from
+    frobenius_unit.  classes maps (chi, unit) to the class's charpoly and
+    the irreducible divisors of chi other than the prime; the first
+    module of a class builds its entry and checks its trace bound, so one
+    table shared by a census builds one charpoly per isogeny class.  Each
+    module still runs its own annihilation residue against it, reads its
+    height off phi(prime) and tests its own rho-plane for every stored rho:
+    torsion_ok is True iff each such plane lies in L exactly when rho | i2.
+
+    Raises RuntimeError when the trace bound or the annihilation identity
+    fails, when the height is not 1 or 2 (phi_height), and when the height
+    disagrees with "prime does not divide the trace".
     """
-    _, i1, i2 = mod.action_invariants()
-    return InvariantFactors(i1, i2)
+    gamma = residue_root(tower, prime)  # ValueError unless monic irreducible, deg | n
+    kernel = tower.fq.kernel
+    chi, i1, i2 = invariants(tower, gamma, g, delta)
+    unit = frobenius_unit(tower, delta)
+    entry = classes.get((chi, unit))
+    if entry is None:
+        m = tower.n // prime.degree()
+        cp = FrobeniusCharPoly(_weil_trace(prime, m, unit, chi), unit, prime, m)
+        if not cp.trace_degree_ok():
+            raise RuntimeError("trace degree violates the half-degree bound")
+        rhos = tuple(rho for rho in kernel.irreducible_divisors(chi) if rho != prime.coeffs)
+        entry = classes[chi, unit] = (cp, rhos)
+    cp, rhos = entry
+    if any(_annihilation_residue(tower, gamma, g, delta, cp)):
+        raise RuntimeError("the annihilation identity fails for (c, mu) = (%s, %d)"
+                           % (cp.trace, cp.unit))
+    h = phi_height(tower, gamma, g, delta, prime)
+    if cp.ordinary == (h == 2):
+        raise RuntimeError(
+            "supersingularity criteria disagree for (g, delta) = %r over %r: "
+            "height gives %s but prime %s trace %s"
+            % ((g, delta), tower, h == 2, "does not divide" if cp.ordinary else "divides",
+               cp.trace))
+    # right-division test against the invariant factors
+    torsion_ok = all(plane_torsion(tower, gamma, g, delta, rho)
+                     == (not kernel.divmod(i2, rho)[1]) for rho in rhos)
+    return cp, i1, i2, h, torsion_ok
+
+
+def classify_module(mod):
+    """classify for one module, with a class table of its own.  The routes
+    with no report to carry torsion_ok call it, and a false one raises
+    RuntimeError here."""
+    found = classify(mod.tower, mod.prime, mod.g, mod.delta, {})
+    if not found[4]:
+        raise RuntimeError("plane torsion disagrees with the invariant factors of %r" % (mod,))
+    return found
+
+
+def frobenius_charpoly(mod):
+    """The characteristic polynomial of tau^n acting on the module; a view
+    of classify_module, which raises RuntimeError unless its guards hold."""
+    return classify_module(mod)[0]
+
+
+def module_structure(mod):
+    """The invariant factors of L as an A-module via phi, i1 the minimal
+    polynomial of M: x -> phi_T(x) on L and i2 = det(T*I - M) / i1; a
+    view of classify_module.  invariants raises RuntimeError when i1 does
+    not divide det(T*I - M), when i2 does not divide i1, or when the rank
+    check finds more than two invariant factors."""
+    _, i1, i2, _, _ = classify_module(mod)
+    return InvariantFactors(_wrap(mod.tower.fq, i1), _wrap(mod.tower.fq, i2))
 
 
 CRITERIA = ("i2_divides_i1", "product_is_chi", "i2_divides_c_minus_2", "i_sq_divides_chi")
 
 
-def check_criteria(cp, inv):
-    """Divisibility facts the structure inv must satisfy in the isogeny
-    class of the characteristic polynomial cp; returns flags named as in
-    CRITERIA, does not raise.  The trace clause is only a theorem for
-    ordinary classes, the caller decides what to assert."""
-    i1, i2 = cp.chi._check(inv.i1), cp.chi._check(inv.i2)  # ValueError over another field
-    return dict(zip(CRITERIA, criteria(cp.chi.fq.kernel, cp.chi.coeffs, cp.c_minus_2.coeffs,
-                                       i1.coeffs, i2.coeffs)))
-
-
 def criteria(kernel, chi, c_minus_2, i1, i2):
-    """The flags of check_criteria, in the order of CRITERIA, for kernel
-    tuples: i2 | i1, monic(i1 i2) = chi, i2 | c - 2 and i2^2 | chi."""
+    """Divisibility facts a structure (i1, i2) must satisfy in the isogeny
+    class of chi and c - 2, all kernel tuples, in the order of CRITERIA:
+    i2 | i1, monic(i1 i2) = chi, i2 | c - 2 and i2^2 | chi.  Does not
+    raise for a false one; the trace clause is only a theorem for
+    ordinary classes, the caller decides what to assert."""
     product = kernel.mul(i1, i2)
     divides_i1 = not kernel.divmod(i1, i2)[1]  # ZeroDivisionError for i2 = 0
     if not product:
@@ -145,9 +202,11 @@ def realize_structure(tower, prime, m, i1, i2):
     sigma-heads (drinfeld.sigma_orbits) are tried: twists and x -> x^(q^d)
     keep class and structure, so the least witness of a class is a head.
     A head of structure (i1, i2) has chi = i1*i2, so its unit names its
-    class: heads of another unit are skipped, the others are classified by
-    the kernel drinfeld.invariants, and only the witness becomes a module
-    and runs frobenius_charpoly, whose annihilation check guards the answer.
+    class: heads of another unit are skipped, the others get their
+    invariant factors from the kernel drinfeld.invariants, and only the
+    witness becomes a module and runs classify_module, whose guards (trace
+    bound, annihilation identity, height against the trace, plane
+    torsion) are the census head's, and must land in its candidate class.
     Returns a DrinfeldModule or a NotRealizable naming the failed
     condition.  A prime that is not monic irreducible with
     m * deg(prime) = n, invariant factors over another field and a zero
@@ -176,13 +235,10 @@ def realize_structure(tower, prime, m, i1, i2):
     heads = [orbits[group[0]][0] for group in sigma_orbits(tower, prime.degree(), orbits)]
     for trace, unit in candidates:
         for g, delta in heads:
-            if frobenius_unit(tower, delta) != unit:
-                continue
-            found = invariants(tower, gamma, g, delta)
-            if found[1:] == want:
+            if (frobenius_unit(tower, delta) == unit
+                    and invariants(tower, gamma, g, delta)[1:] == want):
                 mod = DrinfeldModule(tower, prime, g, delta)
-                mod._invariants = found  # so frobenius_charpoly runs no second Krylov pass
-                cp = frobenius_charpoly(mod)
+                cp = classify_module(mod)[0]
                 if (cp.trace, cp.unit) != (trace, unit):
                     raise RuntimeError("the witness lies outside its candidate class")
                 return mod

@@ -49,7 +49,7 @@ def test_criterion_1_annihilation_identity(census_cache):
     for q, d, m in ALL_CASES:
         r = census_cache(q, d, m)
         modules += r.totals["modules"]
-        # a head's identity and trace bound hold, or frobenius_charpoly raises
+        # a head's identity and trace bound hold, or structure.classify raises
         if not (r.checks["members_verified"] and r.checks["members_all_ok"]):
             failures.append((q, d, m, "orbit members"))
     elapsed = time.time() - t0

@@ -22,7 +22,7 @@ PUBLIC = [
     "UPoly", "enumerate_monic_irreducibles", "DrinfeldModule",
     "FrobeniusCharPoly", "annihilation_holds", "frobenius_charpoly",
     "is_imaginary", "InvariantFactors", "NotRealizable",
-    "check_criteria", "module_structure",
+    "module_structure",
     "plane_torsion_rational", "realize_structure",
     "class_number", "hurwitz_class_number",
     "CensusReport", "attach_class_number_checks", "compute_statistics",
@@ -34,11 +34,12 @@ REMOVED = {
                 "discriminant", "suborder_contained", "action_matrix",
                 "is_isogenous", "minimal_polynomial", "MonicIdeal",
                 "euler_characteristic", "embed_residue_field", "FieldElement",
-                "OrePoly", "ore"],
+                "OrePoly", "ore", "check_criteria"],
     drinfeld: ["SplittingBoundError", "TorsionStructure", "action_matrix", "OrePoly"],
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element",
-                              "same_category", "is_supersingular", "frobenius", "gamma"],
+                              "same_category", "is_supersingular", "frobenius", "gamma",
+                              "action_invariants"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
              "is_prime", "_gcd", "FieldElement"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
@@ -46,11 +47,12 @@ REMOVED = {
               "__call__", "shift", "constant_coeff"],
     polys: ["monic_divisors", "MonicIdeal", "embed_residue_field"],
     polys.UPoly: ["is_constant", "eval_fq", "shift", "__radd__", "__rsub__", "__rmul__"],
-    structure: ["suborder_contained", "action_matrix", "OrePoly", "_invariant_pair"],
+    structure: ["suborder_contained", "action_matrix", "OrePoly", "_invariant_pair",
+                "check_criteria"],
     structure.InvariantFactors: ["common_factor"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates", "is_isogenous",
                "minimal_polynomial", "_frobenius_witness", "euler_characteristic",
-               "MonicIdeal"],
+               "MonicIdeal", "frobenius_charpoly", "class_charpoly", "require_annihilation"],
     charpoly.FrobeniusCharPoly: ["norm_term", "chi_poly", "disc_poly", "eval_at",
                                  "frobenius_in_image", "key"],
 }
@@ -79,15 +81,18 @@ def test_removed_names_are_gone_from_the_library():
                      drinfeld2.hurwitz_class_number):
         assert list(inspect.signature(function).parameters) == ["disc"]  # disc.fq is the field
     assert not hasattr(fields.Fq(2, 2), "_digits")
+    tw = build_tower(3, 1, 1)  # a module caches nothing
+    assert "_invariants" not in vars(drinfeld.DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 1, 1))
 
 
 
 def test_import_leaves_out_the_dataclasses_machinery():
     src = str(Path(drinfeld2.__file__).resolve().parent.parent)
+    # -S: no site module, whose .pth files may import typing before the library
     code = ("import sys; sys.path.insert(0, %r); import drinfeld2, drinfeld2.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing', "
             "'drinfeld2.ore'} & set(sys.modules)))" % src)
-    out = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
 

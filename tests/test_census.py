@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
-                       build_tower, census, drinfeld, frobenius_charpoly, module_structure,
-                       plane_torsion_rational, structure)
+                       build_tower, census, drinfeld, frobenius_charpoly, structure)
 from drinfeld2.census import (attach_class_number_checks, counting_formulas,
                               cyclicity_trend, default_prime, run_census,
                               twist_orbits)
 from drinfeld2.drinfeld import orbit_members, sigma_orbits
 from drinfeld2.fields import SizeBoundError
-from drinfeld2.polys import irreducible_divisors, residue_root
-from oracles import (census_records_without_descent, l_polynomial_problems,
+from drinfeld2.polys import irreducible_divisors
+from oracles import (SplittingBoundError, action_matrix, census_records_without_descent,
+                     charpoly_by_solve, l_polynomial_problems, matrix_char_and_min_poly,
+                     matrix_second_invariant_factor, phi_by_ore, torsion_structure,
                      twist_orbits_by_sweep)
 
 from conftest import GRID, Q_TO_PS, STRETCH, tower_for
@@ -216,29 +217,35 @@ def test_grid_builds_716_charpolys_and_no_module(monkeypatch):
 @pytest.mark.parametrize("q,d,m", GRID + STRETCH, ids=lambda v: str(v))
 def test_heads_on_kernels_match_the_module_route(q, d, m):
     # every sigma-head classified as the census does it, with one class
-    # table for the whole census, against a DrinfeldModule of its own:
-    # charpoly, invariant factors, height, the rho it tests and each rho's
-    # plane-torsion verdict
+    # table for the whole census, against the oracle routes on a module of
+    # its own: (c, mu) by the linear solve, (chi, i1, i2) by the Krylov pass
+    # over the action matrix, the height off phi(prime) as OrePoly products,
+    # the rho it tests from chi, and each rho's plane from the torsion oracle
     tw = tower_for(q, d * m)
     prime = default_prime(tw.fq, d)
-    gamma = residue_root(tw, prime)
+    kernel = tw.fq.kernel
     orbits = twist_orbits(tw)
     classes = {}
     for group in sigma_orbits(tw, d, orbits):
         head = census._process_orbit(tw, prime, [orbits[i] for i in group], False, classes)[0]
-        g, delta = head["g"], head["delta"]
-        mod = DrinfeldModule(tw, prime, g, delta)
-        cp, inv = frobenius_charpoly(mod), module_structure(mod)
-        rhos = [rho for rho in irreducible_divisors(cp.chi) if rho != prime]
-        via_module = {rho.coeffs: plane_torsion_rational(mod, rho) for rho in rhos}
-        stored = classes[cp.chi.coeffs, cp.unit][1]
-        via_kernel = {rho: structure.plane_torsion(tw, gamma, g, delta, rho) for rho in stored}
+        mod = DrinfeldModule(tw, prime, head["g"], head["delta"])
+        cp, mat = charpoly_by_solve(mod), action_matrix(mod)
+        chi, i1 = matrix_char_and_min_poly(tw.fq, mat)
+        i2 = matrix_second_invariant_factor(tw.fq, mat, chi, i1)
         assert (head["cp"], head["trace"], head["unit"], head["i1"], head["i2"],
-                head["height"]) == (cp, cp.trace.coeffs, cp.unit, inv.i1.coeffs,
-                                    inv.i2.coeffs, mod.height())
-        assert via_kernel == via_module
-        assert head["torsion_equiv_ok"] == all(
-            via_module[rho.coeffs] == (inv.i2 % rho).is_zero() for rho in rhos)
+                head["height"]) == (cp, cp.trace.coeffs, cp.unit, i1, i2,
+                                    phi_by_ore(mod, prime).height() // d)
+        stored = classes[chi, cp.unit][1]
+        assert set(stored) == {rho.coeffs for rho in irreducible_divisors(cp.chi)
+                               if rho != prime}
+        assert head["torsion_equiv_ok"]
+        for rho in stored:
+            try:
+                torsion_structure(mod, UPoly(tw.fq, rho), max_splitting_degree=1)
+                rational = True
+            except SplittingBoundError:
+                rational = False
+            assert rational == (not kernel.divmod(i2, rho)[1])
 
 
 def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
@@ -262,16 +269,19 @@ def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
 
 def test_members_of_carried_orbits_are_verified(monkeypatch):
     # every one of the |L|(|L| - 1) modules gets its own structure from one
-    # call of the census's kernel, with one phi_step, and its own
-    # annihilation residue; no module object calls the kernel
+    # call of the kernel, with one phi_step, and its own annihilation
+    # residue: the classifier's for a sigma-orbit head, the census's for
+    # every other member; no module object calls the kernel
     tw = tower_for(3, 3)
     prime = default_prime(tw.fq, 1)
-    calls = {"census._annihilation_residue": 0, "census.invariants": 0,
-             "drinfeld.invariants": 0, "drinfeld.phi_step": 0}
-    for owner, name in ((census, "_annihilation_residue"), (census, "invariants"),
-                        (drinfeld, "invariants"), (drinfeld, "phi_step")):
+    seams = ((census, "_annihilation_residue"), (census, "invariants"),
+             (structure, "_annihilation_residue"), (structure, "invariants"),
+             (drinfeld, "invariants"), (drinfeld, "phi_step"))
+    calls = {}
+    for owner, name in seams:
         real = getattr(owner, name)
         key = "%s.%s" % (owner.__name__.split(".")[-1], name)
+        calls[key] = 0
 
         def counted(*args, key=key, real=real):
             calls[key] += 1
@@ -281,7 +291,10 @@ def test_members_of_carried_orbits_are_verified(monkeypatch):
     report = run_census(tw, prime, 3, verify_members=True)
     assert report.checks["members_all_ok"]
     modules = tw.order * (tw.order - 1)
-    assert calls == {"census._annihilation_residue": modules, "census.invariants": modules,
+    heads = len(sigma_orbits(tw, 1, twist_orbits(tw)))
+    assert calls == {"census._annihilation_residue": modules - heads,
+                     "census.invariants": modules - heads,
+                     "structure._annihilation_residue": heads, "structure.invariants": heads,
                      "drinfeld.invariants": 0, "drinfeld.phi_step": modules}
 
 
@@ -318,7 +331,7 @@ def test_class_checks_catch_a_wrong_structure(monkeypatch, c_is_two):
     bad = next(mod for mod in (DrinfeldModule(tw, prime, *orbits[group[0]][0])
                                for group in sigma_orbits(tw, 1, orbits))
                if mod.is_ordinary() and (frobenius_charpoly(mod).trace == two) == c_is_two)
-    real = census.invariants
+    real = structure.invariants
 
     def wrong(tower, gamma, g, delta):
         chi, i1, i2 = real(tower, gamma, g, delta)
@@ -326,7 +339,7 @@ def test_class_checks_catch_a_wrong_structure(monkeypatch, c_is_two):
             return chi, (1,), tower.fq.kernel.mul(i1, i2)
         return chi, i1, i2
 
-    monkeypatch.setattr(census, "invariants", wrong)
+    monkeypatch.setattr(structure, "invariants", wrong)
     checks = run_census(tw, prime, 2, jobs=1).checks
     assert [checks[k] for k in flags] == [False, False, c_is_two]
 

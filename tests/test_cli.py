@@ -28,8 +28,8 @@ def test_charpoly_command(capsys):
     assert payload["mu"] == 2
     assert payload["chi"] == "T+1"
     assert payload["ordinary"] is True
-    # schema 2 carries no literal flags: frobenius_charpoly raises unless
-    # the annihilation identity and the trace bound hold
+    # schema 2 carries no literal flags: structure.classify raises unless
+    # the annihilation identity, the trace bound and the height check hold
     assert payload["schema_version"] == "2"
     assert sorted(payload) == ["P", "c", "chi", "disc", "disc_imaginary", "height", "m", "mu",
                                "ordinary", "q_even_caveat", "schema_version", "supersingular"]
@@ -151,13 +151,14 @@ def test_census_outfile_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ("census", "--p", "3", "--d", "1", "--m", "1"),
     ("charpoly", "--p", "3", "--P", "T", "--m", "1", "--g", "1", "--delta", "1")])
-@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory", "empty"])
 def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
-    path = tmp_path / "missing" / "x.json" if target == "missing_directory" else tmp_path
+    path = {"missing_directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
+            "empty": ""}[target]
     code, out, err = run_cli(capsys, *command, "--out", str(path))
     assert code == 2
     assert out == ""
-    assert str(path) in err and "Traceback" not in err
+    assert "cannot write %s" % (str(path) or "''") in err and "Traceback" not in err
 
 
 def test_census_report_validates_against_schema(capsys, census_cache, unverified_census):
@@ -307,6 +308,8 @@ def test_realize_rejects_a_zero_invariant_factor(capsys, i1, i2):
     ("[+1,0_0]", "expected digits, got '+1'"),
     ("+4", "expected digits, got '+4'"),
     ("[0,-0]", "expected digits, got '-0'"),
+    ("[1,]", "empty entry in element text"),
+    ("", "empty entry in element text"),
 ])
 def test_element_reader_rejects_malformed_text(capsys, g, message):
     code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",

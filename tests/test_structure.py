@@ -5,11 +5,11 @@ from functools import lru_cache
 
 import pytest
 
-from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, InvariantFactors, UPoly,
-                       build_tower, check_criteria, frobenius_charpoly, is_imaginary,
+from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
+                       build_tower, frobenius_charpoly, is_imaginary,
                        module_structure, plane_torsion_rational, realize_structure)
-from drinfeld2 import structure
-from drinfeld2.census import default_prime, twist_orbits
+from drinfeld2 import cli, structure
+from drinfeld2.census import default_prime, run_census, twist_orbits
 from drinfeld2.charpoly import frobenius_unit
 from drinfeld2.drinfeld import sigma_orbits
 from drinfeld2.polys import irreducible_divisors, monic_polys
@@ -140,13 +140,18 @@ def test_structure_matches_point_scan_oracle_all_modules(n, ptxt):
             assert point_scan_structure(mod) == expected
 
 
-def test_check_criteria_flags():
+def test_criteria_flags():
     tw = build_tower(3, 1, 1)
     mod = DrinfeldModule(tw, UPoly.parse(tw.fq, "T"), 1, 1)
-    cp = frobenius_charpoly(mod)
-    flags = check_criteria(cp, module_structure(mod))
-    assert all(flags.values())
-    assert list(inspect.signature(check_criteria).parameters) == ["cp", "inv"]
+    cp, inv = frobenius_charpoly(mod), module_structure(mod)
+    assert list(inspect.signature(structure.criteria).parameters) == [
+        "kernel", "chi", "c_minus_2", "i1", "i2"]
+
+    def flags(charpoly, i1, i2):
+        return dict(zip(structure.CRITERIA, structure.criteria(
+            tw.fq.kernel, charpoly.chi.coeffs, charpoly.c_minus_2.coeffs, i1.coeffs, i2.coeffs)))
+
+    assert all(flags(cp, inv.i1, inv.i2).values())
 
     def P(text):
         return UPoly.parse(tw.fq, text)
@@ -163,8 +168,8 @@ def test_check_criteria_flags():
         (cp, "1", "T+1", {"i2_divides_i1", "i_sq_divides_chi"}),
     ]
     for charpoly, i1, i2, failing in cases:
-        flags = check_criteria(charpoly, InvariantFactors(P(i1), P(i2)))
-        assert {k for k, v in flags.items() if not v} == failing, (i1, i2)
+        found = flags(charpoly, P(i1), P(i2))
+        assert {k for k, v in found.items() if not v} == failing, (i1, i2)
 
 
 def test_plane_torsion_rational_noncyclic_instance():
@@ -432,9 +437,10 @@ def _count_calls(monkeypatch, name, pair):
 
 
 def test_realize_classifies_only_heads_of_a_candidate_unit(monkeypatch):
-    # a head's unit names its class, so heads of another unit are never
-    # classified; the kernel classifies the others, and only the witness
-    # becomes a module and runs frobenius_charpoly
+    # a head's unit names its class, so heads of another unit get no
+    # invariant factors; the kernel filters the others, and only the
+    # witness becomes a module and runs classify, whose own Krylov pass is
+    # the last kernel call
     tw = build_tower(5, 1, 3)
     fq = tw.fq
     prime, i1, i2 = UPoly.parse(fq, "T"), UPoly.parse(fq, "T^2+3*T+2"), UPoly.parse(fq, "T+2")
@@ -443,18 +449,57 @@ def test_realize_classifies_only_heads_of_a_candidate_unit(monkeypatch):
     heads = [orbits[group[0]][0] for group in sigma_orbits(tw, 1, orbits)]
     in_units = [h for h in heads if frobenius_unit(tw, h[1]) in units]
     assert (len(heads), len(in_units)) == (180, 45)
-    charpolys = _count_calls(monkeypatch, "frobenius_charpoly", lambda mod: (mod.g, mod.delta))
+    classified = _count_calls(monkeypatch, "classify",
+                              lambda tower, prime, g, delta, classes: (g, delta))
     kernels = _count_calls(monkeypatch, "invariants", lambda tower, gamma, g, delta: (g, delta))
     modules = _count_calls(monkeypatch, "DrinfeldModule", lambda tower, prime, g, delta: (g, delta))
     mod = realize_structure(tw, prime, 3, i1, i2)
-    assert charpolys == modules == [(mod.g, mod.delta)]
-    assert len(kernels) == 13 and set(kernels) <= set(in_units)
-    # candidates exist but no head has the structure: no charpoly at all
+    assert classified == modules == [(mod.g, mod.delta)]
+    assert len(kernels) == 14 and set(kernels) <= set(in_units)
+    assert kernels[-2:] == [(mod.g, mod.delta)] * 2
+    # candidates exist but no head has the structure: nothing is classified
     tw2 = build_tower(3, 1, 2)
     res = realize_structure(tw2, UPoly.parse(tw2.fq, "T"), 2,
                             UPoly.parse(tw2.fq, "T^2+1"), UPoly.one(tw2.fq))
     assert res == NotRealizable("no witness found in any matching isogeny class")
-    assert len(charpolys) == len(modules) == 1
+    assert len(classified) == len(modules) == 1
+
+
+def test_every_route_runs_the_height_guard(monkeypatch, capsys):
+    # a wrong height through the classifier's seam: a census, both
+    # per-module commands and realize's witness each refuse it
+    real = structure.phi_height
+    monkeypatch.setattr(structure, "phi_height", lambda *args: 3 - real(*args))
+    tw = build_tower(3, 1, 2)
+    fq = tw.fq
+    prime = UPoly.parse(fq, "T")
+    module = ["--p", "3", "--P", "T", "--m", "2", "--g", "1", "--delta", "1"]
+    routes = [lambda: run_census(tw, prime, 2),
+              lambda: cli.main(["charpoly"] + module),
+              lambda: cli.main(["structure"] + module),
+              lambda: realize_structure(tw, prime, 2, UPoly.parse(fq, "T^2+T"), UPoly.one(fq))]
+    for route in routes:
+        with pytest.raises(RuntimeError, match="supersingularity criteria disagree"):
+            route()
+    assert capsys.readouterr().out == ""
+
+
+def test_a_false_torsion_verdict_raises_where_no_report_carries_it(monkeypatch):
+    # a census writes the verdict as torsion_equiv_all; each route with no
+    # report raises it from classify_module.  Over F_9 at P = T the module
+    # (0, 1) has chi = (T+2)^2, so the rho-plane of T+2 is tested
+    real = structure.plane_torsion
+    monkeypatch.setattr(structure, "plane_torsion", lambda *args: not real(*args))
+    tw = build_tower(3, 1, 2)
+    prime = UPoly.parse(tw.fq, "T")
+    assert not run_census(tw, prime, 2).checks["torsion_equiv_all"]
+    mod = DrinfeldModule(tw, prime, 0, 1)
+    module = ["--p", "3", "--P", "T", "--m", "2", "--g", "0", "--delta", "1"]
+    routes = [lambda: frobenius_charpoly(mod), lambda: module_structure(mod),
+              lambda: cli.main(["charpoly"] + module), lambda: cli.main(["structure"] + module)]
+    for route in routes:
+        with pytest.raises(RuntimeError, match="plane torsion disagrees"):
+            route()
 
 
 # (p, s, n, prime, m, i1, i2): witnesses with g = 0 and g != 0, cyclic and

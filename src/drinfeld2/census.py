@@ -8,9 +8,10 @@ polynomial.  One representative is classified per orbit of
 sigma: x -> x^(q^d) on the twist orbits (`drinfeld.sigma_orbits`):
 sigma fixes gamma(T), so it is an isomorphism of A-modules from L^phi
 to L^(phi^sigma), and the two share (c, mu), chi, the invariant factors,
-the height and the rational planes.  Each twist orbit keeps
-its own row, with its own size, automorphism count and unit, the last
-recomputed from its own delta and checked against its head's.  Heads
+the height and the rational planes.  The head's classification is the
+sigma-orbit's one result, and each twist orbit's row is built once from
+it, with the orbit's own size and automorphism count; those and its
+unit, recomputed from its own delta, are checked against the head's.  Heads
 are classified by structure.classify, with no module built, and each
 isogeny class gets one characteristic polynomial.  All
 statistics are exact rationals; closed-form counting formulas are
@@ -27,8 +28,7 @@ from math import gcd
 from .charpoly import FrobeniusCharPoly, _annihilation_residue, frobenius_unit, is_imaginary
 from .drinfeld import invariants, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
-from .polys import (UPoly, _Value, enumerate_monic_irreducibles, irreducible_divisors,
-                    residue_root)
+from .polys import UPoly, _Value, enumerate_monic_irreducibles, residue_root
 from .structure import classify, criteria
 
 SCHEMA_VERSION = "3"
@@ -44,50 +44,39 @@ def default_prime(fq, d):
 
 
 def _process_orbit(tower, prime, group, verify_members, classes):
-    """Classify the head of one sigma-orbit of isomorphism classes; returns
-    one record per twist orbit of group, a list of (rep, orbit_size,
-    aut_count) with the head first.  A record carries its isogeny class
-    (trace, unit), its invariant factors, its height, its own checks and
-    its class's FrobeniusCharPoly cp, which run_census reuses for the
-    class.  Each record keeps its own rep, size, automorphism count and
-    unit, the last recomputed from its delta; the rest is the head's,
-    which sigma carries over.
-
-    The head is classified by structure.classify, with every guard it
-    runs, against classes, the census's table of class charpolys; its
-    torsion verdict becomes the record's torsion_equiv_ok.
+    """(found, members_ok) for one sigma-orbit of isomorphism classes,
+    group a list of (rep, orbit_size, aut_count) with the head first:
+    found is structure.classify's (cp, i1, i2, height, torsion_ok) for
+    the head, against classes, the census's table of class charpolys, and
+    sigma carries it to every twist orbit of group.  Raises RuntimeError
+    unless each carried orbit's size, automorphism count and unit, the
+    last recomputed from its own delta, equal the head's.
 
     With verify_members, every other member of each twist orbit gets its
     own annihilation residue against the class's charpoly and its own
     Krylov pass against the head's invariant factors, from the same
-    kernels with the head's gamma."""
-    (g, delta), _, _ = group[0]
-    gamma = residue_root(tower, prime)
-    cp, i1, i2, h, torsion_ok = classify(tower, prime, g, delta, classes)
-    head = {
-        "cp": cp,
-        "trace": cp.trace.coeffs,
-        "i1": i1,
-        "i2": i2,
-        "height": h,
-        "torsion_equiv_ok": torsion_ok,
-    }
-    rep, pair = (g, delta), (i1, i2)
-    records = []
-    for (g, delta), size, aut in group:
-        members_ok = True
-        if verify_members:
-            members = orbit_members(tower, (g, delta))
-            members_ok = len(members) == size
-            for member in members:
-                if not members_ok:
-                    break
-                if member != rep:  # each module gets its own residue and Krylov pass
-                    members_ok = (not any(_annihilation_residue(tower, gamma, *member, cp))
-                                  and invariants(tower, gamma, *member)[1:] == pair)
-        records.append(dict(head, g=g, delta=delta, orbit_size=size, aut_count=aut,
-                            unit=frobenius_unit(tower, delta), members_ok=members_ok))
-    return records
+    kernels with the head's gamma; members_ok is False when one fails,
+    and True without verify_members."""
+    rep, size, aut = group[0]
+    found = classify(tower, prime, *rep, classes)
+    cp, pair = found[0], found[1:3]
+    for orbit_rep, orbit_size, orbit_aut in group[1:]:
+        for key, value, want in (("orbit_size", orbit_size, size), ("aut_count", orbit_aut, aut),
+                                 ("unit", frobenius_unit(tower, orbit_rep[1]), cp.unit)):
+            if value != want:
+                raise RuntimeError("twist orbit %r differs from its sigma-orbit head %r in %s"
+                                   % (orbit_rep, rep, key))
+    if verify_members:
+        gamma = residue_root(tower, prime)
+        for orbit_rep, orbit_size, _ in group:
+            members = orbit_members(tower, orbit_rep)
+            if len(members) != orbit_size:
+                return found, False
+            for member in members:  # each module gets its own residue and Krylov pass
+                if member != rep and (any(_annihilation_residue(tower, gamma, *member, cp))
+                                      or invariants(tower, gamma, *member)[1:] != pair):
+                    return found, False
+    return found, True
 
 
 _WORKER = {}
@@ -200,10 +189,11 @@ class CensusReport(_Value):
         self.q_even_caveat, self.hurwitz = q_even_caveat, hurwitz
 
     def to_dict(self):
+        """The report as plain JSON data.  Only the statistics are converted;
+        every other value, the rows included, is the report's own, shared."""
         stats = dict(self.statistics)
         for k in ("C", "C0", "N", "N0"):
             stats[k] = _fraction_dict(stats[k])
-        iso = [dict(r) for r in self.iso_classes]
         return {
             "schema_version": SCHEMA_VERSION,
             "p": self.p, "s": self.s, "q": self.q,
@@ -211,7 +201,7 @@ class CensusReport(_Value):
             "prime": self.prime,
             "totals": self.totals,
             "statistics": stats,
-            "iso_classes": iso,
+            "iso_classes": self.iso_classes,
             "isogeny_classes": self.isogeny_classes,
             "checks": self.checks,
             "formula_comparison": self.formula_comparison,
@@ -224,11 +214,14 @@ class CensusReport(_Value):
                            separators=(",", ":")) + "\n").encode()
 
     def to_csv(self):
+        """One line per isomorphism class under a header line; a cell that
+        holds a comma, such as g = [0, 1], is quoted as RFC 4180 does."""
         cols = ["g", "delta", "orbit_size", "aut_count", "ordinary", "c", "mu",
                 "chi", "i1", "i2", "cyclic", "height"]
         lines = [",".join(cols)]
         for r in self.iso_classes:
-            lines.append(",".join(str(r[c]) for c in cols))
+            cells = [str(r[c]) for c in cols]
+            lines.append(",".join('"%s"' % v if "," in v else v for v in cells))
         return "\n".join(lines) + "\n"
 
     def ordinary_isogeny_classes(self):
@@ -236,8 +229,9 @@ class CensusReport(_Value):
 
 
 def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
-    """One record per twist orbit, in the order of orbits, classifying one
-    head per sigma-orbit (see drinfeld.sigma_orbits).  Raises RuntimeError
+    """(groups, done): the sigma-orbits of orbits as lists of indices into
+    it, head first (see drinfeld.sigma_orbits), and _process_orbit's
+    (found, members_ok) for each, in the same order.  Raises RuntimeError
     unless the sigma-orbits partition the twist orbits, each has a length
     dividing m, and each carried orbit's size, automorphism count and
     unit equal its head's."""
@@ -265,30 +259,20 @@ def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):
     else:
         classes = {}
         done = [_process_orbit(tower, prime, group, verify_members, classes) for group in work]
-
-    records = [None] * len(orbits)
-    for group, group_records in zip(groups, done):
-        head = group_records[0]
-        for i, r in zip(group, group_records):
-            for key in ("orbit_size", "aut_count", "unit"):
-                if r[key] != head[key]:
-                    raise RuntimeError(
-                        "twist orbit %r differs from its sigma-orbit head %r in %s"
-                        % (orbits[i][0], orbits[group[0]][0], key))
-            records[i] = r
-    return records
+    return groups, done
 
 
 def run_census(tower, prime, m, jobs=1, verify_members=False):
     """Classify every module (g, delta) over the tower for the given prime.
 
-    One module is classified per sigma-orbit of twist orbits; every twist
-    orbit still gets its own row.  jobs > 1 distributes the per-sigma-orbit
-    work over worker processes, at most one per CPU and one per
-    sigma-orbit; the merge order is the orbit order, so reports are
+    One module is classified per sigma-orbit of twist orbits, and each
+    twist orbit's row is built once from that result and its own rep,
+    size and automorphism count.  jobs > 1 distributes the
+    per-sigma-orbit work over worker processes, at most one per CPU and
+    one per sigma-orbit; rows are placed by orbit index, so reports are
     identical regardless of the job count.  Each process builds one
     charpoly per isogeny class it meets (see _process_orbit), and the
-    class pass reuses the one its first record carries; the four
+    class pass reuses the one its first sigma-orbit carries; the four
     divisibility criteria run on kernel tuples once per (class,
     structure).  jobs < 1 raises ValueError.
     """
@@ -309,17 +293,10 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     total_pairs = sum(size for _, size, _ in orbits)
     if total_pairs != tower.order * (tower.order - 1):
         raise RuntimeError("orbits do not partition the module space")
-    records = _classify_orbits(tower, prime, m, orbits, jobs, verify_members)
-
-    # ---- isogeny classes: (c, mu) fixes chi, disc and ordinarity ----
-    by_key = {}
-    for r in records:
-        by_key.setdefault((r["trace"], r["unit"]), []).append(r)
+    groups, done = _classify_orbits(tower, prime, m, orbits, jobs, verify_members)
     one = (1,)  # i2 = 1: L is cyclic
     kernel = fq.kernel
-
-    # ---- per isomorphism class rows (serialized form) ----
-    texts = {}  # carried orbits repeat their head's polynomials
+    texts = {}  # the heads of a class repeat its polynomials
 
     def text(coeffs):
         hit = texts.get(coeffs)
@@ -327,34 +304,31 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             hit = texts[coeffs] = str(UPoly(fq, coeffs))
         return hit
 
-    iso_rows = []
-    for r in records:
-        iso_rows.append({
-            "g": list(tower.vector(r["g"])),
-            "delta": list(tower.vector(r["delta"])),
-            "orbit_size": r["orbit_size"],
-            "aut_count": r["aut_count"],
-            "ordinary": r["cp"].ordinary,
-            "c": text(r["trace"]),
-            "mu": r["unit"],
-            "chi": text(r["cp"].chi.coeffs),
-            "i1": text(r["i1"]),
-            "i2": text(r["i2"]),
-            "cyclic": r["i2"] == one,
-            "height": r["height"],
-        })
+    # ---- per isomorphism class rows (serialized form), and their (i1, i2,
+    # aut_count) by isogeny class: (c, mu) fixes chi, disc and ordinarity ----
+    iso_rows = [None] * len(orbits)
+    by_key = {}
+    for group, ((cp, i1, i2, h, _), _) in zip(groups, done):
+        shared = {"ordinary": cp.ordinary, "c": text(cp.trace.coeffs), "mu": cp.unit,
+                  "chi": text(cp.chi.coeffs), "i1": text(i1), "i2": text(i2),
+                  "cyclic": i2 == one, "height": h}
+        members = by_key.setdefault((cp.trace.coeffs, cp.unit), (cp, []))[1]
+        for i in group:
+            (g, delta), size, aut = orbits[i]
+            members.append((i1, i2, aut))
+            iso_rows[i] = dict(shared, g=list(tower.vector(g)),
+                               delta=list(tower.vector(delta)), orbit_size=size,
+                               aut_count=aut)
 
     isogeny_rows = []
     flags = []  # (ordinary, criteria flags) per (class, structure)
     for key in sorted(by_key):
-        group = by_key[key]
-        cp = group[0]["cp"]
+        cp, group = by_key[key]
         chi, c_minus_2 = cp.chi.coeffs, cp.c_minus_2.coeffs
         structures, auts = {}, {}
-        for r in group:
-            key2 = (r["i1"], r["i2"])
-            structures[key2] = structures.get(key2, 0) + 1
-            auts[r["aut_count"]] = auts.get(r["aut_count"], 0) + 1
+        for i1, i2, aut in group:
+            structures[i1, i2] = structures.get((i1, i2), 0) + 1
+            auts[aut] = auts.get(aut, 0) + 1
         counted = sorted(structures.items())
         i2_counts = [(i2, cnt) for (_, i2), cnt in counted]
         struct_rows = []
@@ -385,7 +359,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
     ss_isg = [r for r in isogeny_rows if not r["ordinary"]]
     totals = {
         "modules": total_pairs,
-        "iso_classes": len(records),
+        "iso_classes": len(iso_rows),
         "isogeny_classes": len(isogeny_rows),
         "ordinary_iso_classes": len(ord_iso),
         "supersingular_iso_classes": len(ss_iso),
@@ -404,13 +378,12 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         "ordinary_trace_divisibility_all": all(f[2] for ordinary_class, f in flags
                                                if ordinary_class),
         "i_sq_divides_chi_all": all(f[3] for _, f in flags),
-        "torsion_equiv_all": all(r["torsion_equiv_ok"] for r in records),
+        "torsion_equiv_all": all(found[4] for found, _ in done),
         "members_verified": verify_members,
-        "aut_orbit_product_all": all(
-            r["aut_count"] * r["orbit_size"] == tower.order - 1 for r in records),
+        "aut_orbit_product_all": all(aut * size == tower.order - 1 for _, size, aut in orbits),
     }
     if verify_members:
-        checks["members_all_ok"] = all(r["members_ok"] for r in records)
+        checks["members_all_ok"] = all(ok for _, ok in done)
 
     # ---- formula comparisons ----
     formulas = counting_formulas(q, d, m)
@@ -458,21 +431,22 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
         q_even_caveat=q % 2 == 0)
 
 
-def _admissible_i2(chi, c_minus_2):
-    """The monic i2 != 1 with i2^2 | chi and i2 | c - 2, in the order of
-    monic_polys (degree, then coefficients): the products of rho^e over the
-    irreducible rho | gcd(chi, c - 2), with rho^(2e) | chi and
-    rho^e | c - 2."""
-    one = UPoly.one(chi.fq)
+def _admissible_i2(kernel, chi, c_minus_2):
+    """The monic i2 != 1 with i2^2 | chi and i2 | c - 2, kernel tuples, in
+    the order of monic_polys (degree, then coefficients): the products of
+    rho^e over the irreducible rho | gcd(chi, c - 2), with rho^(2e) | chi
+    and rho^e | c - 2."""
+    one = (1,)
     out = [one]
-    for rho in irreducible_divisors(chi.gcd(c_minus_2)):
+    for rho in kernel.irreducible_divisors(kernel.gcd(chi, c_minus_2)):
         powers = [one]
         nxt = rho
-        while (chi % (nxt * nxt)).is_zero() and (c_minus_2 % nxt).is_zero():
+        while (not kernel.divmod(chi, kernel.mul(nxt, nxt))[1]
+               and not kernel.divmod(c_minus_2, nxt)[1]):
             powers.append(nxt)
-            nxt = nxt * rho
-        out = [f * r for f in out for r in powers]
-    return sorted((f for f in out if not f.is_one()), key=lambda f: (f.degree(), f.coeffs))
+            nxt = kernel.mul(nxt, rho)
+        out = [kernel.mul(f, r) for f in out for r in powers]
+    return sorted((f for f in out if f != one), key=lambda f: (len(f), f))
 
 
 def _members_with_plane(kernel, i2_counts, i2):
@@ -519,8 +493,9 @@ def attach_class_number_checks(report, tower):
         i2_counts = [(UPoly.parse(fq, srow["i2"]).coeffs, srow["count"])
                      for srow in cls["structures"]]
         sub_rows = []
-        for i2 in _admissible_i2(cp.chi, cp.c_minus_2):
-            cumulative = _members_with_plane(fq.kernel, i2_counts, i2.coeffs)
+        for i2 in _admissible_i2(fq.kernel, cp.chi.coeffs, cp.c_minus_2.coeffs):
+            cumulative = _members_with_plane(fq.kernel, i2_counts, i2)
+            i2 = UPoly(fq, i2)
             sub_disc, rem = divmod(cp.disc, i2 * i2)
             if not rem.is_zero():
                 raise RuntimeError(

@@ -1290,12 +1290,12 @@ def twist_orbits_by_sweep(tower):
     return orbits
 
 
-def census_records_without_descent(tower, prime):
-    """The census's per-orbit records without Galois descent: every twist
-    orbit is classified as a head of its own, so no record is carried
-    from another orbit by x -> x^(q^d)."""
-    return [record for orbit in twist_orbits(tower)
-            for record in _process_orbit(tower, prime, [orbit], False, {})]
+def census_heads_without_descent(tower, prime):
+    """The census's per-sigma-orbit results without Galois descent: every
+    twist orbit is classified as a head of its own, so no result is
+    carried from another orbit by x -> x^(q^d); one (found, members_ok)
+    per twist orbit, in their order."""
+    return [_process_orbit(tower, prime, [orbit], False, {}) for orbit in twist_orbits(tower)]
 
 
 def candidate_isogeny_keys_by_scan(tower, prime, m, i1, i2):

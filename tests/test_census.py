@@ -13,7 +13,7 @@ from drinfeld2.census import (attach_class_number_checks, counting_formulas,
 from drinfeld2.drinfeld import orbit_members, sigma_orbits
 from drinfeld2.fields import SizeBoundError
 from drinfeld2.polys import irreducible_divisors
-from oracles import (SplittingBoundError, action_matrix, census_records_without_descent,
+from oracles import (SplittingBoundError, action_matrix, census_heads_without_descent,
                      charpoly_by_solve, l_polynomial_problems, matrix_char_and_min_poly,
                      matrix_second_invariant_factor, phi_by_ore, torsion_structure,
                      twist_orbits_by_sweep)
@@ -112,14 +112,22 @@ def test_sigma_orbits_match_the_frobenius_on_members(q, d, m):
 @pytest.mark.parametrize("q,d,m", GRID + STRETCH + [(3, 1, 7), (2, 1, 10)],
                          ids=lambda v: str(v))
 def test_descent_matches_classifying_every_orbit(monkeypatch, q, d, m):
-    # the records carried by sigma equal those of classifying each twist
-    # orbit on its own, flags included, and so do the report bytes
+    # the result sigma carries to each twist orbit equals that of
+    # classifying the orbit on its own, flags included, and so do the
+    # report bytes
     tw = tower_for(q, d * m)
     prime = default_prime(tw.fq, d)
-    want = census_records_without_descent(tw, prime)
-    assert census._classify_orbits(tw, prime, m, twist_orbits(tw), 1, False) == want
+    orbits = twist_orbits(tw)
+    want = census_heads_without_descent(tw, prime)
+    groups, done = census._classify_orbits(tw, prime, m, orbits, 1, False)
+    carried = [None] * len(orbits)
+    for group, result in zip(groups, done):
+        for i in group:
+            carried[i] = result
+    assert carried == want
     report = run_census(tw, prime, m).to_json_bytes()
-    monkeypatch.setattr(census, "_classify_orbits", lambda *args: want)
+    singles = [[i] for i in range(len(orbits))]
+    monkeypatch.setattr(census, "_classify_orbits", lambda *args: (singles, want))
     assert run_census(tw, prime, m).to_json_bytes() == report
 
 
@@ -133,11 +141,11 @@ def test_descent_guards_raise(monkeypatch):
     tw = tower_for(3, 2)
     prime = default_prime(tw.fq, 1)
     orbits = twist_orbits(tw)
-    records = census_records_without_descent(tw, prime)
+    heads = census_heads_without_descent(tw, prime)
     rest = [i for i, (rep, _, _) in enumerate(orbits) if rep[0]]
     by_unit = {}
     for i in rest:
-        by_unit.setdefault(records[i]["unit"], []).append(i)
+        by_unit.setdefault(heads[i][0][0].unit, []).append(i)
     same, other = by_unit.values()
     singles = [[i] for i in range(len(orbits))]
 
@@ -155,6 +163,11 @@ def test_descent_guards_raise(monkeypatch):
         _regroup(monkeypatch, groups)
         with pytest.raises(RuntimeError, match=match):
             run_census(tw, prime, 2)
+    # the carried-orbit guards run inside the workers, and the pool
+    # raises what they raise
+    _regroup(monkeypatch, cases[-1][0])
+    with pytest.raises(RuntimeError, match="unit"):
+        run_census(tw, prime, 2, jobs=2)
 
 
 def test_descent_guard_on_automorphism_counts(monkeypatch):
@@ -227,18 +240,16 @@ def test_heads_on_kernels_match_the_module_route(q, d, m):
     orbits = twist_orbits(tw)
     classes = {}
     for group in sigma_orbits(tw, d, orbits):
-        head = census._process_orbit(tw, prime, [orbits[i] for i in group], False, classes)[0]
-        mod = DrinfeldModule(tw, prime, head["g"], head["delta"])
+        found, _ = census._process_orbit(tw, prime, [orbits[i] for i in group], False, classes)
+        mod = DrinfeldModule(tw, prime, *orbits[group[0]][0])
         cp, mat = charpoly_by_solve(mod), action_matrix(mod)
         chi, i1 = matrix_char_and_min_poly(tw.fq, mat)
         i2 = matrix_second_invariant_factor(tw.fq, mat, chi, i1)
-        assert (head["cp"], head["trace"], head["unit"], head["i1"], head["i2"],
-                head["height"]) == (cp, cp.trace.coeffs, cp.unit, i1, i2,
-                                    phi_by_ore(mod, prime).height() // d)
+        assert found[:4] == (cp, i1, i2, phi_by_ore(mod, prime).height() // d)
         stored = classes[chi, cp.unit][1]
         assert set(stored) == {rho.coeffs for rho in irreducible_divisors(cp.chi)
                                if rho != prime}
-        assert head["torsion_equiv_ok"]
+        assert found[4]
         for rho in stored:
             try:
                 torsion_structure(mod, UPoly(tw.fq, rho), max_splitting_degree=1)
@@ -255,16 +266,16 @@ def test_charpoly_decides_ordinarity_and_c_minus_2_on_every_class():
     prime = default_prime(tw.fq, 1)
     two = UPoly.constant(tw.fq, 2)
     classes = {}
-    for r in census_records_without_descent(tw, prime):
-        classes.setdefault((r["trace"], r["unit"]), []).append(r)
-    assert any(r["cp"].ordinary for r, *_ in classes.values())
-    assert not all(r["cp"].ordinary for r, *_ in classes.values())
+    for (cp, _, _, height, _), _ in census_heads_without_descent(tw, prime):
+        classes.setdefault((cp.trace.coeffs, cp.unit), []).append((cp, height))
+    assert any(group[0][0].ordinary for group in classes.values())
+    assert not all(group[0][0].ordinary for group in classes.values())
     for (trace, unit), group in classes.items():
-        cp = group[0]["cp"]
+        cp = group[0][0]
         assert (cp.trace.coeffs, cp.unit) == (trace, unit)
         assert cp.ordinary == (not (UPoly(tw.fq, trace) % prime).is_zero())
         assert cp.c_minus_2 == UPoly(tw.fq, trace) - two
-        assert all(r["cp"] == cp and (r["height"] == 1) == cp.ordinary for r in group)
+        assert all(other == cp and (height == 1) == cp.ordinary for other, height in group)
 
 
 def test_members_of_carried_orbits_are_verified(monkeypatch):
@@ -305,11 +316,10 @@ def test_carried_members_are_checked_against_the_head(monkeypatch):
     tw = tower_for(3, 2)
     prime = default_prime(tw.fq, 1)
     orbits = twist_orbits(tw)
-    records = census_records_without_descent(tw, prime)
+    cps = [found[0] for found, _ in census_heads_without_descent(tw, prime)]
     i, j = next((i, j) for i in range(len(orbits)) for j in range(i + 1, len(orbits))
                 if orbits[i][1:] == orbits[j][1:]
-                and records[i]["unit"] == records[j]["unit"]
-                and records[i]["trace"] != records[j]["trace"])
+                and cps[i].unit == cps[j].unit and cps[i].trace != cps[j].trace)
     _regroup(monkeypatch, [[i, j]] + [[k] for k in range(len(orbits)) if k not in (i, j)])
     assert "members_all_ok" not in run_census(tw, prime, 2).checks  # nothing was checked
     assert not run_census(tw, prime, 2, verify_members=True).checks["members_all_ok"]
@@ -607,7 +617,7 @@ def test_admissible_i2_match_the_monic_scan():
     for chi, c_minus_2 in cases:
         scan = [f for k in range(1, chi.degree() // 2 + 1) for f in monic_polys(fq, k)
                 if (chi % (f * f)).is_zero() and (c_minus_2 % f).is_zero()]
-        assert _admissible_i2(chi, c_minus_2) == scan
+        assert _admissible_i2(fq.kernel, chi.coeffs, c_minus_2.coeffs) == [f.coeffs for f in scan]
 
 
 def test_report_serialization_deterministic(census_cache):
@@ -633,6 +643,11 @@ def test_report_parallel_identical():
             assert any(len(group) > 1 for group in groups)
             assert serial.totals["isogeny_classes"] < len(groups)
         assert run_census(tw, prime, m, jobs=2).to_json_bytes() == serial.to_json_bytes()
+    # (3, 2, 2) with verify_members: the workers check every member too
+    verified = run_census(tw, prime, m, verify_members=True)
+    assert verified.checks["members_all_ok"]
+    assert (run_census(tw, prime, m, jobs=2, verify_members=True).to_json_bytes()
+            == verified.to_json_bytes())
 
 
 def test_pool_size_capped(monkeypatch):
@@ -682,6 +697,20 @@ def test_csv_export(census_cache):
     lines = csv.strip().splitlines()
     assert len(lines) == 1 + 24
     assert lines[0].startswith("g,delta,orbit_size")
+
+
+def test_csv_rows_parse_to_the_json_rows(census_cache):
+    # at n = 2, g and delta are written [a, b]: quoted, each row of the
+    # CSV reads back as 12 fields, the JSON row's values
+    import csv
+
+    r = census_cache(3, 1, 2)
+    header, *rows = csv.reader(r.to_csv().splitlines())
+    assert len(header) == 12
+    payload = json.loads(r.to_json_bytes())
+    assert len(rows) == len(payload["iso_classes"]) == 24
+    for row, want in zip(rows, payload["iso_classes"]):
+        assert row == [str(want[c]) for c in header]
 
 
 def test_cyclicity_trend():

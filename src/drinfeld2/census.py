@@ -38,6 +38,12 @@ SCHEMA_VERSION = "3"
 MEMBER_VERIFICATION_MAX_ORDER = 1024
 
 
+def canonical_json(payload):
+    """The one JSON encoding of every report: sorted keys, no spaces, one
+    trailing newline.  The census goldens hash its bytes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def default_prime(fq, d):
     """The lexicographically first monic irreducible of degree d."""
     return enumerate_monic_irreducibles(fq, d)[0]
@@ -210,8 +216,7 @@ class CensusReport(_Value):
         }
 
     def to_json_bytes(self):
-        return (json.dumps(self.to_dict(), sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
+        return canonical_json(self.to_dict()).encode()
 
     def to_csv(self):
         """One line per isomorphism class under a header line; a cell that
@@ -223,9 +228,6 @@ class CensusReport(_Value):
             cells = [str(r[c]) for c in cols]
             lines.append(",".join('"%s"' % v if "," in v else v for v in cells))
         return "\n".join(lines) + "\n"
-
-    def ordinary_isogeny_classes(self):
-        return [c for c in self.isogeny_classes if c["ordinary"]]
 
 
 def _classify_orbits(tower, prime, m, orbits, jobs, verify_members):

@@ -5,11 +5,10 @@ Exit codes: 0 success, 1 domain-negative result (not realizable),
 """
 
 import argparse
-import json
 import os
 import sys
 
-from .census import (attach_class_number_checks, cyclicity_trend,
+from .census import (attach_class_number_checks, canonical_json, cyclicity_trend,
                      default_prime, run_census)
 from .charpoly import is_imaginary
 from .drinfeld import DrinfeldModule
@@ -94,11 +93,11 @@ def _build_module(args):
 
 
 def _emit(args, payload, text_lines):
-    """Write a report to --out or stdout: payload as canonical JSON for
-    --format json, else the lines of the text or CSV form.  A path that
-    cannot be written is a validation error."""
+    """Write a report to --out or stdout: payload as census.canonical_json
+    for --format json, else the lines of the text or CSV form.  A path
+    that cannot be written is a validation error."""
     if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        body = canonical_json(payload)
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out is not None:

@@ -18,8 +18,9 @@ classification of a module, for a census head, the CLI and realize's
 witness alike; a census checks the members of a twist orbit with
 invariants and the annihilation residue directly, and realize filters
 heads with invariants, without building a module per head or member.
-DrinfeldModule holds validated data; its phi and height are views of
-phi_into and phi_height.
+DrinfeldModule holds validated data, and its phi is a view of phi_into;
+a module's height and ordinarity come from structure.classify_module,
+behind its guards.
 """
 
 from math import gcd
@@ -50,7 +51,6 @@ class DrinfeldModule:
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule)
                 and self.tower == other.tower and self.prime == other.prime
-                and self.m == other.m
                 and (self.g, self.delta) == (other.g, other.delta))
 
     def __hash__(self):
@@ -72,15 +72,6 @@ class DrinfeldModule:
         out = [0] * max(0, 2 * len(a.coeffs) - 1)
         phi_into(self.tower, self.gamma_t, self.g, self.delta, out, (a.coeffs, 0))
         return tuple(out)
-
-    # -- height ----------------------------------------------------------------
-
-    def height(self):
-        """The height h in {1, 2}; see phi_height."""
-        return phi_height(self.tower, self.gamma_t, self.g, self.delta, self.prime)
-
-    def is_ordinary(self):
-        return self.height() == 1
 
 
 def phi_step(tower, gamma, g, delta):

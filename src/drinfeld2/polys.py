@@ -181,12 +181,13 @@ class UPoly:
     def __repr__(self):
         return "UPoly(F_%d, %s)" % (self.fq.q, self)
 
-    _TERM_RE = re.compile(r"^(\d+)?\s*(\*)?\s*(T(\^(\d+))?)?$", re.ASCII)
+    _TERM_RE = re.compile(r"(\d+)?(\*)?(T(\^(\d+))?)?", re.ASCII)
 
     @classmethod
     def parse(cls, fq, text):
         """Parse 'c_k*T^k+...+c_0', each c an int in [0, q) as F_q numbers
-        its elements, or its negation '-c'; raises ValueError for c >= q."""
+        its elements, or its negation '-c'; raises ValueError for c >= q.
+        Spaces are ignored and any other whitespace is refused."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
@@ -200,7 +201,7 @@ class UPoly:
             negate = raw.startswith("-")
             if negate:
                 raw = raw[1:]
-            mt = cls._TERM_RE.match(raw)
+            mt = cls._TERM_RE.fullmatch(raw)
             # a coefficient, a power of T or both, with '*' only between two
             if not mt or (mt.group(1) is None and mt.group(3) is None) or (
                     mt.group(2) and None in (mt.group(1), mt.group(3))):

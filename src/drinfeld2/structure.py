@@ -22,9 +22,6 @@ class InvariantFactors(_Value):
     def is_cyclic(self):
         return self.i2.is_one()
 
-    def as_pair(self):
-        return (self.i1.coeffs, self.i2.coeffs)
-
 
 def classify(tower, prime, g, delta, classes):
     """(cp, i1, i2, height, torsion_ok) for phi_T = gamma + g tau +

@@ -1134,9 +1134,9 @@ def suborder_contained(mod, rho):
 
     Preconditions: mod ordinary, rho != prime, rho^2 | P(1), rho | trace-2.
     """
-    if not mod.is_ordinary():
-        raise ValueError("order containment is only meaningful for ordinary modules")
     cp = frobenius_charpoly(mod)
+    if not cp.ordinary:
+        raise ValueError("order containment is only meaningful for ordinary modules")
     fq = mod.tower.fq
     chi = cp.chi
     if not ((chi % (rho * rho)).is_zero()):

@@ -39,7 +39,7 @@ REMOVED = {
     drinfeld.DrinfeldModule: ["torsion_structure", "phi_ideal",
                               "phi_ideal_two_generators", "g_element", "delta_element",
                               "same_category", "is_supersingular", "frobenius", "gamma",
-                              "action_invariants"],
+                              "action_invariants", "height", "is_ordinary"],
     fields: ["FieldEmbedding", "gauss_solve", "nullspace", "_row_reduce", "_mat_mul",
              "is_prime", "_gcd", "FieldElement"],
     fields.Fq: ["_int_to_vec", "_vec_to_int"],
@@ -49,7 +49,8 @@ REMOVED = {
     polys.UPoly: ["is_constant", "eval_fq", "shift", "__radd__", "__rsub__", "__rmul__"],
     structure: ["suborder_contained", "action_matrix", "OrePoly", "_invariant_pair",
                 "check_criteria"],
-    structure.InvariantFactors: ["common_factor"],
+    structure.InvariantFactors: ["common_factor", "as_pair"],
+    CensusReport: ["ordinary_isogeny_classes"],
     charpoly: ["discriminant", "minimal_polynomial_annihilates", "is_isogenous",
                "minimal_polynomial", "_frobenius_witness", "euler_characteristic",
                "MonicIdeal", "frobenius_charpoly", "class_charpoly", "require_annihilation"],

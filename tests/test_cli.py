@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+from drinfeld2 import cli
 from drinfeld2.census import SCHEMA_VERSION
 from drinfeld2.cli import main
 
@@ -122,6 +124,31 @@ def test_census_command(capsys):
     assert payload["statistics"]["C"] == {"num": "1", "den": "1"}
 
 
+@pytest.mark.parametrize("case,flags", [((3, 1, 2), []), ((3, 2, 1), ["--hurwitz"]),
+                                        ((3, 2, 2), ["--verify-members", "--jobs", "2"])],
+                         ids=["plain", "hurwitz", "verify-members"])
+def test_census_prints_the_report_bytes(capsys, census_cache, unverified_census, case, flags):
+    # the bytes the golden hashes pin are the bytes the command prints
+    if "--hurwitz" in flags:
+        want = hurwitz_report(unverified_census, *case)
+    else:
+        want = (census_cache if "--verify-members" in flags else unverified_census)(*case)
+    q, d, m = case
+    argv = ["census", "--p", str(q), "--d", str(d), "--m", str(m)] + flags
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == want.to_json_bytes()
+    if not flags:
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err, out) == (0, "", want.to_csv())
+
+
+def test_census_refuses_a_prime_of_another_degree(capsys):
+    code, out, err = run_cli(capsys, "census", "--p", "3", "--d", "2", "--m", "1", "--P", "T")
+    assert code == 2 and out == ""
+    assert "--P has degree 1, expected 2" in err and "Traceback" not in err
+
+
 def test_census_csv(capsys):
     code, out, _ = run_cli(capsys, "census", "--p", "3", "--s", "1",
                            "--d", "1", "--m", "2", "--format", "csv")
@@ -151,14 +178,21 @@ def test_census_outfile_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ("census", "--p", "3", "--d", "1", "--m", "1"),
     ("charpoly", "--p", "3", "--P", "T", "--m", "1", "--g", "1", "--delta", "1")])
-@pytest.mark.parametrize("target", ["missing_directory", "directory", "empty"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+@pytest.mark.parametrize("target", ["missing_directory", "directory", "empty", "disk_full"])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
     path = {"missing_directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
-            "empty": ""}[target]
+            "empty": "", "disk_full": tmp_path / "x.json"}[target]
+    if target == "disk_full":  # the path passes the early check, the write fails
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "open", full, raising=False)
     code, out, err = run_cli(capsys, *command, "--out", str(path))
     assert code == 2
     assert out == ""
     assert "cannot write %s" % (str(path) or "''") in err and "Traceback" not in err
+    if target == "disk_full":
+        assert os.strerror(errno.ENOSPC) in err and not path.exists()
 
 
 def test_census_report_validates_against_schema(capsys, census_cache, unverified_census):
@@ -427,16 +461,27 @@ def test_polynomial_roundtrip_through_cli(capsys):
 
 
 def test_module_entrypoint_runs():
-    # the subprocess imports the same drinfeld2 as this test, also when the
-    # package is found through pytest's pythonpath rather than PYTHONPATH
+    # python -m drinfeld2 runs __main__.py; the subprocess imports the same
+    # drinfeld2 as this test, the source tree, also when the package is
+    # found through pytest's pythonpath rather than PYTHONPATH
     import drinfeld2
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(drinfeld2.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "drinfeld2", "charpoly", "--p", "3", "--s", "1",
-         "--P", "T", "--m", "1", "--g", "2", "--delta", "2"],
-        capture_output=True, text=True, env=env)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "drinfeld2", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = run("charpoly", "--p", "3", "--s", "1", "--P", "T", "--m", "1", "--g", "2",
+               "--delta", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mu"] == 1
+    argv, digest = CLI_STDOUT_SHA256[0]
+    proc = run(*argv.split())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    proc = run("charpoly", "--p", "3", "--P", "T^^2", "--m", "1", "--g", "1", "--delta", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "invalid input" in proc.stderr and "Traceback" not in proc.stderr

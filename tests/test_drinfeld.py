@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from drinfeld2 import DrinfeldModule, UPoly, build_tower
+from drinfeld2 import DrinfeldModule, UPoly, build_tower, frobenius_charpoly
 from drinfeld2.fields import Fq
+from drinfeld2.structure import classify_module
 from oracles import (FieldEmbedding, OrePoly, SplittingBoundError, frobenius, gamma,
                      phi_by_ore, phi_ideal, phi_ideal_two_generators, torsion_structure)
 
@@ -57,6 +58,20 @@ def test_module_and_phi_t_write_vectors():
     assert repr(mod) == "DrinfeldModule(q=3, n=2, prime=T, g=[2,0], delta=[1,1])"
     assert mod.phi_t == (0, 2, 4)
     assert str(OrePoly(tw, mod.phi_t)) == "[1,1]*t^2 + [2,0]*t"
+
+
+def test_modules_are_equal_by_their_data():
+    # g = 4 is the digit encoding of [1,1]; m = n / deg(prime) takes no part
+    tw = build_tower(3, 1, 2)
+    T = UPoly.parse(tw.fq, "T")
+    mod, twin = DrinfeldModule(tw, T, 4, 1), DrinfeldModule(tw, T, [1, 1], [1, 0])
+    assert mod is not twin and mod == twin and hash(mod) == hash(twin)
+    tw4 = build_tower(3, 1, 4)
+    others = [DrinfeldModule(tw, T, 5, 1), DrinfeldModule(tw, T, 4, 2),
+              DrinfeldModule(tw, UPoly.parse(tw.fq, "T+1"), 4, 1),
+              DrinfeldModule(tw4, UPoly.parse(tw4.fq, "T"), 4, 1)]
+    assert all(mod != other for other in others)
+    assert mod != (tw, T, 4, 1)
 
 
 def test_constructor_rejects_a_prime_over_another_field_with_cached_coefficients():
@@ -185,24 +200,27 @@ def test_phi_ideal_two_generator_cross_check():
 
 
 def test_heights_and_supersingularity():
-    assert module311(0, 1).height() == 2
-    assert not module311(0, 1).is_ordinary()
-    assert module311(1, 1).height() == 1
-    assert module311(1, 1).is_ordinary()
+    # the height is classify_module's, ordinarity the charpoly's; the
+    # least tau-power of phi(P) as an OrePoly is the oracle (d = 1)
+    for (g, delta), h in (((0, 1), 2), ((1, 1), 1)):
+        mod = module311(g, delta)
+        assert classify_module(mod)[3] == h
+        assert frobenius_charpoly(mod).ordinary == (h == 1)
+        assert phi_by_ore(mod, mod.prime).height() == h
     # positivity for every module over a couple of parameter sets
     for n, dvals in ((1, "T"), (2, "T^2+1")):
         tw = build_tower(3, 1, n)
         prime = UPoly.parse(tw.fq, dvals)
         for g in range(tw.order):
             for delta in (1, tw.order - 1):
-                assert DrinfeldModule(tw, prime, g, delta).height() >= 1
+                assert classify_module(DrinfeldModule(tw, prime, g, delta))[3] >= 1
 
 
 def test_height_scaling_with_valuation():
     # ht phi(a) = h * v_P(a) * d for a in {P, P^2, c*P}
     for g, delta in ((1, 1), (0, 1)):
         mod = module311(g, delta)
-        h = mod.height()
+        h = classify_module(mod)[3]
         P = mod.prime
         assert OrePoly(mod.tower, mod.phi(P)).height() == h * 1
         assert OrePoly(mod.tower, mod.phi(P * P)).height() == h * 2
@@ -221,10 +239,11 @@ def test_frobenius_power_search_soundness():
             for delta in range(1, tw.order):
                 mod = DrinfeldModule(tw, prime, g, delta)
                 a = _solve_frobenius_in_image(mod)
+                h = classify_module(mod)[3]
                 if a is not None:
-                    assert mod.height() == 2
+                    assert h == 2
                     assert OrePoly(tw, mod.phi(a)) == frobenius(mod)
-                if mod.height() == 1:
+                if h == 1:
                     assert a is None
 
 

@@ -53,10 +53,12 @@ def test_parse_refuses_a_coefficient_of_q_or_more():
     assert P("-1") == P("2") and UPoly.parse(fq9, "8*T+3").coeffs == (3, 8)
 
 
-@pytest.mark.parametrize("text", ["T+２", "２*T", "T^２", "T+\u0661", "2\u00a0*T"])
+@pytest.mark.parametrize("text", ["T+２", "２*T", "T^２", "T+\u0661", "2\u00a0*T",
+                                  "2\t*T", "\tT+1", "1\t", "T\t+1", "T^\t2", "T+1\n"])
 def test_parse_refuses_non_ascii_digits_and_spaces(text):
     # \d and \s matched any Unicode digit or space, and int() read the digit:
-    # over F_3, 'T+２' was T + 2
+    # over F_3, 'T+２' was T + 2.  Only spaces are dropped: a tab parsed next
+    # to a '*' or at either end of a term, and a newline at the end of one
     with pytest.raises(ValueError, match="malformed polynomial term"):
         UPoly.parse(fq3(), text)
 
@@ -201,6 +203,8 @@ def test_parse_and_str_roundtrip():
         P("")
     with pytest.raises(ValueError):
         P("x+1")
+    with pytest.raises(ValueError, match="malformed polynomial string"):
+        P("T++1")
 
 
 @pytest.mark.parametrize("text", ["3*", "*T", "2*+T", "T+4*", "*", "T^2+*1", "-*T", "2**T"])

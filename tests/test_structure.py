@@ -185,6 +185,8 @@ def test_plane_torsion_rational_noncyclic_instance():
         plane_torsion_rational(mod, prime)
     with pytest.raises(ValueError):
         plane_torsion_rational(mod, UPoly.parse(fq, "T^2+2"))  # reducible
+    with pytest.raises(ValueError, match="base field"):
+        plane_torsion_rational(mod, UPoly.parse(build_tower(5, 1, 1).fq, "T+2"))
 
 
 @pytest.mark.parametrize("n,ptxt", [(1, "T"), (2, "T"), (2, "T^2+1")])
@@ -267,7 +269,7 @@ def test_suborder_contained():
     for g in range(tw.order):
         for delta in range(1, tw.order):
             mod = DrinfeldModule(tw, prime, g, delta)
-            if not mod.is_ordinary():
+            if not frobenius_charpoly(mod).ordinary:
                 continue
             inv = module_structure(mod)
             if not inv.is_cyclic():
@@ -319,10 +321,11 @@ def test_realize_examples():
 
 
 @pytest.mark.parametrize("n,prime,m,i1", [(2, "T^2", 1, "T"), (1, "2*T", 1, "T^2"),
-                                          (1, "2*T", 1, "T+1"), (1, "0", -1, "T^2")])
+                                          (1, "2*T", 1, "T+1"), (1, "0", -1, "T^2"),
+                                          (1, "T", 2, "T")])
 def test_realize_rejects_an_invalid_prime(n, prime, m, i1):
-    # reducible, not monic, zero, each with m deg(prime) = n: a ValueError,
-    # never a NotRealizable
+    # reducible, not monic, zero, each with m deg(prime) = n, and a prime
+    # with m deg(prime) != n: a ValueError, never a NotRealizable
     tw = build_tower(3, 1, n)
     fq = tw.fq
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from .census import (attach_class_number_checks, canonical_json, cyclicity_trend
                      default_prime, run_census)
 from .charpoly import is_imaginary
 from .drinfeld import DrinfeldModule
-from .fields import SizeBoundError, build_tower
+from .fields import SizeBoundError, _layout, _number, build_tower
 from .polys import UPoly
 from .structure import CRITERIA, NotRealizable, classify_module, criteria, realize_structure
 
@@ -23,10 +23,13 @@ EXIT_BOUND = 3
 
 
 def _positive_int(text):
-    """An argparse type: ASCII digits, at least 1; argparse names the flag."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return int(text)
+    """An argparse type: bare ASCII digits, at least 1; argparse names the flag."""
+    try:
+        if (value := _number(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
 
 
 def _add_field_args(sub):
@@ -209,7 +212,7 @@ def cmd_realize(args):
 
 
 def cmd_trend(args):
-    qs = [_positive_int(x.strip()) for x in args.q.split(",")]
+    qs = [_positive_int(x) for x in _layout(args.q).split(",")]
     table = cyclicity_trend(qs, args.d, args.m, jobs=args.jobs)
 
     def fmt(fr):

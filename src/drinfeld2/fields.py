@@ -538,20 +538,16 @@ class FieldTower:
         return value
 
     def parse(self, text):
-        """Parse '[c0,c1,...]' or a bare integer below the field order, in ASCII;
-        each number is ASCII digits, after a '-' for a coefficient that the
-        range check then refuses.  int() syntax beyond that, such as '0_5' or
-        '+1', is refused."""
-        text = text.strip()
-        if not text.isascii():
-            raise ValueError("non-ASCII character in element %r" % text)
-        if text.startswith("["):
-            if not text.endswith("]"):
+        """Parse '[c0,c1,...]' or a bare integer below the field order, each
+        number in ASCII digits ('-1', '+1' and '0_5' raise ValueError), with
+        spaces ignored and any other whitespace or non-ASCII text refused."""
+        s = _layout(text)
+        if s.startswith("["):
+            if not s.endswith("]"):
                 raise ValueError("unterminated vector literal: %r" % text)
-            body = text[1:-1].strip()
-            return self.from_vector([_digits_int(c.strip()) for c in body.split(",")]
-                                    if body else [])
-        return self.element(_digits_int(text))
+            body = s[1:-1]
+            return self.from_vector([_number(c) for c in body.split(",")] if body else [])
+        return self.element(_number(s))
 
     def format(self, a):
         """The text '[c0,c1,...]' of a, low degree first."""
@@ -568,16 +564,20 @@ class FieldTower:
         return "FieldTower(p=%d, s=%d, n=%d)" % (self.p, self.s, self.n)
 
 
-def _digits_int(text):
-    """int(text) for ASCII digits, or a '-' and the digits of a negative
-    value; ValueError naming an empty entry, with int()'s message for the
-    rest of what int() refuses, otherwise."""
-    if not text:
-        raise ValueError("empty entry in element text")
-    value = int(text)
-    if not (text[1:] if value < 0 else text).isdigit():
-        raise ValueError("expected digits, got %r" % text)
-    return value
+def _layout(text):
+    """Command-line text with its spaces dropped; ValueError if it holds any
+    other whitespace, a control character or a non-ASCII character."""
+    if text.isascii() and text.isprintable():
+        return text.replace(" ", "")
+    bad = next(c for c in text if not (c.isascii() and c.isprintable()))
+    raise ValueError("character %r in %r is not printable ASCII" % (bad, text))
+
+
+def _number(text):
+    """The int that the ASCII digits text spell; ValueError for any other text."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected digits, got %s" % (repr(text) if text else "an empty entry"))
+    return int(text)
 
 
 @lru_cache(maxsize=None)

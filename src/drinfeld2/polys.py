@@ -7,7 +7,7 @@ The arithmetic is that of the field's PolyKernel.
 
 import re
 
-from .fields import MAX_DEGREE, SizeBoundError
+from .fields import MAX_DEGREE, SizeBoundError, _layout
 
 
 class UPoly:
@@ -187,11 +187,8 @@ class UPoly:
     def parse(cls, fq, text):
         """Parse 'c_k*T^k+...+c_0', each c an int in [0, q) as F_q numbers
         its elements, or its negation '-c'; raises ValueError for c >= q.
-        Spaces are ignored and any other whitespace is refused."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial string")
-        s = s.replace("-", "+-")
+        Spaces are ignored; any other whitespace or non-ASCII text is refused."""
+        s = _layout(text).replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]
         total = cls.zero(fq)

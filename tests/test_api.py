@@ -166,6 +166,41 @@ def _imported_but_unused(source):
                   if name not in read and name not in exported)
 
 
+# str methods that decide what command-line text may hold
+_TEXT_CHECKS = {"strip", "lstrip", "rstrip", "isascii", "isdigit", "isdecimal", "isnumeric",
+                "isspace", "isprintable"}
+
+
+def _text_check_callers(source):
+    """(function, method) for each call of a _TEXT_CHECKS method in source,
+    named by the outermost function around it, or '' at module level."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not owner:
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _TEXT_CHECKS):
+            found.add((owner, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_command_line_grammar_lives_in_the_two_readers():
+    # one layout reader and one number reader in fields.py; every other
+    # reader of CLI text calls them
+    callers = {(path.name, owner, method)
+               for path in sorted(Path(drinfeld2.__file__).parent.glob("*.py"))
+               for owner, method in _text_check_callers(path.read_text())}
+    assert {(name, owner) for name, owner, _ in callers} <= {
+        ("fields.py", "_layout"), ("fields.py", "_number")}, callers
+    assert _text_check_callers("class A:\n    def f(self, t):\n        return t.strip()\n") \
+        == {("f", "strip")}
+
+
 def test_library_has_no_unused_imports():
     unused = {path.name: found
               for path in sorted(Path(drinfeld2.__file__).parent.glob("*.py"))

@@ -7,8 +7,8 @@ import pytest
 
 from drinfeld2 import (DrinfeldModule, FrobeniusCharPoly, UPoly,
                        build_tower, census, drinfeld, frobenius_charpoly, structure)
-from drinfeld2.census import (attach_class_number_checks, counting_formulas,
-                              cyclicity_trend, default_prime, run_census,
+from drinfeld2.census import (attach_class_number_checks, compute_statistics,
+                              counting_formulas, cyclicity_trend, default_prime, run_census,
                               twist_orbits)
 from drinfeld2.drinfeld import orbit_members, sigma_orbits
 from drinfeld2.fields import SizeBoundError
@@ -754,6 +754,9 @@ def test_statistics_sum_to_one(census_cache):
         st = r.statistics
         assert st["C"] + st["N"] == 1
         assert st["C0"] + st["N0"] == 1
+    # with no ordinary class there is nothing to divide by
+    assert compute_statistics({"ordinary_iso_classes": 0}) == {
+        "defined": False, "C": None, "C0": None, "N": None, "N0": None}
 
 
 def test_terminal_summary_names_failing_criteria():

@@ -304,12 +304,20 @@ def test_integer_flags_take_ascii_digits_of_at_least_one(capsys, argv, flag):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("qs", ["３", "3,５", "0", "-3", "3,,5"])
-def test_trend_q_takes_ascii_digits_of_at_least_one(capsys, qs):
+@pytest.mark.parametrize("qs,message", [
+    pytest.param(qs, message, id=qs) for qs, message in [
+        ("３", "is not printable ASCII"), ("3,５", "is not printable ASCII"),
+        ("0", "expected an integer >= 1"), ("-3", "expected an integer >= 1"),
+        ("3,,5", "expected an integer >= 1"),
+        # str.strip() dropped any Unicode whitespace around an entry: these ran
+        ("3,\u30005", "is not printable ASCII"), ("3,\t5", "is not printable ASCII"),
+        ("3,\x0c5", "is not printable ASCII")]])
+def test_trend_q_takes_ascii_digits_of_at_least_one(capsys, qs, message):
     # '３' ran as q = 3
     code, out, err = run_cli(capsys, "trend", "--q", qs, "--d", "1", "--m", "1")
     assert code == 2 and out == ""
-    assert "expected an integer >= 1" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("P,g,delta", [("T+１", "２", "[１]"), ("T+１", "2", "1"),
@@ -334,33 +342,40 @@ def test_realize_rejects_a_zero_invariant_factor(capsys, i1, i2):
     ("[1,2", "unterminated vector literal"),
     ("[1,2,3]", "expected a length-2 vector"),
     ("[]", "expected a length-2 vector"),
-    ("[-1,0]", "coefficient -1 out of range for F_3"),
+    ("[-1,0]", "expected digits, got '-1'"),
     ("9", "value 9 out of range for a field of order 9"),
-    ("[0,x]", "invalid literal for int()"),
+    ("[0,x]", "expected digits, got 'x'"),
     # int() reads these as 5, [1,0], 4 and [0,0]: plain digits only
     ("0_5", "expected digits, got '0_5'"),
     ("[+1,0_0]", "expected digits, got '+1'"),
     ("+4", "expected digits, got '+4'"),
     ("[0,-0]", "expected digits, got '-0'"),
-    ("[1,]", "empty entry in element text"),
-    ("", "empty entry in element text"),
+    ("[1,]", "expected digits, got an empty entry"),
+    ("", "expected digits, got an empty entry"),
+    # str.strip() dropped any Unicode whitespace around the text and each
+    # entry, so these ran as [1,1]
+    ("\u00a0[1,1]", "character '\\xa0' in"),
+    ("1\u3000", "character '\\u3000' in"),
+    ("[1,\t1]\n", "character '\\t' in"),
+    ("[1,1]\x0b", "character '\\x0b' in"),
+    ("[1,\u20031]", "is not printable ASCII"),
 ])
 def test_element_reader_rejects_malformed_text(capsys, g, message):
     code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",
                              "--g", g, "--delta", "1")
     assert code == 2 and out == ""
-    assert message in err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_element_reader_accepts_vectors_and_digit_encodings(capsys):
     # 4 is the base-3 digit encoding of [1,1] in F_9
     outs = []
-    for g in ("[1,1]", "[ 1 , 1 ]", "4"):
-        code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", "T", "--m", "2",
+    for P, g in (("T", "[1,1]"), ("T", "[ 1 , 1 ]"), ("T", "4"), (" T + 0 ", " [1, 1] ")):
+        code, out, err = run_cli(capsys, "charpoly", "--p", "3", "--P", P, "--m", "2",
                                  "--g", g, "--delta", "1")
         assert code == 0 and err == ""
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_realize_text_writes_vectors(capsys):
@@ -376,6 +391,9 @@ def test_trend_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "q\tC\tC0\tC0_closed_form\tC0_closed_form_match"
     assert out.splitlines()[1] == "3\t1/1\t1/1\t1/1\tTrue"
+    # spaces in the list are dropped, as in polynomials and elements
+    assert run_cli(capsys, "trend", "--q", " 3 , 5 ", "--d", "1", "--m", "1",
+                   "--format", "text") == (0, out, "")
 
 
 @pytest.mark.parametrize("env,jobs", [("abc", None), (None, "0"), (None, "-3")])

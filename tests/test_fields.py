@@ -99,6 +99,10 @@ def test_non_prime_characteristic_rejected():
         build_tower(4, 1, 1)
     with pytest.raises(ValueError):
         build_tower(1, 1, 1)
+    with pytest.raises(ValueError, match="s must be >= 1"):
+        Fq(3, 0)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        FieldTower(build_tower(3, 1, 1).fq, 0)
 
 
 def test_size_bound():
@@ -123,6 +127,9 @@ def test_field_axioms_random(p, s, n):
         assert tw.add(a, tw.neg(a)) == 0
         if a:
             assert tw.mul(a, tw.inv(a)) == 1
+    for field in (tw, tw.fq):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 1), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2),
@@ -207,11 +214,14 @@ def test_element_vectors_and_parse():
 
 def test_parse_refuses_non_ascii_digits():
     # int() reads full-width and other Unicode digits, so '[１,0]' was [1, 0]
+    # and str.strip() dropped any Unicode whitespace, so '\u00a0[1,1]' was
+    # [1, 1]; spaces are the only whitespace read
     tw = build_tower(3, 1, 2)
-    for bad in ("２", "[１,0]", "[0, ２]", "\u0665"):
-        with pytest.raises(ValueError, match="non-ASCII"):
+    for bad in ("２", "[１,0]", "[0, ２]", "\u0665", "\u00a0[1,1]", "1\u3000",
+                "[1,\t1]\n", "[1,1]\x0b", "[1,\u20031]"):
+        with pytest.raises(ValueError, match="is not printable ASCII"):
             tw.parse(bad)
-    assert tw.parse(" [1, 0] ") == 1 and tw.parse(" 2 ") == 2
+    assert tw.parse(" [1, 0] ") == 1 and tw.parse(" 2 ") == 2 and tw.parse(" [1, 1] ") == 4
 
 
 def test_gauss_solve_and_nullspace():

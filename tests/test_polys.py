@@ -6,7 +6,7 @@ import pytest
 from conftest import GRID, STRETCH, tower_for
 from drinfeld2 import UPoly, build_tower, enumerate_monic_irreducibles
 from drinfeld2.census import default_prime
-from drinfeld2.polys import monic_polys, residue_root
+from drinfeld2.polys import irreducible_divisors, monic_polys, residue_root
 from oracles import monic_divisors, residue_root_by_scan
 
 
@@ -23,6 +23,12 @@ def test_zero_degree_sentinel():
     assert z.degree() == -1
     assert not z
     assert UPoly(fq3(), (0, 0, 0)).coeffs == ()
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        z.lc()
+    with pytest.raises(ValueError, match="undefined"):
+        z.gcd(z)
+    with pytest.raises(ValueError, match="divisors of 0"):
+        irreducible_divisors(z)
 
 
 def test_integer_operands_are_refused():
@@ -40,6 +46,10 @@ def test_integer_operands_are_refused():
     for op in (lambda: 2 + t, lambda: 2 - t, lambda: 3 * t):
         with pytest.raises(TypeError):
             op()
+    with pytest.raises(ValueError, match="different fields"):
+        t + UPoly.gen(fq3())
+    with pytest.raises(ValueError, match="negative exponent"):
+        t.pow(-1)
 
 
 def test_parse_refuses_a_coefficient_of_q_or_more():
@@ -59,7 +69,7 @@ def test_parse_refuses_non_ascii_digits_and_spaces(text):
     # \d and \s matched any Unicode digit or space, and int() read the digit:
     # over F_3, 'T+２' was T + 2.  Only spaces are dropped: a tab parsed next
     # to a '*' or at either end of a term, and a newline at the end of one
-    with pytest.raises(ValueError, match="malformed polynomial term"):
+    with pytest.raises(ValueError, match="is not printable ASCII"):
         UPoly.parse(fq3(), text)
 
 
@@ -148,6 +158,8 @@ def test_irreducible_enumeration_examples():
     assert len(enumerate_monic_irreducibles(fq, 2)) == 3
     fq2 = build_tower(2, 1, 1).fq
     assert enumerate_monic_irreducibles(fq2, 2) == [UPoly.parse(fq2, "T^2+T+1")]
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        enumerate_monic_irreducibles(fq, 0)
 
 
 def test_irreducibles_in_lex_order():
@@ -229,8 +241,6 @@ def test_monic_divisors():
 
 
 def test_irreducible_divisors_match_trial_division():
-    from drinfeld2.polys import irreducible_divisors
-
     for q, (p, s) in ((2, (2, 1)), (3, (3, 1)), (4, (2, 2))):
         fq = build_tower(p, s, 1).fq
         for n in range(1, 5):

@@ -14,7 +14,8 @@ it, with the orbit's own size and automorphism count; those and its
 unit, recomputed from its own delta, are checked against the head's.  Heads
 are classified by structure.classify, with no module built, and each
 isogeny class gets one characteristic polynomial.  All
-statistics are exact rationals; closed-form counting formulas are
+statistics are exact rationals, held as int pairs (numerator,
+denominator) in lowest terms (see _ratio); closed-form counting formulas are
 evaluated alongside and reported with match flags, never silently
 assumed.  Reports serialize deterministically: identical inputs give
 byte-identical JSON.
@@ -22,13 +23,12 @@ byte-identical JSON.
 
 import json
 import os
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .charpoly import FrobeniusCharPoly, _annihilation_residue, frobenius_unit, is_imaginary
 from .drinfeld import invariants, orbit_members, sigma_orbits, twist_orbits
 from .fields import SizeBoundError, build_tower
-from .polys import UPoly, _Value, enumerate_monic_irreducibles, residue_root
+from .polys import UPoly, _Value, residue_root
 from .structure import classify, criteria
 
 SCHEMA_VERSION = "3"
@@ -45,8 +45,11 @@ def canonical_json(payload):
 
 
 def default_prime(fq, d):
-    """The lexicographically first monic irreducible of degree d."""
-    return enumerate_monic_irreducibles(fq, d)[0]
+    """The lexicographically first monic irreducible of degree d, found
+    without listing the others."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    return UPoly(fq, next(fq.kernel.irreducibles(d)))
 
 
 def _process_orbit(tower, prime, group, verify_members, classes):
@@ -135,19 +138,28 @@ def counting_formulas(q, d, m):
 
     c0 = None
     if (d, m) == (1, 1):
-        c0 = Fraction(1)
+        c0 = (1, 1)
     elif (d, m) == (2, 1) and q % 2 == 1:
-        c0 = Fraction(q * (q - 1) - 5, q * (q - 1) - 2)
+        c0 = _ratio(q * (q - 1) - 5, q * (q - 1) - 2)
     elif (d, m) == (1, 2) and q % 2 == 1:
-        c0 = Fraction((q - 1) * q - 4, (q - 1) * q - 2)
+        c0 = _ratio((q - 1) * q - 4, (q - 1) * q - 2)
     out["C0_closed_form"] = c0
     return out
 
 
+def _ratio(num, den):
+    """The rational num/den, den > 0, as the pair (numerator, denominator)
+    of ints in lowest terms: the form of every exact rational in the
+    library.  Reduced pairs are equal exactly when the rationals are."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _fraction_dict(x):
+    """A _ratio pair, or None, as report JSON."""
     if x is None:
         return None
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": str(x[0]), "den": str(x[1])}
 
 
 def compute_statistics(totals):
@@ -157,18 +169,17 @@ def compute_statistics(totals):
     ordinary isogeny classes (an isogeny class counts as cyclic when all
     its members are).  C + N = 1 and C0 + N0 = 1 identically.  With no
     ordinary classes the statistics are undefined and flagged as such.
+    Each statistic is a _ratio pair.
     """
     if not totals["ordinary_iso_classes"]:
         return {"defined": False, "C": None, "C0": None, "N": None, "N0": None}
-    C = Fraction(totals["cyclic_ordinary_iso_classes"], totals["ordinary_iso_classes"])
-    N = Fraction(totals["ordinary_iso_classes"] - totals["cyclic_ordinary_iso_classes"],
-                 totals["ordinary_iso_classes"])
-    C0 = Fraction(totals["cyclic_ordinary_isogeny_classes"],
-                  totals["ordinary_isogeny_classes"])
-    N0 = Fraction(totals["ordinary_isogeny_classes"]
-                  - totals["cyclic_ordinary_isogeny_classes"],
-                  totals["ordinary_isogeny_classes"])
-    if C + N != 1 or C0 + N0 != 1:
+    iso, cyclic_iso = totals["ordinary_iso_classes"], totals["cyclic_ordinary_iso_classes"]
+    isg, cyclic_isg = (totals["ordinary_isogeny_classes"],
+                       totals["cyclic_ordinary_isogeny_classes"])
+    C, N = _ratio(cyclic_iso, iso), _ratio(iso - cyclic_iso, iso)
+    C0, N0 = _ratio(cyclic_isg, isg), _ratio(isg - cyclic_isg, isg)
+    # a/b + c/d = 1, cross-multiplied
+    if any(a * d + c * b != b * d for (a, b), (c, d) in ((C, N), (C0, N0))):
         raise RuntimeError("statistics do not sum to one")
     return {"defined": True, "C": C, "C0": C0, "N": N, "N0": N0}
 
@@ -338,7 +349,9 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             flags.append((cp.ordinary, criteria(kernel, chi, c_minus_2, i1, i2)))
             struct_rows.append({"i1": text(i1), "i2": text(i2), "count": cnt,
                                 "cumulative": _members_with_plane(kernel, i2_counts, i2)})
-        weighted = sum(Fraction((q - 1) * cnt, aut) for aut, cnt in auts.items())
+        common = lcm(*auts)  # the sum of (q - 1) cnt / aut over one denominator
+        weighted = _ratio(sum((q - 1) * cnt * (common // aut) for aut, cnt in auts.items()),
+                          common)
         row = {
             "c": text(key[0]),
             "mu": cp.unit,
@@ -348,7 +361,7 @@ def run_census(tower, prime, m, jobs=1, verify_members=False):
             "disc_imaginary": is_imaginary(cp.disc),
             "W": len(group),
             "weighted_W": _fraction_dict(weighted),
-            "weighted_equals_count": weighted == len(group),
+            "weighted_equals_count": weighted == (len(group), 1),
             "cyclic": all(i2 == one for i2, _ in i2_counts),
             "structures": struct_rows,
         }

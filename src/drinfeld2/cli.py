@@ -159,6 +159,11 @@ def cmd_structure(args):
     return EXIT_OK
 
 
+def _ratio_text(pair):
+    """A reduced (numerator, denominator) pair as a/b, or a when b = 1."""
+    return str(pair[0]) if pair[1] == 1 else "%d/%d" % pair
+
+
 def cmd_census(args):
     tower = build_tower(args.p, args.s, args.d * args.m)
     if args.hurwitz and tower.q % 2 == 0:  # refused before the census, not after
@@ -183,7 +188,7 @@ def cmd_census(args):
                  % (t["isogeny_classes"], t["ordinary_isogeny_classes"])]
         st = report.statistics
         if st["defined"]:
-            lines.append("C = %s, C0 = %s" % (st["C"], st["C0"]))
+            lines.append("C = %s, C0 = %s" % (_ratio_text(st["C"]), _ratio_text(st["C0"])))
     _emit(args, report.to_dict(), lines)
     return EXIT_OK
 

@@ -28,7 +28,6 @@ applied to the one before.
 """
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 # Largest |L| for which tables are built, and so the largest field a
@@ -64,16 +63,16 @@ def prime_factors(n):
     return out
 
 
-PolyKernel = namedtuple(
-    "PolyKernel",
-    "add sub neg mul divmod gcd scale monic monics irreducibles is_irreducible"
-    " irreducible_divisors")
-PolyKernel.__doc__ = """Arithmetic on polynomials over one F_q, as coefficient tuples.
+class PolyKernel:
+    """Arithmetic on polynomials over one F_q, as coefficient tuples.
 
-Tuples hold field elements low degree first, with no trailing zeros, so
-the zero polynomial is ().  The factors of mul and the dividend of divmod
-may also carry trailing zeros, as digit vectors do.
-"""
+    Tuples hold field elements low degree first, with no trailing zeros, so
+    the zero polynomial is ().  The factors of mul and the dividend of divmod
+    may also carry trailing zeros, as digit vectors do.
+    """
+
+    __slots__ = ("add", "sub", "neg", "mul", "divmod", "gcd", "scale", "monic", "monics",
+                 "irreducibles", "is_irreducible", "irreducible_divisors")
 
 
 def _poly_kernel(fq):
@@ -218,8 +217,12 @@ def _poly_kernel(fq):
         hit = divisors[f] = tuple(out)
         return hit
 
-    return PolyKernel(add, sub, neg, mul, divmod_, gcd, scale, monic, monics, irreducibles,
-                      is_irreducible, irreducible_divisors)
+    kernel = PolyKernel()
+    kernel.add, kernel.sub, kernel.neg, kernel.mul = add, sub, neg, mul
+    kernel.divmod, kernel.gcd, kernel.scale, kernel.monic = divmod_, gcd, scale, monic
+    kernel.monics, kernel.irreducibles = monics, irreducibles
+    kernel.is_irreducible, kernel.irreducible_divisors = is_irreducible, irreducible_divisors
+    return kernel
 
 
 class Fq:

@@ -21,6 +21,7 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 from conftest import GRID, STRETCH, tower_for
 from oracles import (OutsideDomainError, c0_closed_form, cyclic_proportions_are_one,
@@ -182,8 +183,9 @@ def test_criterion_6a_trivial_extension_is_cyclic(census_cache):
     failures = []
     for q in (2, 3, 4, 5):
         st = census_cache(q, 1, 1).statistics
-        if st["C"] != 1 or st["C0"] != 1:
-            failures.append((q, st["C"], st["C0"]))
+        c, c0 = Fraction(*st["C"]), Fraction(*st["C0"])
+        if c != 1 or c0 != 1:
+            failures.append((q, c, c0))
     report("6a", not failures, "C(1,1,q) = C0(1,1,q) = 1 for q in {2,3,4,5}")
     assert not failures, failures
 
@@ -193,7 +195,7 @@ def test_criterion_6b_cyclic_proportion_closed_forms(census_cache, unverified_ce
     failures = []
     for q, d, m, r in _censuses(cases, census_cache, unverified_census):
         want = c0_closed_form(q, d, m)
-        got = r.statistics["C0"]
+        got = Fraction(*r.statistics["C0"])
         if got != want:
             failures.append("C0(d=%d,m=%d,q=%d): closed form %s but census has %s"
                             % (d, m, q, want, got))
@@ -207,11 +209,12 @@ def test_criterion_6c_cyclicity_characterizes_trivial_extension(census_cache):
     failures = []
     for q, d, m in REQUIRED_COUNT_CASES:
         st = census_cache(q, d, m).statistics
-        both_one = st["C"] == 1 and st["C0"] == 1
+        c, c0 = Fraction(*st["C"]), Fraction(*st["C0"])
+        both_one = c == 1 and c0 == 1
         want = cyclic_proportions_are_one(q, d, m)
         if both_one != want:
             failures.append("q=%d d=%d m=%d: C=%s C0=%s but the closed form says %s"
-                            % (q, d, m, st["C"], st["C0"],
+                            % (q, d, m, c, c0,
                                "C = C0 = 1" if want else "C0 < 1"))
     report("6c", not failures,
            "C = C0 = 1 exactly when n = 1 or (d,m) = (1,2) over the censused grid"

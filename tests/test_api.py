@@ -92,7 +92,7 @@ def test_import_leaves_out_the_dataclasses_machinery():
     # -S: no site module, whose .pth files may import typing before the library
     code = ("import sys; sys.path.insert(0, %r); import drinfeld2, drinfeld2.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing', 'csv', "
-            "'drinfeld2.ore'} & set(sys.modules)))" % src)
+            "'drinfeld2.ore', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))" % src)
     out = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

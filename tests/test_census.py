@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from drinfeld2.census import (attach_class_number_checks, compute_statistics,
                               counting_formulas, cyclicity_trend, default_prime, run_census,
                               twist_orbits)
 from drinfeld2.drinfeld import orbit_members, sigma_orbits
-from drinfeld2.fields import SizeBoundError
-from drinfeld2.polys import irreducible_divisors
+from drinfeld2.fields import Fq, SizeBoundError
+from drinfeld2.polys import enumerate_monic_irreducibles, irreducible_divisors
 from oracles import (SplittingBoundError, action_matrix, census_heads_without_descent,
                      charpoly_by_solve, l_polynomial_problems, matrix_char_and_min_poly,
                      matrix_second_invariant_factor, phi_by_ore, torsion_structure,
@@ -427,8 +428,8 @@ def test_census_311(census_cache):
     assert r.totals["iso_classes"] == 6
     assert r.totals["supersingular_iso_classes"] == 2
     assert r.totals["ordinary_isogeny_classes"] == 4
-    assert r.statistics["C"] == Fraction(1)
-    assert r.statistics["C0"] == Fraction(1)
+    assert Fraction(*r.statistics["C"]) == Fraction(1)
+    assert Fraction(*r.statistics["C0"]) == Fraction(1)
     assert all(v is not False for v in r.checks.values())
     assert r.formula_comparison["iso_class_total"]["match"]
     assert r.formula_comparison["supersingular_iso_classes"]["match"]
@@ -443,8 +444,8 @@ def test_census_312(census_cache):
     assert r.totals["supersingular_isogeny_classes"] == 5
     # every ordinary class here is cyclic (the non-cyclic modules are all
     # supersingular at d = 1, m = 2)
-    assert r.statistics["C"] == Fraction(1)
-    assert r.statistics["C0"] == Fraction(1)
+    assert Fraction(*r.statistics["C"]) == Fraction(1)
+    assert Fraction(*r.statistics["C0"]) == Fraction(1)
     assert any(not row["cyclic"] for row in r.iso_classes)
 
 
@@ -455,8 +456,8 @@ def test_census_321(census_cache):
     assert r.totals["supersingular_iso_classes"] == 2
     assert r.totals["ordinary_iso_classes"] == 22
     assert r.totals["ordinary_isogeny_classes"] == 14
-    assert r.statistics["C"] == Fraction(19, 22)
-    assert r.statistics["C0"] == Fraction(11, 14)
+    assert Fraction(*r.statistics["C"]) == Fraction(19, 22)
+    assert Fraction(*r.statistics["C0"]) == Fraction(11, 14)
     # the closed forms disagree with enumeration here; the report must
     # flag that rather than hide it
     assert not r.formula_comparison["supersingular_iso_classes"]["match"]
@@ -474,13 +475,13 @@ def test_counting_formulas_values():
     f2 = counting_formulas(3, 2, 1)
     assert f2["ordinary_isogeny_classes"]["undefined"]
     assert f2["ordinary_isogeny_classes"]["substitute"] == 4
-    assert f2["C0_closed_form"] == Fraction(1, 4)
+    assert Fraction(*f2["C0_closed_form"]) == Fraction(1, 4)
     f3 = counting_formulas(3, 1, 1)
     assert f3["iso_class_total"] == 6
     assert f3["supersingular_iso_classes"] == 2
-    assert f3["C0_closed_form"] == Fraction(1)
+    assert Fraction(*f3["C0_closed_form"]) == Fraction(1)
     f4 = counting_formulas(5, 2, 1)
-    assert f4["C0_closed_form"] == Fraction(15, 18)
+    assert Fraction(*f4["C0_closed_form"]) == Fraction(15, 18)
 
 
 def test_weighted_class_sizes(census_cache):
@@ -751,12 +752,49 @@ def test_cyclicity_trend_increases_toward_one():
 def test_statistics_sum_to_one(census_cache):
     for key in ((3, 1, 2), (3, 2, 1), (5, 1, 2)):
         r = census_cache(*key)
-        st = r.statistics
+        st = {k: Fraction(*r.statistics[k]) for k in ("C", "N", "C0", "N0")}
         assert st["C"] + st["N"] == 1
         assert st["C0"] + st["N0"] == 1
     # with no ordinary class there is nothing to divide by
     assert compute_statistics({"ordinary_iso_classes": 0}) == {
         "defined": False, "C": None, "C0": None, "N": None, "N0": None}
+
+
+def test_statistics_are_the_fractions_of_the_counts(census_cache):
+    # Fraction is the oracle for the library's reduced int pairs
+    for case in GRID + STRETCH:
+        r = census_cache(*case)
+        t = r.totals
+        iso, isg = t["ordinary_iso_classes"], t["ordinary_isogeny_classes"]
+        cyclic_iso, cyclic_isg = (t["cyclic_ordinary_iso_classes"],
+                                  t["cyclic_ordinary_isogeny_classes"])
+        want = {"C": Fraction(cyclic_iso, iso), "N": Fraction(iso - cyclic_iso, iso),
+                "C0": Fraction(cyclic_isg, isg), "N0": Fraction(isg - cyclic_isg, isg)}
+        for k, fr in want.items():
+            assert r.statistics[k] == (fr.numerator, fr.denominator), (case, k)
+        q = case[0]
+        auts = {}
+        for row in r.iso_classes:
+            auts.setdefault((row["c"], row["mu"]), []).append(row["aut_count"])
+        for cls in r.isogeny_classes:
+            weighted = sum(Fraction(q - 1, aut) for aut in auts[cls["c"], cls["mu"]])
+            assert cls["weighted_W"] == {"num": str(weighted.numerator),
+                                         "den": str(weighted.denominator)}, case
+            assert cls["weighted_equals_count"] == (weighted == cls["W"]), case
+
+
+def test_default_prime_is_the_first_irreducible_without_listing_them():
+    # a fresh field, so no cached irreducibility test speeds the search up;
+    # listing all 3916 irreducibles of degree 2 over F_89 takes about a second
+    fq = Fq(89, 1)
+    start = time.perf_counter()
+    prime = default_prime(fq, 2)
+    assert time.perf_counter() - start < 0.2
+    assert prime == enumerate_monic_irreducibles(fq, 2)[0]
+    cases = {(q, d) for q, d, _ in GRID + STRETCH} | {(3, 8), (2, 13)}
+    for q, d in sorted(cases):
+        fq = Fq(*Q_TO_PS[q])
+        assert default_prime(fq, d) == enumerate_monic_irreducibles(fq, d)[0], (q, d)
 
 
 def test_terminal_summary_names_failing_criteria():

@@ -83,8 +83,9 @@ def test_structure_noncyclic_instance(capsys):
     assert payload["criteria"]["i2_divides_c_minus_2"] is True
 
 
-# SHA-256 of the full stdout of charpoly, structure and realize; the first input
-# has disc 0 and its Frobenius is phi(T)
+# SHA-256 of the full stdout of charpoly, structure, realize, and of the text
+# reports of census and trend, whose rationals print as a/b, or a when b = 1;
+# the first input has disc 0 and its Frobenius is phi(T)
 CLI_STDOUT_SHA256 = [
     ("charpoly --p 3 --P T --m 2 --g [0,0] --delta [1,0]",
      "b2cb0b23afe59cdde06ee62dd0ebd3cad442797061286a3628d281a7e0e06d14"),
@@ -104,6 +105,15 @@ CLI_STDOUT_SHA256 = [
      "6c90fa755111ecd3466543036c89a282041960a5190d62bdc81b60b505c1a595"),
     ("realize --p 5 --P T --m 3 --i1 T^2+3*T+2 --i2 T+2",
      "fb2a144bd02d30575e57f4ca2d41058cd1f8e9b1090d921fa12e467fd4b0bd0f"),
+    # ends "C = 19/22, C0 = 11/14"
+    ("census --p 3 --d 2 --m 1 --format text",
+     "314bb70224b2d1f3ebab0154db182c52d645cceea8a9d1a42895639e31a630b9"),
+    # ends "C = 1, C0 = 1"
+    ("census --p 3 --d 1 --m 1 --format text",
+     "7af9fc73b47b71227b3a9a59f12f42c6ec58ece50147e66df5a16ea39a2f2dd0"),
+    # rows "19/22 11/14 1/4 False" and "111/116 63/68 5/6 False", tab-separated
+    ("trend --q 3,5 --d 2 --m 1 --format text",
+     "e8c61c25597d9e2f2b9ccc374bdfe2903f6f9a7bcdb4bfb182a87d290038916d"),
 ]
 
 
@@ -237,6 +247,14 @@ def test_realize_rejects_a_dangling_star(capsys):
                              "--i1", "T+4*", "--i2", "1")
     assert code == 2 and out == ""
     assert "malformed polynomial term" in err
+
+
+def test_a_value_that_starts_with_a_minus_takes_the_equals_form(capsys):
+    # argparse reads "--i1 -1+T" as two options; "--i1=-1+T" reaches the reader
+    base = ["realize", "--p", "3", "--P", "T", "--m", "1", "--i2", "1"]
+    assert run_cli(capsys, *base, "--i1=-1+T") == run_cli(capsys, *base, "--i1", "T+2")
+    code, out, err = run_cli(capsys, *base, "--i1", "-1+T")
+    assert (code, out) == (2, "") and "expected one argument" in err
 
 
 def test_realize_not_realizable_exit_code(capsys):
